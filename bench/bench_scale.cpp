@@ -3,13 +3,10 @@
 // Two measurements, one report (`cicero-run-report/v1`):
 //
 //  1. Structure microbenchmarks: the indexed 4-ary heap (sim::Simulator)
-//     vs the pre-PR std::priority_queue on the controller's ack-timer
-//     pattern (arm a retransmit timer, cancel it when the ack lands —
-//     the legacy queue cannot cancel, so every orphaned timer is popped
-//     as a deferred no-op), and the dense sched::DependencyTracker vs
-//     the pre-PR std::map/std::set tracker on identical dependency
-//     batches.  Reported as events/sec, updates/sec and a speedup
-//     factor; EXPERIMENTS.md quotes these numbers.
+//     on the controller's ack-timer pattern (arm a retransmit timer,
+//     cancel it when the ack lands), and the dense
+//     sched::DependencyTracker on chained dependency batches.  Reported
+//     as events/sec and updates/sec.
 //
 //  2. End-to-end scale runs: full deployments on workload::fat_tree(k)
 //     and workload::wan(n), reporting simulated events/sec, applied
@@ -36,7 +33,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "legacy_structures.hpp"
 #include "sched/depgraph.hpp"
 #include "sim/simulator.hpp"
 #include "workload/topo_gen.hpp"
@@ -70,17 +66,10 @@ double peak_rss_mb() {
 // --- 1a. event queue: the ack-timer pattern ------------------------------
 //
 // Per update: an ack arrives ack_gap after send, and a retransmit timer is
-// armed ack_timeout out.  The new simulator cancels the timer when the ack
-// fires; the legacy queue lets it sit in the heap (growing it to
-// ack_timeout/ack_gap entries) and pops it later as a no-op.  `n` useful
-// (ack) events are processed either way, so events/sec = n / wall.
+// armed ack_timeout out and cancelled when the ack fires.  events/sec
+// counts the `n` useful (ack) events per wall second.
 
-struct QueueBenchResult {
-  double events_per_sec = 0.0;
-  std::uint64_t raw_events = 0;  ///< includes legacy no-op pops
-};
-
-QueueBenchResult bench_new_queue(std::uint64_t n, sim::SimTime ack_gap, sim::SimTime timeout) {
+double bench_queue(std::uint64_t n, sim::SimTime ack_gap, sim::SimTime timeout) {
   sim::Simulator sim;
   std::uint64_t acked = 0;
   const double t0 = now_sec();
@@ -95,26 +84,7 @@ QueueBenchResult bench_new_queue(std::uint64_t n, sim::SimTime ack_gap, sim::Sim
   };
   send(0);
   sim.run();
-  const double wall = now_sec() - t0;
-  return {static_cast<double>(acked) / wall, sim.events_processed()};
-}
-
-QueueBenchResult bench_legacy_queue(std::uint64_t n, sim::SimTime ack_gap, sim::SimTime timeout) {
-  bench::LegacyEventQueue sim;
-  std::uint64_t acked = 0;
-  const double t0 = now_sec();
-  std::function<void(std::uint64_t)> send = [&](std::uint64_t i) {
-    if (i >= n) return;
-    sim.after(timeout, [] {});  // orphaned retransmit timer: pops as a no-op
-    sim.after(ack_gap, [&, i] {
-      ++acked;
-      send(i + 1);
-    });
-  };
-  send(0);
-  sim.run();
-  const double wall = now_sec() - t0;
-  return {static_cast<double>(acked) / wall, sim.events_processed()};
+  return static_cast<double>(acked) / (now_sec() - t0);
 }
 
 // --- 1b. dependency tracker: chained batches -----------------------------
@@ -123,9 +93,8 @@ QueueBenchResult bench_legacy_queue(std::uint64_t n, sim::SimTime ack_gap, sim::
 // scheduler's shape: one chain per flow path), added then completed in
 // order.  updates/sec counts add+complete work per update.
 
-template <typename Tracker>
 double bench_tracker(std::uint64_t batches, std::uint32_t width, std::uint32_t depth) {
-  Tracker tracker;
+  sched::DependencyTracker tracker;
   sched::UpdateId next_id = 1;
   std::uint64_t updates = 0;
   const double t0 = now_sec();
@@ -263,36 +232,22 @@ int main(int argc, char** argv) {
   const std::uint64_t n_events = smoke ? 600'000 : 2'000'000;
   const cicero::sim::SimTime gap = cicero::sim::microseconds(1);
   const cicero::sim::SimTime timeout = cicero::sim::milliseconds(500);
-  const QueueBenchResult fresh = bench_new_queue(n_events, gap, timeout);
-  const QueueBenchResult legacy = bench_legacy_queue(n_events, gap, timeout);
-  const double queue_speedup = fresh.events_per_sec / legacy.events_per_sec;
-  std::printf("\nstructure microbenchmarks (vs pre-PR implementations):\n");
-  std::printf("event queue   : %12.0f ev/s indexed-heap  %12.0f ev/s legacy  (%.1fx)\n",
-              fresh.events_per_sec, legacy.events_per_sec, queue_speedup);
+  const double queue_eps = bench_queue(n_events, gap, timeout);
+  std::printf("\nstructure microbenchmarks:\n");
+  std::printf("event queue   : %12.0f ev/s indexed-heap\n", queue_eps);
 
   // 1b. Dependency tracker.  Reverse-path-shaped chains.
   const std::uint64_t batches = smoke ? 2'000 : 10'000;
-  const double fresh_upd = bench_tracker<cicero::sched::DependencyTracker>(batches, 8, 6);
-  const double legacy_upd = bench_tracker<cicero::bench::LegacyDependencyTracker>(batches, 8, 6);
-  const double tracker_speedup = fresh_upd / legacy_upd;
-  std::printf("dep tracker   : %12.0f upd/s dense        %12.0f upd/s legacy  (%.1fx)\n",
-              fresh_upd, legacy_upd, tracker_speedup);
+  const double fresh_upd = bench_tracker(batches, 8, 6);
+  std::printf("dep tracker   : %12.0f upd/s dense\n", fresh_upd);
 
   {
     cicero::obs::MetricsRegistry micro;
-    micro.gauge("micro.queue.events_per_sec").set(fresh.events_per_sec);
-    micro.gauge("micro.queue.legacy_events_per_sec").set(legacy.events_per_sec);
-    micro.gauge("micro.queue.speedup").set(queue_speedup);
+    micro.gauge("micro.queue.events_per_sec").set(queue_eps);
     micro.gauge("micro.tracker.updates_per_sec").set(fresh_upd);
-    micro.gauge("micro.tracker.legacy_updates_per_sec").set(legacy_upd);
-    micro.gauge("micro.tracker.speedup").set(tracker_speedup);
     report.add_metrics(micro);
   }
 
   cicero::bench::write_report(report, "scale");
-  if (queue_speedup < 1.0 || tracker_speedup < 1.0) {
-    std::fprintf(stderr, "scale bench: regression vs legacy structures\n");
-    return 1;
-  }
   return 0;
 }

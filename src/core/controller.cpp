@@ -36,10 +36,7 @@ Controller::Controller(sim::Simulator& simulator, sim::NetworkSim& network, Conf
                        Environment env)
     : sim_(simulator), net_(network), config_(std::move(config)), env_(std::move(env)),
       cpu_(simulator) {
-  if (config_.backend == ThresholdBackend::kFrost && config_.real_crypto) {
-    frost_signer_ = std::make_unique<crypto::FrostSigner>(config_.share, config_.group_pk);
-    nonce_drbg_ = std::make_unique<crypto::Drbg>(config_.nonce_seed ^ 0xF057ull);
-  }
+  frost_ = env_.crypto->frost_party(config_.share, config_.group_pk, config_.nonce_seed);
   if (config_.obs != nullptr) {
     cpu_.set_obs(config_.obs, config_.node, obs::kTidMain);
     auto& m = config_.obs->metrics;
@@ -86,12 +83,22 @@ void Controller::rebuild_replica() {
       [this](bft::SeqNum seq, const util::Bytes& payload) { on_deliver(seq, payload); });
 }
 
-bool Controller::is_aggregator() const {
+const Controller::MemberInfo& Controller::aggregator_member() const {
   // Lowest identifier among the current members (§4.2); identifiers are
   // never reused, so the choice is stable across membership changes.
-  std::uint32_t lowest = UINT32_MAX;
-  for (const auto& m : config_.members) lowest = std::min(lowest, m.id);
-  return lowest == config_.id;
+  const MemberInfo* agg = &config_.members.front();
+  for (const auto& m : config_.members) {
+    if (m.id < agg->id) agg = &m;
+  }
+  return *agg;
+}
+
+bool Controller::is_aggregator() const { return aggregator_member().id == config_.id; }
+
+void Controller::send_southbound(sim::NodeId to, const util::Bytes& wire) {
+  southbound_bytes_ += wire.size();
+  m_southbound_bytes_.inc(wire.size());
+  net_.send(config_.node, to, wire);
 }
 
 void Controller::handle_message(sim::NodeId from, const util::Bytes& wire) {
@@ -112,10 +119,9 @@ void Controller::handle_message(sim::NodeId from, const util::Bytes& wire) {
     }
     case CoreMsgTag::kAck: {
       if (auto a = AckMsg::decode(wire)) {
-        const bool verify = config_.framework == FrameworkKind::kCicero ||
-                            config_.framework == FrameworkKind::kCiceroAgg;
-        const sim::SimTime cost = config_.costs.ctrl_msg_handling +
-                                  (verify ? config_.costs.ack_verify : sim::SimTime{0});
+        const sim::SimTime cost =
+            config_.costs.ctrl_msg_handling +
+            (threshold_signed(config_.framework) ? config_.costs.ack_verify : sim::SimTime{0});
         cpu_.execute(cost, "ack.verify", [this, a = std::move(*a)] { on_ack(a); });
       }
       break;
@@ -154,17 +160,15 @@ void Controller::on_event(const Event& e) {
   ++events_seen_;
   m_events_seen_.inc();
   if (events_submitted_.count(e.id) != 0 || events_processed_set_.count(e.id) != 0) return;
-  if (config_.real_crypto && !env_.pki->verify_event(e)) {
+  if (!env_.crypto->verify_event(e)) {
     CICERO_LOG_WARN(kLog, "c%u: event with bad origin signature dropped", config_.id);
     return;
   }
 
   // The centralized/crash-tolerant baselines run one global control plane
   // spanning every domain: no filtering, no forwarding.
-  const bool global_plane = config_.framework == FrameworkKind::kCentralized ||
-                            config_.framework == FrameworkKind::kCrashTolerant;
   bool ours = true;
-  if (!global_plane &&
+  if (!global_plane(config_.framework) &&
       (e.kind == EventKind::kFlowRequest || e.kind == EventKind::kFlowTeardown)) {
     const auto path = env_.topology->shortest_path(e.match.src_host, e.match.dst_host);
     if (path.empty()) return;
@@ -286,12 +290,10 @@ void Controller::process_flow_event(const Event& e) {
   // Domain filter (§3.3): keep updates for our own switches; dependencies
   // on other domains' updates are dropped — each domain applies its
   // segment independently and in parallel.  Global planes keep everything.
-  const bool global_plane = config_.framework == FrameworkKind::kCentralized ||
-                            config_.framework == FrameworkKind::kCrashTolerant;
   sched::UpdateSchedule local;
   std::set<sched::UpdateId> local_ids;
   for (const auto& su : schedule.updates) {
-    if (global_plane ||
+    if (global_plane(config_.framework) ||
         env_.topology->node(su.update.switch_node).domain == config_.domain) {
       local_ids.insert(su.update.id);
     }
@@ -480,9 +482,8 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
     msg.update.rule.next_hop = update.switch_node;
   }
 
-  const bool threshold = config_.framework == FrameworkKind::kCicero ||
-                         config_.framework == FrameworkKind::kCiceroAgg;
-  const sim::SimTime sign_cost = threshold ? config_.costs.partial_sign : sim::SimTime{0};
+  const sim::SimTime sign_cost =
+      threshold_signed(config_.framework) ? config_.costs.partial_sign : sim::SimTime{0};
 
   if (trace_leader()) {
     config_.obs->trace.async_begin("update", update_track_id(update.id), "sign",
@@ -512,23 +513,16 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
     // Decision audit trail: record the exact update body we are about to
     // sign and emit (a mutating controller thereby signs evidence of its
     // own corruption; see core/audit.hpp).
-    audit_.append(msg.cause, update_signing_bytes(msg.update), config_.key);
-    if (config_.framework == FrameworkKind::kCicero ||
-        config_.framework == FrameworkKind::kCiceroAgg) {
-      if (config_.backend == ThresholdBackend::kFrost) {
+    const util::Bytes signing = update_signing_bytes(msg.update);
+    audit_.append(msg.cause, signing, config_.key);
+    if (threshold_signed(config_.framework)) {
+      if (env_.crypto->backend() == ThresholdBackend::kFrost) {
         // FROST round 1: attach a fresh one-time nonce commitment; the
         // actual partial is produced in round 2 (on_frost_session).
-        msg.partial.signer = config_.share.index;
-        msg.partial.payload = {0x01};
-        if (frost_signer_) {
-          msg.frost_commitment = frost_signer_->commit(*nonce_drbg_).to_bytes();
-        }
-      } else if (config_.real_crypto) {
-        msg.partial = crypto::SimBlsScheme::instance().partial_sign(
-            config_.share, update_signing_bytes(msg.update));
+        msg.partial = crypto::PartialSignature{config_.share.index, {0x01}};
+        msg.frost_commitment = env_.crypto->frost_commit(frost_.get());
       } else {
-        msg.partial.signer = config_.share.index;
-        msg.partial.payload = {0x00};  // placeholder (cost-only runs)
+        msg.partial = env_.crypto->partial_sign(config_.share, signing);
       }
     }
     const bool innet = config_.aggregation == AggregationMode::kInNetwork &&
@@ -550,16 +544,12 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
     if (config_.framework == FrameworkKind::kCiceroAgg && !is_aggregator()) {
       // Route through the aggregator (Fig. 7c).  The partial-carrying hop
       // is part of the signing phase's control-plane traffic.
-      const MemberInfo* agg = &config_.members.front();
-      for (const auto& m : config_.members) {
-        if (m.id < agg->id) agg = &m;
-      }
       const util::Bytes wire = msg.encode();
       if (obs::CritPath* cp = critpath()) {
         cp->add_phase_bytes(retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kSign,
                             wire.size());
       }
-      net_.send(config_.node, agg->node, wire);
+      net_.send(config_.node, aggregator_member().node, wire);
     } else if (config_.framework == FrameworkKind::kCiceroAgg) {
       on_peer_update(msg);  // we are the aggregator: count our own partial
     } else {
@@ -576,9 +566,7 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
                                         config_.node, obs::kTidNet);
         }
       }
-      southbound_bytes_ += wire.size();
-      m_southbound_bytes_.inc(wire.size());
-      net_.send(config_.node, sw_it->second, wire);
+      send_southbound(sw_it->second, wire);
     }
   });
 }
@@ -617,9 +605,7 @@ void Controller::dispatch_innet(const UpdateMsg& msg, sched::UpdateId uid, std::
     config_.obs->trace.flow_start("flow", flow_track_id(uid), "update.send", config_.node,
                                   obs::kTidNet);
   }
-  southbound_bytes_ += wire.size();
-  m_southbound_bytes_.inc(wire.size());
-  net_.send(config_.node, config_.innet_aggregator, wire);
+  send_southbound(config_.innet_aggregator, wire);
 }
 
 // ---------------------------------------------------------------------------
@@ -735,7 +721,7 @@ void Controller::send_manifest(const SegmentManifest& manifest, const EventId& c
     msg.manifest.update.rule.next_hop = manifest.update.switch_node;
   }
 
-  const bool threshold = config_.framework == FrameworkKind::kCicero;
+  const bool threshold = threshold_signed(config_.framework);
   const sim::SimTime sign_cost = threshold ? config_.costs.partial_sign : sim::SimTime{0};
   const sched::UpdateId uid = manifest.update.id;
   cpu_.execute(sign_cost, "manifest.sign", [this, uid, retransmit, threshold,
@@ -749,14 +735,7 @@ void Controller::send_manifest(const SegmentManifest& manifest, const EventId& c
     // Decision audit trail, as for updates: the signed bytes pin the
     // segment's position in the chain, not just the rule.
     audit_.append(msg.cause, signing, config_.key);
-    if (threshold) {
-      if (config_.real_crypto) {
-        msg.partial = crypto::SimBlsScheme::instance().partial_sign(config_.share, signing);
-      } else {
-        msg.partial.signer = config_.share.index;
-        msg.partial.payload = {0x00};  // placeholder (cost-only runs)
-      }
-    }
+    if (threshold) msg.partial = env_.crypto->partial_sign(config_.share, signing);
     ++manifests_sent_;
     m_manifests_sent_.inc();
 
@@ -774,9 +753,7 @@ void Controller::send_manifest(const SegmentManifest& manifest, const EventId& c
                                       obs::kTidNet);
       }
     }
-    southbound_bytes_ += wire.size();
-    m_southbound_bytes_.inc(wire.size());
-    net_.send(config_.node, sw_it->second, wire);
+    send_southbound(sw_it->second, wire);
   });
 }
 
@@ -822,9 +799,7 @@ void Controller::on_ack_decentralized(const AckMsg& ack) {
 // ---------------------------------------------------------------------------
 
 void Controller::on_ack(const AckMsg& ack) {
-  const bool threshold = config_.framework == FrameworkKind::kCicero ||
-                         config_.framework == FrameworkKind::kCiceroAgg;
-  if (threshold && config_.real_crypto && !env_.pki->verify_ack(ack)) {
+  if (threshold_signed(config_.framework) && !env_.crypto->verify_ack(ack)) {
     CICERO_LOG_WARN(kLog, "c%u: ack with bad signature dropped", config_.id);
     return;
   }
@@ -889,9 +864,7 @@ void Controller::on_peer_update(const UpdateMsg& m) {
         config_.obs->trace.flow_step("flow", flow_track_id(m.update.id), "update.resend",
                                      config_.node, obs::kTidNet);
       }
-      southbound_bytes_ += done->second.size();
-      m_southbound_bytes_.inc(done->second.size());
-      net_.send(config_.node, sw_it->second, done->second);
+      send_southbound(sw_it->second, done->second);
     }
     return;
   }
@@ -906,40 +879,18 @@ void Controller::on_peer_update(const UpdateMsg& m) {
   }
   if (m.partial.signer == 0) return;
 
-  if (config_.backend == ThresholdBackend::kFrost) {
+  if (env_.crypto->backend() == ThresholdBackend::kFrost) {
     if (p.session_started) {
       // Retransmission while a signing session is in flight: the sender
       // missed the session message (or its partial was lost).  Re-send the
       // existing session — its stored nonce for the original commitment is
       // still valid — rather than corrupting the fixed signer set.
-      bool in_session = false;
-      for (const auto& c : p.frost_session) in_session |= (c.signer == m.partial.signer);
-      if (in_session) {
-        FrostSessionMsg session;
-        session.update_id = m.update.id;
-        for (const auto& c : p.frost_session) session.commitments.push_back(c.to_bytes());
-        for (const auto& mem : config_.members) {
-          if (mem.id + 1 != m.partial.signer) continue;
-          if (mem.id == config_.id) {
-            on_frost_session(session);
-          } else {
-            const util::Bytes session_wire = session.encode();
-            if (obs::CritPath* cp = critpath()) {
-              cp->add_phase_bytes(obs::CritPhase::kRetransmit, session_wire.size());
-            }
-            net_.send(config_.node, mem.node, session_wire);
-          }
-        }
-      }
+      send_frost_session(m.update.id, m.partial.signer, obs::CritPhase::kRetransmit);
       return;
     }
-    if (config_.real_crypto) {
-      const auto c = crypto::FrostCommitment::from_bytes(m.frost_commitment);
-      if (!c || c->signer != m.partial.signer) return;
-      p.frost_commitments[m.partial.signer] = *c;
-    } else {
-      p.frost_commitments[m.partial.signer] = crypto::FrostCommitment{m.partial.signer, {}, {}};
-    }
+    const auto c = env_.crypto->frost_commitment(m.partial.signer, m.frost_commitment);
+    if (!c) return;
+    p.frost_commitments[m.partial.signer] = *c;
     maybe_start_frost_session(m.update.id);
     return;
   }
@@ -951,57 +902,15 @@ void Controller::on_peer_update(const UpdateMsg& m) {
     auto it = agg_pending_.find(id);
     if (it == agg_pending_.end() || it->second.done) return;
     AggPending& p2 = it->second;
-    if (config_.real_crypto) {
-      const auto vs = config_.verification_shares.find(partial.signer);
-      if (vs == config_.verification_shares.end() ||
-          !crypto::SimBlsScheme::instance().verify_partial(vs->second, p2.signing_bytes,
-                                                           partial)) {
-        CICERO_LOG_WARN(kLog, "aggregator c%u: bad partial from share %u dropped", config_.id,
-                        partial.signer);
-        return;
-      }
+    if (!env_.crypto->verify_partial(config_.verification_shares, p2.signing_bytes, partial)) {
+      CICERO_LOG_WARN(kLog, "aggregator c%u: bad partial from share %u dropped", config_.id,
+                      partial.signer);
+      return;
     }
     p2.partials[partial.signer] = partial;
     if (p2.partials.size() < config_.quorum) return;
     p2.done = true;
-
-    const sim::SimTime agg_cost =
-        config_.costs.aggregate_per_share * static_cast<sim::SimTime>(config_.quorum);
-    cpu_.execute(agg_cost, "aggregate", [this, id] {
-      auto it2 = agg_pending_.find(id);
-      if (it2 == agg_pending_.end()) return;
-      AggPending& p3 = it2->second;
-      AggUpdateMsg out;
-      out.update = p3.update;
-      out.cause = p3.cause;
-      if (config_.real_crypto) {
-        std::vector<crypto::PartialSignature> parts;
-        for (const auto& [idx, part] : p3.partials) parts.push_back(part);
-        const auto agg = crypto::SimBlsScheme::instance().aggregate(p3.signing_bytes, parts,
-                                                                    config_.quorum);
-        if (!agg) return;
-        out.agg_sig = *agg;
-      } else {
-        out.agg_sig = {0x00};
-      }
-      const util::Bytes wire = out.encode();
-      agg_completed_[id] = wire;
-      const auto sw_it = env_.switch_nodes.find(p3.update.switch_node);
-      if (sw_it != env_.switch_nodes.end()) {
-        if (obs::CritPath* cp = critpath()) {
-          cp->update_signed(id, sim_.now());  // aggregator == crit leader
-          cp->add_phase_bytes(obs::CritPhase::kPropagate, wire.size());
-        }
-        if (trace_leader()) {
-          config_.obs->trace.flow_start("flow", flow_track_id(id), "update.send",
-                                        config_.node, obs::kTidNet);
-        }
-        southbound_bytes_ += wire.size();
-        m_southbound_bytes_.inc(wire.size());
-        net_.send(config_.node, sw_it->second, wire);
-      }
-      agg_pending_.erase(it2);
-    });
+    aggregate_and_ship(id);
   });
 }
 
@@ -1022,24 +931,31 @@ void Controller::maybe_start_frost_session(sched::UpdateId id) {
     if (taken++ == config_.quorum) break;
     p.frost_session.push_back(c);
   }
+  for (const auto& c : p.frost_session) {
+    send_frost_session(id, c.signer, obs::CritPhase::kSign);
+  }
+}
+
+// Hands update `id`'s signing session to the member holding share
+// `signer` (share index = id + 1); our own share signs in place.
+void Controller::send_frost_session(sched::UpdateId id, crypto::ShareIndex signer,
+                                    obs::CritPhase phase) {
+  const AggPending& p = agg_pending_.at(id);
+  bool in_session = false;
+  for (const auto& c : p.frost_session) in_session |= (c.signer == signer);
+  if (!in_session) return;
   FrostSessionMsg session;
   session.update_id = id;
   for (const auto& c : p.frost_session) session.commitments.push_back(c.to_bytes());
-  const util::Bytes wire = session.encode();
-  for (const auto& c : p.frost_session) {
-    // Locate the member owning this share index (share index = id + 1).
-    for (const auto& m : config_.members) {
-      if (m.id + 1 == c.signer) {
-        if (m.id == config_.id) {
-          on_frost_session(session);  // our own round-2 contribution
-        } else {
-          if (obs::CritPath* cp = critpath()) {
-            cp->add_phase_bytes(obs::CritPhase::kSign, wire.size());
-          }
-          net_.send(config_.node, m.node, wire);
-        }
-      }
+  for (const auto& m : config_.members) {
+    if (m.id + 1 != signer) continue;
+    if (m.id == config_.id) {
+      on_frost_session(session);
+      continue;
     }
+    const util::Bytes wire = session.encode();
+    if (obs::CritPath* cp = critpath()) cp->add_phase_bytes(phase, wire.size());
+    net_.send(config_.node, m.node, wire);
   }
 }
 
@@ -1051,41 +967,29 @@ void Controller::on_frost_session(const FrostSessionMsg& m) {
   FrostPartialMsg reply;
   reply.update_id = m.update_id;
   reply.signer_index = config_.share.index;
-  if (config_.real_crypto && frost_signer_) {
-    std::vector<crypto::FrostCommitment> session;
-    for (const auto& cb : m.commitments) {
-      const auto c = crypto::FrostCommitment::from_bytes(cb);
-      if (!c) return;
-      session.push_back(*c);
-    }
-    try {
-      reply.z = frost_signer_->sign(msg_bytes, session).to_bytes();
-      frost_sent_partials_[m.update_id] = reply;
-    } catch (const std::invalid_argument&) {
-      // Nonce already consumed: we signed this session before and the
-      // partial was lost in transit.  Replaying the identical z is safe
-      // (same signature share, not a second nonce use); an unknown/stale
-      // session has no cached partial and is dropped.
-      const auto cached = frost_sent_partials_.find(m.update_id);
-      if (cached == frost_sent_partials_.end()) return;
-      reply = cached->second;
-    }
-  } else {
-    reply.z = {0x00};
+  try {
+    const auto z = env_.crypto->frost_sign(frost_.get(), msg_bytes, m.commitments);
+    if (!z) return;
+    reply.z = *z;
+    frost_sent_partials_[m.update_id] = reply;
+  } catch (const std::invalid_argument&) {
+    // Nonce already consumed: we signed this session before and the
+    // partial was lost in transit.  Replaying the identical z is safe
+    // (same signature share, not a second nonce use); an unknown/stale
+    // session has no cached partial and is dropped.
+    const auto cached = frost_sent_partials_.find(m.update_id);
+    if (cached == frost_sent_partials_.end()) return;
+    reply = cached->second;
   }
   cpu_.execute(config_.costs.partial_sign, "update.sign", [this, reply = std::move(reply)] {
-    const MemberInfo* agg = &config_.members.front();
-    for (const auto& mem : config_.members) {
-      if (mem.id < agg->id) agg = &mem;
-    }
-    if (agg->id == config_.id) {
+    if (is_aggregator()) {
       on_frost_partial(reply);
     } else {
       const util::Bytes wire = reply.encode();
       if (obs::CritPath* cp = critpath()) {
         cp->add_phase_bytes(obs::CritPhase::kSign, wire.size());
       }
-      net_.send(config_.node, agg->node, wire);
+      net_.send(config_.node, aggregator_member().node, wire);
     }
   });
 }
@@ -1098,45 +1002,38 @@ void Controller::on_frost_partial(const FrostPartialMsg& m) {
   bool in_session = false;
   for (const auto& c : p.frost_session) in_session |= (c.signer == m.signer_index);
   if (!in_session) return;
-  if (config_.real_crypto) {
-    const auto z = crypto::Scalar::from_bytes(m.z);
-    if (!z) return;
-    const auto vs = config_.verification_shares.find(m.signer_index);
-    if (vs == config_.verification_shares.end() ||
-        !crypto::frost_verify_partial(p.signing_bytes, p.frost_session, config_.group_pk,
-                                      m.signer_index, vs->second, *z)) {
-      CICERO_LOG_WARN(kLog, "aggregator c%u: bad FROST partial from %u", config_.id,
-                      m.signer_index);
-      return;
-    }
-    p.frost_partials[m.signer_index] = *z;
-  } else {
-    p.frost_partials[m.signer_index] = crypto::Scalar::zero();
+  const auto z = env_.crypto->frost_partial(p.signing_bytes, p.frost_session, config_.group_pk,
+                                            config_.verification_shares, m.signer_index, m.z);
+  if (!z) {
+    CICERO_LOG_WARN(kLog, "aggregator c%u: bad FROST partial from %u", config_.id,
+                    m.signer_index);
+    return;
   }
+  p.frost_partials[m.signer_index] = *z;
   if (p.frost_partials.size() < p.frost_session.size()) return;
   p.done = true;
-  finish_frost_aggregation(m.update_id);
+  aggregate_and_ship(m.update_id);
 }
 
-void Controller::finish_frost_aggregation(sched::UpdateId id) {
+// Aggregator role, both backends: charge the combine, aggregate the
+// collected partials (SimBLS) or z shares (FROST) and ship the signed
+// update to its switch.
+void Controller::aggregate_and_ship(sched::UpdateId id) {
   const sim::SimTime agg_cost =
       config_.costs.aggregate_per_share * static_cast<sim::SimTime>(config_.quorum);
   cpu_.execute(agg_cost, "aggregate", [this, id] {
     auto it = agg_pending_.find(id);
     if (it == agg_pending_.end()) return;
     AggPending& p = it->second;
+    const auto sig = env_.crypto->backend() == ThresholdBackend::kFrost
+                         ? env_.crypto->frost_aggregate(p.signing_bytes, p.frost_session,
+                                                        config_.group_pk, p.frost_partials)
+                         : env_.crypto->aggregate(p.signing_bytes, p.partials, config_.quorum);
+    if (!sig) return;
     AggUpdateMsg out;
     out.update = p.update;
     out.cause = p.cause;
-    if (config_.real_crypto) {
-      const auto sig =
-          crypto::frost_aggregate(p.signing_bytes, p.frost_session, config_.group_pk,
-                                  p.frost_partials);
-      if (!sig) return;
-      out.agg_sig = sig->to_bytes();
-    } else {
-      out.agg_sig = {0x01};
-    }
+    out.agg_sig = *sig;
     const util::Bytes wire = out.encode();
     agg_completed_[id] = wire;
     const auto sw_it = env_.switch_nodes.find(p.update.switch_node);
@@ -1149,7 +1046,7 @@ void Controller::finish_frost_aggregation(sched::UpdateId id) {
         config_.obs->trace.flow_start("flow", flow_track_id(id), "update.send", config_.node,
                                       obs::kTidNet);
       }
-      net_.send(config_.node, sw_it->second, wire);
+      send_southbound(sw_it->second, wire);
     }
     agg_pending_.erase(it);
   });
@@ -1164,9 +1061,7 @@ void Controller::propose_membership(EventKind kind, std::uint32_t member) {
   e.id = EventId{kControllerOriginBase + config_.id, ++origin_seq_};
   e.kind = kind;
   e.member = member;
-  if (config_.real_crypto) {
-    e.sig = crypto::schnorr_sign(config_.key, e.body()).to_bytes();
-  }
+  env_.crypto->sign(config_.key, e);
   events_submitted_.insert(e.id);
   replica_->submit(e.encode());
 }
@@ -1186,18 +1081,12 @@ void Controller::inject_rogue_update(net::NodeIndex switch_node, const sched::Up
   if (sw_it == env_.switch_nodes.end()) return;
   UpdateMsg msg;
   msg.update = update;
-  if (config_.real_crypto &&
-      (config_.framework == FrameworkKind::kCicero ||
-       config_.framework == FrameworkKind::kCiceroAgg)) {
+  if (threshold_signed(config_.framework)) {
     // The rogue controller signs with its own (single) share — deliberately
     // short of a quorum; switches must never apply this.
-    msg.partial = crypto::SimBlsScheme::instance().partial_sign(
-        config_.share, update_signing_bytes(msg.update));
+    msg.partial = env_.crypto->partial_sign(config_.share, update_signing_bytes(msg.update));
   }
-  const util::Bytes wire = msg.encode();
-  southbound_bytes_ += wire.size();
-  m_southbound_bytes_.inc(wire.size());
-  net_.send(config_.node, sw_it->second, wire);
+  send_southbound(sw_it->second, msg.encode());
 }
 
 }  // namespace cicero::core

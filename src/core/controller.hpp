@@ -28,13 +28,11 @@
 
 #include "bft/pbft.hpp"
 #include "core/cost_model.hpp"
+#include "core/crypto_suite.hpp"
 #include "core/decentralized.hpp"
 #include "core/framework.hpp"
 #include "core/messages.hpp"
 #include "core/audit.hpp"
-#include "core/pki.hpp"
-#include "crypto/frost.hpp"
-#include "crypto/simbls.hpp"
 #include "net/topology.hpp"
 #include "obs/obs.hpp"
 #include "sched/depgraph.hpp"
@@ -72,9 +70,6 @@ class Controller {
     crypto::Point group_pk;
     std::map<crypto::ShareIndex, crypto::Point> verification_shares;
     std::uint32_t quorum = 3;
-    /// Threshold scheme for update authentication; kFrost requires the
-    /// kCiceroAgg framework (the aggregator coordinates signing sessions).
-    ThresholdBackend backend = ThresholdBackend::kSimBls;
     /// Controller-driven (one southbound round trip per segment) or
     /// decentralized (one signed manifest per segment, switches sequence
     /// the chain in-band; incompatible with kCiceroAgg).
@@ -91,7 +86,6 @@ class Controller {
     /// re-pointed by the Deployment when that switch crashes.
     sim::NodeId innet_aggregator = sim::kInvalidNode;
     std::uint64_t nonce_seed = 0;  ///< per-controller FROST nonce stream
-    bool real_crypto = true;
     bool sign_bft_messages = false;  ///< Schnorr on every BFT message
     sim::SimTime bft_timeout = sim::milliseconds(200);
     /// Transactional apply/ack recovery (§4.1): an update whose signed ack
@@ -111,7 +105,9 @@ class Controller {
   struct Environment {
     const net::Topology* topology = nullptr;
     const sched::UpdateScheduler* scheduler = nullptr;
-    const PkiDirectory* pki = nullptr;
+    /// Every signature made or checked; its backend picks SimBLS or FROST
+    /// (FROST needs kCiceroAgg: the aggregator coordinates the sessions).
+    const CryptoSuite* crypto = nullptr;
     /// topology switch index -> network endpoint.
     std::map<net::NodeIndex, sim::NodeId> switch_nodes;
     /// domain -> that domain's control-plane members (for forwarding).
@@ -196,6 +192,10 @@ class Controller {
                       bool retransmit);
   /// This replica's rank: position of our id in the sorted member list.
   std::size_t member_rank() const;
+  /// The lowest-id member: the aggregator under kCiceroAgg (§4.2).
+  const MemberInfo& aggregator_member() const;
+  /// Controller -> switch send, counted in southbound_bytes().
+  void send_southbound(sim::NodeId to, const util::Bytes& wire);
   void arm_ack_timer(sched::UpdateId id, sim::SimTime delay);
   void on_ack(const AckMsg& ack);
   /// Decentralized execution: plan + ship every manifest of one schedule,
@@ -211,7 +211,8 @@ class Controller {
   void on_frost_session(const FrostSessionMsg& m);   ///< signer role (kFrost)
   void on_frost_partial(const FrostPartialMsg& m);   ///< aggregator role (kFrost)
   void maybe_start_frost_session(sched::UpdateId id);
-  void finish_frost_aggregation(sched::UpdateId id);
+  void send_frost_session(sched::UpdateId id, crypto::ShareIndex signer, obs::CritPhase phase);
+  void aggregate_and_ship(sched::UpdateId id);
   void forward_cross_domain(const Event& e, const std::set<net::DomainId>& domains);
   std::set<net::DomainId> domains_of_path(const std::vector<net::NodeIndex>& path) const;
 
@@ -251,8 +252,7 @@ class Controller {
   /// when a peer retransmits (its partial arrived after aggregation, i.e.
   /// the aggregated update or the ack was lost somewhere downstream).
   std::map<sched::UpdateId, util::Bytes> agg_completed_;
-  std::unique_ptr<crypto::FrostSigner> frost_signer_;
-  std::unique_ptr<crypto::Drbg> nonce_drbg_;
+  std::unique_ptr<CryptoSuite::FrostParty> frost_;  ///< null unless real FROST
   /// Signer role: last FROST partial sent per update, replayed when the
   /// aggregator re-requests a session whose nonce we already consumed
   /// (same z, so no nonce reuse — covers a lost FrostPartialMsg).

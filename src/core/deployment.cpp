@@ -17,7 +17,7 @@ constexpr const char* kLog = "deploy";
 
 Deployment::Deployment(net::Topology topology, DeploymentParams params)
     : topo_(std::move(topology)), params_(params), obs_(params.metrics, params.trace),
-      drbg_(params.seed) {
+      drbg_(params.seed), crypto_(params.real_crypto, params.backend) {
   if (params_.backend == ThresholdBackend::kFrost &&
       params_.framework != FrameworkKind::kCiceroAgg) {
     throw std::invalid_argument(
@@ -77,12 +77,10 @@ void Deployment::setup_parallel() {
   if (params_.trace) {
     throw std::invalid_argument("Deployment: tracing requires threads == 1");
   }
-  const bool global_plane = params_.framework == FrameworkKind::kCentralized ||
-                            params_.framework == FrameworkKind::kCrashTolerant;
   // One global control plane means every switch talks to one domain —
   // nothing to shard; likewise a single-domain topology.  Both keep the
   // sequential fast path (psim_ stays null).
-  if (global_plane) return;
+  if (global_plane(params_.framework)) return;
   const workload::DomainPartition part = workload::partition_domains(topo_, params_.threads);
   if (part.shards <= 1) return;
   shard_of_domain_ = part.shard_of;
@@ -159,9 +157,8 @@ void Deployment::build_nodes() {
 
   // Control planes: per topology domain for Cicero; one global plane for
   // the centralized and crash-tolerant baselines.
-  const bool global_plane = params_.framework == FrameworkKind::kCentralized ||
-                            params_.framework == FrameworkKind::kCrashTolerant;
-  if (global_plane) {
+  const bool global = global_plane(params_.framework);
+  if (global) {
     build_plane(0, topo_.switches());
   } else {
     for (const net::DomainId d : topo_.domains()) {
@@ -171,7 +168,7 @@ void Deployment::build_nodes() {
 
   // Switch runtimes (need the planes' keys, so after build_plane).
   for (const net::NodeIndex sw : topo_.switches()) {
-    const net::DomainId d = global_plane ? 0 : topo_.node(sw).domain;
+    const net::DomainId d = global ? 0 : topo_.node(sw).domain;
     const Plane& plane = planes_.at(d);
 
     SwitchRuntime::Config cfg;
@@ -182,21 +179,19 @@ void Deployment::build_nodes() {
     cfg.key = crypto::SchnorrKeyPair::generate(drbg_);
     cfg.group_pk = plane.group_pk;
     cfg.quorum = plane_quorum(plane);
-    cfg.backend = params_.backend;
     for (const std::uint32_t id : plane.member_ids) cfg.controllers.push_back(ctrl_nodes_.at(id));
     if (params_.framework == FrameworkKind::kCiceroAgg) {
       cfg.aggregator = ctrl_nodes_.at(
           *std::min_element(plane.member_ids.begin(), plane.member_ids.end()));
     }
-    cfg.real_crypto = params_.real_crypto;
     cfg.execution_mode = params_.execution_mode;
     cfg.aggregation = params_.aggregation;
     cfg.switch_directory = &switch_nodes_;
-    cfg.pki = &pki_;
+    cfg.crypto = &crypto_;
     cfg.applied_dedupe_window = params_.applied_dedupe_window;
     cfg.domain = d;
     cfg.obs = obs_for_domain(d);
-    pki_.register_origin(sw, cfg.key.pk);
+    crypto_.pki().register_origin(sw, cfg.key.pk);
     auto runtime = std::make_unique<SwitchRuntime>(sim_for_domain(d), *net_, std::move(cfg));
     runtime->add_applied_observer(
         [this, sw](const sched::Update& u) { on_switch_applied(sw, u); });
@@ -220,7 +215,7 @@ void Deployment::build_nodes() {
     for (const std::uint32_t id : plane.member_ids) {
       auto ctrl = std::make_unique<Controller>(
           sim_for_domain(dom), *net_, member_config(plane, id),
-          Controller::Environment{&topo_, &scheduler_, &pki_, switch_nodes_, directory});
+          Controller::Environment{&topo_, &scheduler_, &crypto_, switch_nodes_, directory});
       ctrl->set_on_membership(
           [this, dom](const Event& e) { on_membership_event(dom, e); });
       controllers_[id] = std::move(ctrl);
@@ -237,7 +232,7 @@ std::uint32_t Deployment::provision_controller(net::DomainId domain,
   ctrl_nodes_[id] = node;
   ctrl_domain_[id] = domain;
   ctrl_keys_[id] = crypto::SchnorrKeyPair::generate(drbg_);
-  pki_.register_origin(kControllerOriginBase + id, ctrl_keys_[id].pk);
+  crypto_.pki().register_origin(kControllerOriginBase + id, ctrl_keys_[id].pk);
   if (obs_.trace.enabled()) {
     obs_.trace.set_process_name(node, net_->node_name(node));
     obs_.trace.set_thread_name(node, obs::kTidMain, "controller");
@@ -261,29 +256,15 @@ void Deployment::build_plane(net::DomainId domain,
     plane.member_ids.push_back(provision_controller(domain, placement));
   }
 
-  // Threshold key material.  With real crypto the full joint-Feldman DKG
-  // runs (no dealer ever knows the group secret); cost-only runs use a
-  // direct Shamir split, which has identical share structure.
-  const std::size_t t = std::max<std::size_t>(1, (n - 1) / 3 + 1);
+  // Threshold key material: share index = controller id + 1.
   std::vector<crypto::ShareIndex> indices;
   for (const std::uint32_t id : plane.member_ids) indices.push_back(id + 1);
-
-  if (params_.real_crypto &&
-      (params_.framework == FrameworkKind::kCicero ||
-       params_.framework == FrameworkKind::kCiceroAgg)) {
-    const auto results = crypto::run_dkg(indices, t, drbg_);
-    plane.group_pk = results.front().group_public_key;
-    plane.verification_shares = results.front().verification_shares;
-    for (std::size_t i = 0; i < plane.member_ids.size(); ++i) {
-      shares_[plane.member_ids[i]] = results[i].share;
-    }
-  } else {
-    const ct::Secret<crypto::Scalar> secret = drbg_.next_secret_scalar();
-    plane.group_pk = crypto::Point::mul_gen(secret);
-    crypto::Polynomial poly = crypto::Polynomial::random(secret, t, drbg_);
-    for (const std::uint32_t id : plane.member_ids) {
-      shares_[id] = crypto::SecretShare{id + 1, poly.eval(id + 1)};
-    }
+  auto keys = crypto_.deal_plane(indices, plane_quorum(plane),
+                                 threshold_signed(params_.framework), drbg_);
+  plane.group_pk = keys.group_pk;
+  plane.verification_shares = std::move(keys.verification_shares);
+  for (std::size_t i = 0; i < plane.member_ids.size(); ++i) {
+    shares_[plane.member_ids[i]] = std::move(keys.shares[i]);
   }
   planes_[domain] = std::move(plane);
 }
@@ -317,9 +298,7 @@ Controller::Config Deployment::member_config(const Plane& plane, std::uint32_t i
   cfg.group_pk = plane.group_pk;
   cfg.verification_shares = plane.verification_shares;
   cfg.quorum = plane_quorum(plane);
-  cfg.backend = params_.backend;
   cfg.nonce_seed = params_.seed ^ (0x9E3779B97F4A7C15ULL * (id + 1));
-  cfg.real_crypto = params_.real_crypto;
   cfg.sign_bft_messages = params_.sign_bft_messages;
   cfg.bft_timeout = params_.bft_timeout;
   cfg.ack_timeout = params_.ack_timeout;
@@ -794,51 +773,32 @@ void Deployment::run_membership_change(net::DomainId domain, const Event& e) {
   const std::size_t t_new = std::max<std::size_t>(1, (new_members.size() - 1) / 3 + 1);
 
   // (iii) resharing: a quorum of existing members re-deals toward the new
-  // member set; the group public key is unchanged (asserted below).  The
-  // cryptography is real; the message exchange is orchestrated here with
-  // its costs charged to the dealers' and receivers' CPUs.
+  // member set; the group public key is unchanged (the suite checks it).
+  // The message exchange is orchestrated here, its costs charged to the
+  // dealers' and receivers' CPUs in both crypto modes.
   std::vector<crypto::ShareIndex> new_indices;
   for (const std::uint32_t id : new_members) new_indices.push_back(id + 1);
 
-  std::vector<crypto::ShareIndex> quorum_idx;
+  std::vector<crypto::SecretShare> dealers;
   std::vector<std::uint32_t> quorum_ids;
   for (const std::uint32_t id : plane.member_ids) {
     if (e.kind == EventKind::kRemoveController && id == e.member) continue;
-    quorum_idx.push_back(id + 1);
+    dealers.push_back(shares_.at(id));
     quorum_ids.push_back(id);
-    if (quorum_idx.size() == t_old) break;
+    if (dealers.size() == t_old) break;
   }
 
-  const crypto::Point old_pk = plane.group_pk;
+  auto keys = crypto_.reshare(dealers, new_indices, t_new, plane.group_pk, drbg_);
+  for (const std::uint32_t id : quorum_ids) {
+    controllers_.at(id)->cpu().charge(params_.costs.reshare_deal_cost);
+  }
   std::map<std::uint32_t, crypto::SecretShare> new_shares;
-  std::map<crypto::ShareIndex, crypto::Point> new_vshares;
-
-  if (params_.real_crypto) {
-    std::vector<crypto::ReshareDeal> deals;
-    for (const std::uint32_t id : quorum_ids) {
-      deals.push_back(crypto::make_reshare_deal(shares_.at(id), quorum_idx, new_indices,
-                                                t_new, drbg_));
-      controllers_.at(id)->cpu().charge(params_.costs.reshare_deal_cost);
-    }
-    for (const std::uint32_t id : new_members) {
-      const auto result = crypto::reshare_finalize(deals, id + 1, new_indices);
-      new_shares[id] = result.share;
-      new_vshares = result.verification_shares;
-      if (!(result.group_public_key == old_pk)) {
-        throw std::logic_error("membership change altered the group public key");
-      }
-      const auto it = controllers_.find(id);
-      if (it != controllers_.end()) {
-        it->second->cpu().charge(params_.costs.reshare_finalize_cost);
-      }
-    }
-  } else {
-    // Cost-only runs: fresh Shamir split of the same secret structure; the
-    // group PK is trivially preserved because it is never recomputed.
-    for (const std::uint32_t id : new_members) {
-      new_shares[id] = crypto::SecretShare{id + 1, drbg_.next_scalar_any()};
-    }
+  for (std::size_t i = 0; i < new_members.size(); ++i) {
+    new_shares[new_members[i]] = std::move(keys.shares[i]);
+    const auto it = controllers_.find(new_members[i]);
+    if (it != controllers_.end()) it->second->cpu().charge(params_.costs.reshare_finalize_cost);
   }
+  const auto new_vshares = std::move(keys.verification_shares);
 
   // Apply after the (charged) exchange latency: one control-plane RTT per
   // resharing round.
@@ -875,7 +835,7 @@ void Deployment::run_membership_change(net::DomainId domain, const Event& e) {
         for (const auto& [dd, pp] : planes_) directory[dd] = member_infos(pp);
         auto ctrl = std::make_unique<Controller>(
             sim_, *net_, member_config(pl, id),
-            Controller::Environment{&topo_, &scheduler_, &pki_, switch_nodes_, directory});
+            Controller::Environment{&topo_, &scheduler_, &crypto_, switch_nodes_, directory});
         ctrl->set_on_membership(
             [this, domain](const Event& ev) { on_membership_event(domain, ev); });
         controllers_[id] = std::move(ctrl);
@@ -907,10 +867,9 @@ void Deployment::notify_switches(const Plane& plane) {
                      : sim::kInvalidNode;
   const std::uint32_t bootstrap =
       *std::min_element(plane.member_ids.begin(), plane.member_ids.end());
-  const bool global_plane = params_.framework == FrameworkKind::kCentralized ||
-                            params_.framework == FrameworkKind::kCrashTolerant;
-  for (const net::NodeIndex sw : global_plane ? topo_.switches()
-                                              : topo_.switches_in_domain(plane.domain)) {
+  for (const net::NodeIndex sw : global_plane(params_.framework)
+                                     ? topo_.switches()
+                                     : topo_.switches_in_domain(plane.domain)) {
     net_->send(ctrl_nodes_.at(bootstrap), switch_nodes_.at(sw), m.encode());
   }
 }

@@ -28,9 +28,7 @@
 #include "core/controller.hpp"
 #include "core/cost_model.hpp"
 #include "core/framework.hpp"
-#include "core/pki.hpp"
 #include "core/switch_runtime.hpp"
-#include "crypto/dkg.hpp"
 #include "net/checker.hpp"
 #include "net/topology.hpp"
 #include "obs/report.hpp"
@@ -137,7 +135,7 @@ class Deployment {
   Controller& controller(std::uint32_t id) { return *controllers_.at(id); }
   std::vector<std::uint32_t> controller_ids() const;
   std::vector<std::uint32_t> domain_controller_ids(net::DomainId d) const;
-  const PkiDirectory& pki() const { return pki_; }
+  const PkiDirectory& pki() const { return crypto_.pki(); }
   const crypto::Point& group_pk(net::DomainId d) const { return planes_.at(d).group_pk; }
   /// Deployment-wide metrics registry + tracer (see obs/obs.hpp).
   obs::Observability& obs() { return obs_; }
@@ -266,7 +264,9 @@ class Deployment {
   /// right next to the network it instruments.
   std::unique_ptr<sim::FaultInjector> faults_;
   crypto::Drbg drbg_;
-  PkiDirectory pki_;
+  /// Built once from the params' crypto mode and backend; every controller
+  /// and switch runtime holds a const pointer to it.
+  CryptoSuite crypto_;
   sched::ReversePathScheduler scheduler_;
 
   std::map<net::NodeIndex, std::unique_ptr<SwitchRuntime>> switches_;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,15 @@ enum class FrameworkKind : std::uint8_t {
 };
 
 const char* framework_name(FrameworkKind kind);
+
+/// Cicero frameworks: threshold-signed updates, signed acks, quorum
+/// authentication at the switches.
+constexpr bool threshold_signed(FrameworkKind kind) {
+  return kind == FrameworkKind::kCicero || kind == FrameworkKind::kCiceroAgg;
+}
+
+/// Baselines deployed as one control plane spanning every domain.
+constexpr bool global_plane(FrameworkKind kind) { return !threshold_signed(kind); }
 
 /// How threshold-signed updates reach the data plane.  The controller-driven
 /// mode is the paper's shape: one southbound round trip per segment, the

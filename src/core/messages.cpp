@@ -382,6 +382,9 @@ void serialize_peers(util::Writer& w, const std::vector<SegmentPeer>& peers) {
 
 std::vector<SegmentPeer> deserialize_peers(util::Reader& r) {
   const std::uint32_t n = r.u32();
+  // Each peer is 16 wire bytes: bound the count before reserving, so a
+  // corrupt count cannot ask for gigabytes.
+  if (n > r.remaining() / 16) throw util::DeserializeError("peer count exceeds message");
   std::vector<SegmentPeer> peers;
   peers.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <map>
-#include <optional>
 
 #include "core/messages.hpp"
 #include "crypto/group.hpp"
@@ -18,25 +17,20 @@ class PkiDirectory {
  public:
   void register_origin(std::uint32_t origin, const crypto::Point& pk) { pks_[origin] = pk; }
 
-  std::optional<crypto::Point> lookup(std::uint32_t origin) const {
-    const auto it = pks_.find(origin);
-    if (it == pks_.end()) return std::nullopt;
-    return it->second;
-  }
-
-  /// Verifies an event signature against its origin's registered key.
-  bool verify_event(const Event& e) const;
-
-  /// Verifies a switch acknowledgement.
-  bool verify_ack(const AckMsg& a) const;
-
-  /// Verifies a decentralized in-band completion signal against the
-  /// sending switch's registered key.
-  bool verify_segment_done(const SegmentDoneMsg& d) const;
-
-  std::size_t size() const { return pks_.size(); }
+  /// Verify a signature over body() against the sender's registered key.
+  bool verify_event(const Event& e) const { return verify(e.id.origin, e); }
+  bool verify_ack(const AckMsg& a) const { return verify(a.switch_node, a); }
+  bool verify_segment_done(const SegmentDoneMsg& d) const { return verify(d.switch_node, d); }
 
  private:
+  template <typename Msg>
+  bool verify(std::uint32_t origin, const Msg& msg) const {
+    const auto it = pks_.find(origin);
+    if (it == pks_.end()) return false;
+    const auto sig = crypto::SchnorrSignature::from_bytes(msg.sig);
+    return sig && crypto::schnorr_verify(it->second, msg.body(), *sig);
+  }
+
   std::map<std::uint32_t, crypto::Point> pks_;
 };
 

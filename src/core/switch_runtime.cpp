@@ -1,7 +1,6 @@
 #include "core/switch_runtime.hpp"
 
 #include "bft/failure_detector.hpp"
-#include "crypto/frost.hpp"
 #include "util/logging.hpp"
 
 namespace cicero::core {
@@ -112,11 +111,11 @@ void SwitchRuntime::crash() {
     missed_while_down_.emplace(std::make_pair(rule.match.src_host, rule.match.dst_host),
                                rule.reserved_bps);
   }
-  for (const auto& [id, pm] : pending_manifests_) {
-    for (const auto& [digest, bucket] : pm.buckets) {
+  for (const auto& [id, buckets] : pending_manifests_) {
+    for (const auto& [digest, bucket] : buckets) {
       if (bucket.partials.empty()) continue;
-      if (bucket.manifest.update.op != sched::UpdateOp::kInstall) continue;
-      const auto& rule = bucket.manifest.update.rule;
+      if (bucket.body.update.op != sched::UpdateOp::kInstall) continue;
+      const auto& rule = bucket.body.update.rule;
       missed_while_down_.emplace(std::make_pair(rule.match.src_host, rule.match.dst_host),
                                  rule.reserved_bps);
     }
@@ -182,9 +181,7 @@ void SwitchRuntime::report_link_failure(net::NodeIndex neighbor) {
 void SwitchRuntime::emit_event(Event e) {
   ++events_emitted_;
   m_events_.inc();
-  if (config_.real_crypto) {
-    e.sig = crypto::schnorr_sign(config_.key, e.body()).to_bytes();
-  }
+  config_.crypto->sign(config_.key, e);
   // Miss detection + event signing cost, then transmit (Fig. 6a).
   cpu_.execute(config_.costs.packet_in_cost + config_.costs.event_sign,
                "packet_in.sign", [this, e = std::move(e)] {
@@ -288,8 +285,7 @@ void SwitchRuntime::on_update(sim::NodeId from, const UpdateMsg& m) {
                                  config_.node, obs::kTidMain);
   }
 
-  if (config_.framework == FrameworkKind::kCentralized ||
-      config_.framework == FrameworkKind::kCrashTolerant) {
+  if (!threshold_signed(config_.framework)) {
     // No quorum authentication: the first copy of the update is applied
     // as-is.  (This is the attack surface the Byzantine tests exploit.)
     note_applied(m.update.id);
@@ -300,30 +296,31 @@ void SwitchRuntime::on_update(sim::NodeId from, const UpdateMsg& m) {
   // Cicero switch aggregation (Fig. 6b): buffer identical updates until a
   // quorum of distinct signers accumulated, bucketed by update body.
   if (m.partial.signer == 0) return;  // Cicero updates must carry a partial
-  const util::Bytes signing_bytes = update_signing_bytes(m.update);
-  const crypto::Digest d = crypto::Sha256::hash(signing_bytes);
-  const util::Bytes digest(d.begin(), d.end());
-
-  Pending& p = pending_[m.update.id];
-  Bucket& bucket = p.buckets[digest];
-  if (bucket.partials.empty()) {
-    bucket.update = m.update;
-    bucket.signing_bytes = signing_bytes;
-  }
-  if (p.buckets.size() > 1) {
-    CICERO_LOG_WARN(kLog, "s%u: conflicting update bodies for id %llu", config_.topo_index,
-                    static_cast<unsigned long long>(m.update.id));
-  }
-  bucket.partials[m.partial.signer] = m.partial;
-  try_aggregate(m.update.id, digest);
+  add_partial(pending_, m.update.id, m.update, update_signing_bytes(m.update), m.partial,
+              "update", [this](const sched::Update& update) {
+                note_applied(update.id);
+                apply_update(update);
+              });
 }
 
-void SwitchRuntime::try_aggregate(sched::UpdateId id, const util::Bytes& digest) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  const auto bit = it->second.buckets.find(digest);
-  if (bit == it->second.buckets.end()) return;
-  Bucket& bucket = bit->second;
+template <typename Body, typename Accept>
+void SwitchRuntime::add_partial(Buckets<Body>& pending, sched::UpdateId id, const Body& body,
+                                util::Bytes signing_bytes,
+                                const crypto::PartialSignature& partial, const char* what,
+                                Accept accept) {
+  const crypto::Digest d = crypto::Sha256::hash(signing_bytes);
+  const util::Bytes digest(d.begin(), d.end());
+  auto& buckets = pending[id];
+  Bucket<Body>& bucket = buckets[digest];
+  if (bucket.partials.empty()) {
+    bucket.body = body;
+    bucket.signing_bytes = std::move(signing_bytes);
+  }
+  if (buckets.size() > 1) {
+    CICERO_LOG_WARN(kLog, "s%u: conflicting %s bodies for id %llu", config_.topo_index, what,
+                    static_cast<unsigned long long>(id));
+  }
+  bucket.partials[partial.signer] = partial;
   if (bucket.aggregating || bucket.partials.size() < config_.quorum) return;
   bucket.aggregating = true;
 
@@ -331,50 +328,27 @@ void SwitchRuntime::try_aggregate(sched::UpdateId id, const util::Bytes& digest)
   const sim::SimTime cost =
       config_.costs.aggregate_per_share * static_cast<sim::SimTime>(config_.quorum) +
       config_.costs.threshold_verify;
-  cpu_.execute(cost, "aggregate", [this, id, digest] {
+  cpu_.execute(cost, "aggregate", [this, &pending, id, digest, what, accept] {
     if (down_) return;
-    auto it2 = pending_.find(id);
-    if (it2 == pending_.end()) return;
-    const auto bit2 = it2->second.buckets.find(digest);
-    if (bit2 == it2->second.buckets.end()) return;
-    Bucket& bucket = bit2->second;
-    bucket.aggregating = false;
-    if (applied_ids_.count(id) != 0) return;
-
-    bool valid = true;
-    if (config_.real_crypto) {
-      const auto& scheme = crypto::SimBlsScheme::instance();
-      // Try quorum-sized subsets, excluding at most one suspect at a time:
-      // with up to f bad partials among >= 2f+1 received this terminates
-      // with a valid aggregate once enough honest partials arrive.
-      std::vector<crypto::PartialSignature> all;
-      all.reserve(bucket.partials.size());
-      for (const auto& [idx, part] : bucket.partials) all.push_back(part);
-      valid = false;
-      for (std::size_t skip = 0; skip <= all.size() && !valid; ++skip) {
-        std::vector<crypto::PartialSignature> subset;
-        for (std::size_t i = 0; i < all.size(); ++i) {
-          if (skip != 0 && i == skip - 1) continue;  // skip==0: no exclusion
-          subset.push_back(all[i]);
-        }
-        if (subset.size() < config_.quorum) continue;
-        const auto agg = scheme.aggregate(bucket.signing_bytes, subset, config_.quorum);
-        if (agg && scheme.verify(config_.group_pk, bucket.signing_bytes, *agg)) valid = true;
-      }
-    }
-
-    if (!valid) {
+    const auto it = pending.find(id);
+    if (it == pending.end()) return;
+    const auto bit = it->second.find(digest);
+    if (bit == it->second.end()) return;
+    Bucket<Body>& b = bit->second;
+    b.aggregating = false;
+    if (applied_ids_.count(id) != 0 || accepted_.count(id) != 0) return;
+    if (!config_.crypto->combine(config_.group_pk, b.signing_bytes, b.partials,
+                                 config_.quorum)) {
       // Wait for more partials; a later arrival retries.
       ++updates_rejected_;
       m_rejected_.inc();
-      CICERO_LOG_WARN(kLog, "s%u: aggregate verification failed for update %llu",
-                      config_.topo_index, static_cast<unsigned long long>(id));
+      CICERO_LOG_WARN(kLog, "s%u: %s aggregate verification failed for update %llu",
+                      config_.topo_index, what, static_cast<unsigned long long>(id));
       return;
     }
-    const sched::Update update = bucket.update;
-    pending_.erase(it2);
-    note_applied(id);
-    apply_update(update);
+    const Body verified = std::move(b.body);
+    pending.erase(it);
+    accept(verified);
   });
 }
 
@@ -490,31 +464,9 @@ void SwitchRuntime::try_aggregate_innet(sched::UpdateId id, std::uint64_t digest
     bucket.aggregating = false;
     if (innet_completed_.count(id) != 0 || applied_ids_.count(id) != 0) return;
 
-    util::Bytes agg_sig{0x00};  // cost-model placeholder (like kCiceroAgg)
-    bool valid = true;
-    if (config_.real_crypto) {
-      // Quorum-subset exclusion, exactly as try_aggregate: up to f bad
-      // partials among >= 2f+1 received cannot block the honest bucket.
-      const auto& scheme = crypto::SimBlsScheme::instance();
-      std::vector<crypto::PartialSignature> all;
-      all.reserve(bucket.partials.size());
-      for (const auto& [idx, part] : bucket.partials) all.push_back(part);
-      valid = false;
-      for (std::size_t skip = 0; skip <= all.size() && !valid; ++skip) {
-        std::vector<crypto::PartialSignature> subset;
-        for (std::size_t i = 0; i < all.size(); ++i) {
-          if (skip != 0 && i == skip - 1) continue;  // skip==0: no exclusion
-          subset.push_back(all[i]);
-        }
-        if (subset.size() < config_.quorum) continue;
-        const auto agg = scheme.aggregate(bucket.signing_bytes, subset, config_.quorum);
-        if (agg && scheme.verify(config_.group_pk, bucket.signing_bytes, *agg)) {
-          agg_sig = *agg;
-          valid = true;
-        }
-      }
-    }
-    if (!valid) {
+    auto agg_sig = config_.crypto->combine(config_.group_pk, bucket.signing_bytes,
+                                           bucket.partials, config_.quorum);
+    if (!agg_sig) {
       ++updates_rejected_;
       m_rejected_.inc();
       CICERO_LOG_WARN(kLog, "s%u: in-network aggregate verification failed for update %llu",
@@ -525,7 +477,7 @@ void SwitchRuntime::try_aggregate_innet(sched::UpdateId id, std::uint64_t digest
     AggregatedUpdateMsg out;
     out.update = bucket.update;
     out.cause = bucket.cause;
-    out.agg_sig = std::move(agg_sig);
+    out.agg_sig = std::move(*agg_sig);
     const util::Bytes wire = out.encode();
     innet_pending_.erase(it2);
 
@@ -587,23 +539,12 @@ void SwitchRuntime::on_agg_update(sim::NodeId from, const AggUpdateMsg& m) {
   cpu_.execute(config_.costs.threshold_verify, "threshold.verify", [this, m] {
     if (down_) return;
     if (applied_ids_.count(m.update.id) != 0) return;
-    if (config_.real_crypto) {
-      bool valid = false;
-      if (config_.backend == ThresholdBackend::kFrost) {
-        const auto sig = crypto::FrostSignature::from_bytes(m.agg_sig);
-        valid = sig && crypto::frost_verify(config_.group_pk,
-                                            update_signing_bytes(m.update), *sig);
-      } else {
-        valid = crypto::SimBlsScheme::instance().verify(
-            config_.group_pk, update_signing_bytes(m.update), m.agg_sig);
-      }
-      if (!valid) {
-        ++updates_rejected_;
-        m_rejected_.inc();
-        CICERO_LOG_WARN(kLog, "s%u: bad aggregated signature for update %llu",
-                        config_.topo_index, static_cast<unsigned long long>(m.update.id));
-        return;
-      }
+    if (!config_.crypto->verify_update(config_.group_pk, m.update, m.agg_sig)) {
+      ++updates_rejected_;
+      m_rejected_.inc();
+      CICERO_LOG_WARN(kLog, "s%u: bad aggregated signature for update %llu", config_.topo_index,
+                      static_cast<unsigned long long>(m.update.id));
+      return;
     }
     note_applied(m.update.id);
     apply_update(m.update);
@@ -651,8 +592,7 @@ void SwitchRuntime::on_manifest(sim::NodeId from, const ManifestMsg& m) {
                                  obs::kTidMain);
   }
 
-  if (config_.framework == FrameworkKind::kCentralized ||
-      config_.framework == FrameworkKind::kCrashTolerant) {
+  if (!threshold_signed(config_.framework)) {
     if (accepted_.count(id) == 0) accept_manifest(m.manifest);
     return;
   }
@@ -660,78 +600,9 @@ void SwitchRuntime::on_manifest(sim::NodeId from, const ManifestMsg& m) {
   // Cicero: identical-manifest counting, bucketed by the signed bytes
   // (which pin the segment's position in the chain, not just the rule).
   if (m.partial.signer == 0) return;  // Cicero manifests must carry a partial
-  const util::Bytes signing_bytes = manifest_signing_bytes(m.manifest, m.epoch);
-  const crypto::Digest d = crypto::Sha256::hash(signing_bytes);
-  const util::Bytes digest(d.begin(), d.end());
-
-  PendingManifest& p = pending_manifests_[id];
-  ManifestBucket& bucket = p.buckets[digest];
-  if (bucket.partials.empty()) {
-    bucket.manifest = m.manifest;
-    bucket.signing_bytes = signing_bytes;
-  }
-  if (p.buckets.size() > 1) {
-    CICERO_LOG_WARN(kLog, "s%u: conflicting manifest bodies for id %llu", config_.topo_index,
-                    static_cast<unsigned long long>(id));
-  }
-  bucket.partials[m.partial.signer] = m.partial;
-  try_aggregate_manifest(id, digest);
-}
-
-void SwitchRuntime::try_aggregate_manifest(sched::UpdateId id, const util::Bytes& digest) {
-  auto it = pending_manifests_.find(id);
-  if (it == pending_manifests_.end()) return;
-  const auto bit = it->second.buckets.find(digest);
-  if (bit == it->second.buckets.end()) return;
-  ManifestBucket& bucket = bit->second;
-  if (bucket.aggregating || bucket.partials.size() < config_.quorum) return;
-  bucket.aggregating = true;
-
-  const sim::SimTime cost =
-      config_.costs.aggregate_per_share * static_cast<sim::SimTime>(config_.quorum) +
-      config_.costs.threshold_verify;
-  cpu_.execute(cost, "aggregate", [this, id, digest] {
-    if (down_) return;
-    auto it2 = pending_manifests_.find(id);
-    if (it2 == pending_manifests_.end()) return;
-    const auto bit2 = it2->second.buckets.find(digest);
-    if (bit2 == it2->second.buckets.end()) return;
-    ManifestBucket& bucket = bit2->second;
-    bucket.aggregating = false;
-    if (applied_ids_.count(id) != 0 || accepted_.count(id) != 0) return;
-
-    bool valid = true;
-    if (config_.real_crypto) {
-      // Same quorum-subset exclusion as updates: up to f bad partials
-      // among >= 2f+1 cannot block the honest bucket.
-      const auto& scheme = crypto::SimBlsScheme::instance();
-      std::vector<crypto::PartialSignature> all;
-      all.reserve(bucket.partials.size());
-      for (const auto& [idx, part] : bucket.partials) all.push_back(part);
-      valid = false;
-      for (std::size_t skip = 0; skip <= all.size() && !valid; ++skip) {
-        std::vector<crypto::PartialSignature> subset;
-        for (std::size_t i = 0; i < all.size(); ++i) {
-          if (skip != 0 && i == skip - 1) continue;  // skip==0: no exclusion
-          subset.push_back(all[i]);
-        }
-        if (subset.size() < config_.quorum) continue;
-        const auto agg = scheme.aggregate(bucket.signing_bytes, subset, config_.quorum);
-        if (agg && scheme.verify(config_.group_pk, bucket.signing_bytes, *agg)) valid = true;
-      }
-    }
-
-    if (!valid) {
-      ++updates_rejected_;
-      m_rejected_.inc();
-      CICERO_LOG_WARN(kLog, "s%u: manifest aggregate verification failed for update %llu",
-                      config_.topo_index, static_cast<unsigned long long>(id));
-      return;
-    }
-    const SegmentManifest manifest = bucket.manifest;
-    pending_manifests_.erase(it2);
-    accept_manifest(manifest);
-  });
+  add_partial(pending_manifests_, id, m.manifest, manifest_signing_bytes(m.manifest, m.epoch),
+              m.partial, "manifest",
+              [this](const SegmentManifest& manifest) { accept_manifest(manifest); });
 }
 
 void SwitchRuntime::accept_manifest(const SegmentManifest& manifest) {
@@ -778,12 +649,14 @@ void SwitchRuntime::on_segment_done(const SegmentDoneMsg& d) {
   if (d.epoch < phase_) return;  // stale epoch
   phase_ = d.epoch;
   ++peer_signals_received_;
-  const bool verify = config_.framework == FrameworkKind::kCicero &&
-                      config_.real_crypto && config_.pki != nullptr;
+  // The one mode read outside the suite (DESIGN.md §4.2a): modeled runs
+  // charge nothing for this verify.  Making the charge unconditional would
+  // move the decentralized runs' simulated outputs.
+  const bool verify = threshold_signed(config_.framework) && config_.crypto->real();
   const sim::SimTime cost = verify ? config_.costs.ack_verify : sim::SimTime{0};
   cpu_.execute(cost, "segdone.verify", [this, verify, d] {
     if (down_) return;
-    if (verify && !config_.pki->verify_segment_done(d)) {
+    if (verify && !config_.crypto->verify_segment_done(d)) {
       ++updates_rejected_;
       m_rejected_.inc();
       CICERO_LOG_WARN(kLog, "s%u: bad SegmentDone signature from s%u", config_.topo_index,
@@ -815,12 +688,9 @@ void SwitchRuntime::signal_successors(sched::UpdateId id,
     done.done_update = id;
     done.switch_node = config_.topo_index;
     done.epoch = phase_;
-    const bool sign = config_.framework == FrameworkKind::kCicero && config_.real_crypto;
-    if (sign) {
-      done.sig = crypto::schnorr_sign(config_.key, done.body()).to_bytes();
-    }
-    const sim::SimTime cost =
-        config_.framework == FrameworkKind::kCicero ? config_.costs.ack_sign : sim::SimTime{0};
+    const bool sign = threshold_signed(config_.framework);
+    if (sign) config_.crypto->sign(config_.key, done);
+    const sim::SimTime cost = sign ? config_.costs.ack_sign : sim::SimTime{0};
     const sim::NodeId to = succ.node;
     cpu_.execute(cost, "segdone.sign", [this, to, resignal, done = std::move(done)] {
       if (down_) return;
@@ -868,52 +738,26 @@ void SwitchRuntime::apply_update(const sched::Update& update) {
       // Decentralized: done signals flow in-band to the downstream peers;
       // only the chain sink acks the control plane (for its whole chain).
       signal_successors(update.id, dec->second.succs, /*resignal=*/false);
-      if (dec->second.sink) send_ack(update);
+      if (dec->second.sink) send_ack(update.id, sim::kInvalidNode, obs::CritPhase::kPropagate);
     } else {
-      send_ack(update);
+      send_ack(update.id, sim::kInvalidNode, obs::CritPhase::kPropagate);
     }
   });
 }
 
-void SwitchRuntime::send_ack(const sched::Update& update) {
-  AckMsg ack;
-  ack.update_id = update.id;
-  ack.switch_node = config_.topo_index;
-  const bool sign = config_.framework == FrameworkKind::kCicero ||
-                    config_.framework == FrameworkKind::kCiceroAgg;
-  if (sign && config_.real_crypto) {
-    ack.sig = crypto::schnorr_sign(config_.key, ack.body()).to_bytes();
-  }
-  const sim::SimTime cost = sign ? config_.costs.ack_sign : sim::SimTime{0};
-  cpu_.execute(cost, "ack.sign", [this, ack = std::move(ack)] {
-    if (down_) return;
-    const util::Bytes wire = ack.encode();
-    if (obs::CritPath* cp = critpath()) {
-      cp->add_phase_bytes(obs::CritPhase::kPropagate,
-                          wire.size() * config_.controllers.size());
-    }
-    net_.multicast(config_.node, config_.controllers, wire);
-  });
-}
-
-void SwitchRuntime::re_ack(sched::UpdateId id, sim::NodeId to) {
-  ++acks_reissued_;
+void SwitchRuntime::send_ack(sched::UpdateId id, sim::NodeId to, obs::CritPhase phase) {
   AckMsg ack;
   ack.update_id = id;
   ack.switch_node = config_.topo_index;
-  const bool sign = config_.framework == FrameworkKind::kCicero ||
-                    config_.framework == FrameworkKind::kCiceroAgg;
-  if (sign && config_.real_crypto) {
-    ack.sig = crypto::schnorr_sign(config_.key, ack.body()).to_bytes();
-  }
+  const bool sign = threshold_signed(config_.framework);
+  if (sign) config_.crypto->sign(config_.key, ack);
   const sim::SimTime cost = sign ? config_.costs.ack_sign : sim::SimTime{0};
-  cpu_.execute(cost, "ack.sign", [this, to, ack = std::move(ack)] {
+  cpu_.execute(cost, "ack.sign", [this, to, phase, ack = std::move(ack)] {
     if (down_) return;
     const util::Bytes wire = ack.encode();
     if (obs::CritPath* cp = critpath()) {
-      const std::size_t copies =
-          to == sim::kInvalidNode ? config_.controllers.size() : 1;
-      cp->add_phase_bytes(obs::CritPhase::kRetransmit, wire.size() * copies);
+      const std::size_t copies = to == sim::kInvalidNode ? config_.controllers.size() : 1;
+      cp->add_phase_bytes(phase, wire.size() * copies);
     }
     if (to == sim::kInvalidNode) {
       net_.multicast(config_.node, config_.controllers, wire);
@@ -921,6 +765,11 @@ void SwitchRuntime::re_ack(sched::UpdateId id, sim::NodeId to) {
       net_.send(config_.node, to, wire);
     }
   });
+}
+
+void SwitchRuntime::re_ack(sched::UpdateId id, sim::NodeId to) {
+  ++acks_reissued_;
+  send_ack(id, to, obs::CritPhase::kRetransmit);
 }
 
 }  // namespace cicero::core

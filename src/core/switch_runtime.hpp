@@ -10,9 +10,10 @@
 // baselines it applies the first copy of an update it sees — which is
 // precisely the hole Cicero closes (demonstrated by the Byzantine tests).
 //
-// All expensive steps charge simulated CPU through the switch's CpuServer;
-// with Config::real_crypto the signatures are also actually computed and
-// verified (tests), otherwise only the costs are charged (large benches).
+// All expensive steps charge simulated CPU through the switch's CpuServer.
+// Signatures are made and checked through the deployment's CryptoSuite
+// (Config::crypto): real ones in tests and demos, placeholders in
+// cost-only runs — the charged costs are the same either way.
 #pragma once
 
 #include <deque>
@@ -22,9 +23,7 @@
 
 #include "core/cost_model.hpp"
 #include "core/framework.hpp"
-#include "core/messages.hpp"
-#include "core/pki.hpp"
-#include "crypto/simbls.hpp"
+#include "core/crypto_suite.hpp"
 #include "net/flow_table.hpp"
 #include "obs/obs.hpp"
 #include "sim/cpu.hpp"
@@ -46,9 +45,9 @@ class SwitchRuntime {
     /// switch actually receives the replicas' traffic is pure routing,
     /// chosen (and re-chosen on crash) by the Deployment.
     AggregationMode aggregation = AggregationMode::kNone;
-    /// Peer public keys for SegmentDone verification (decentralized mode);
+    /// Signs events/acks/SegmentDones, checks aggregates and peer signals;
     /// owned by the Deployment, outlives every switch.
-    const PkiDirectory* pki = nullptr;
+    const CryptoSuite* crypto = nullptr;
     /// Topology index -> sim address of every switch, for the aggregator
     /// fan-out hop (in-network aggregation only); owned by the Deployment.
     const std::map<net::NodeIndex, sim::NodeId>* switch_directory = nullptr;
@@ -61,10 +60,8 @@ class SwitchRuntime {
     crypto::SchnorrKeyPair key;                ///< PKI pair (event/ack signing)
     crypto::Point group_pk;                    ///< control plane threshold PK
     std::uint32_t quorum = 3;
-    ThresholdBackend backend = ThresholdBackend::kSimBls;
     std::vector<sim::NodeId> controllers;      ///< domain control plane
     sim::NodeId aggregator = sim::kInvalidNode;  ///< set in kCiceroAgg
-    bool real_crypto = true;
     /// Unroutable packets keep arriving while a route is missing, so an
     /// unanswered flow-request event is re-emitted after this interval
     /// (bounded retries); covers events lost to faulty controllers.
@@ -144,33 +141,22 @@ class SwitchRuntime {
   std::size_t applied_dedupe_size() const { return applied_ids_.size(); }
 
  private:
-  // Identical-update counting (Fig. 6b): partials are bucketed by the
-  // update body they sign, so a Byzantine controller racing a corrupted
-  // body ahead of the honest copies can never block the honest quorum's
-  // bucket (nor merge with it).
+  // Identical-body counting (Fig. 6b), for updates and, in decentralized
+  // mode (DESIGN.md §15), manifests alike: partials are bucketed by the
+  // digest of the bytes they sign, so a Byzantine controller racing a
+  // corrupted body ahead of the honest copies can never block the honest
+  // quorum's bucket (nor merge with it).  An accepted manifest then waits
+  // locally until every listed predecessor has signaled SegmentDone.
+  template <typename Body>
   struct Bucket {
-    sched::Update update;
+    Body body;
     util::Bytes signing_bytes;
     std::map<crypto::ShareIndex, crypto::PartialSignature> partials;
     bool aggregating = false;
   };
-  struct Pending {
-    std::map<util::Bytes, Bucket> buckets;  ///< body digest -> bucket
-  };
-
-  // Decentralized mode (DESIGN.md §15).  Manifest copies aggregate exactly
-  // like updates (digest-bucketed quorum under kCicero, first copy for the
-  // baselines); an accepted manifest then waits locally until every listed
-  // predecessor has signaled SegmentDone.
-  struct ManifestBucket {
-    SegmentManifest manifest;
-    util::Bytes signing_bytes;
-    std::map<crypto::ShareIndex, crypto::PartialSignature> partials;
-    bool aggregating = false;
-  };
-  struct PendingManifest {
-    std::map<util::Bytes, ManifestBucket> buckets;  ///< body digest -> bucket
-  };
+  /// update id -> body digest -> bucket
+  template <typename Body>
+  using Buckets = std::map<sched::UpdateId, std::map<util::Bytes, Bucket<Body>>>;
   struct AcceptedManifest {
     SegmentManifest manifest;
     std::set<sched::UpdateId> done_preds;  ///< SegmentDones received so far
@@ -225,9 +211,13 @@ class SwitchRuntime {
   /// One signed kAggMismatch event per update id with conflicting buckets.
   void report_innet_mismatch(sched::UpdateId id, InnetPending& pending);
   void on_aggregator_notify(const AggregatorNotifyMsg& m);
-  void try_aggregate(sched::UpdateId id, const util::Bytes& digest);
+  /// Buckets one partial; at a quorum, charges aggregation + threshold
+  /// verification, combines, and hands a verified body to `accept`.
+  template <typename Body, typename Accept>
+  void add_partial(Buckets<Body>& pending, sched::UpdateId id, const Body& body,
+                   util::Bytes signing_bytes, const crypto::PartialSignature& partial,
+                   const char* what, Accept accept);
   void on_manifest(sim::NodeId from, const ManifestMsg& m);
-  void try_aggregate_manifest(sched::UpdateId id, const util::Bytes& digest);
   /// Switch-local verification gate + dependency wait entry.
   void accept_manifest(const SegmentManifest& manifest);
   /// Applies an accepted manifest once every predecessor has signaled.
@@ -239,9 +229,11 @@ class SwitchRuntime {
   /// Duplicate-suppression with a bounded memory (Config::applied_dedupe_window).
   void note_applied(sched::UpdateId id);
   void apply_update(const sched::Update& update);
-  void send_ack(const sched::Update& update);
-  /// Unicast re-ack of an already-applied update to the sender of a
-  /// duplicate copy (idempotent retransmission handling, §5.1).
+  /// Signs and sends an ack to `to`, or to the whole control plane when
+  /// `to` is kInvalidNode.
+  void send_ack(sched::UpdateId id, sim::NodeId to, obs::CritPhase phase);
+  /// Re-ack of an already-applied update to the sender of a duplicate copy
+  /// (idempotent retransmission handling, §5.1).
   void re_ack(sched::UpdateId id, sim::NodeId to);
 
   sim::Simulator& sim_;
@@ -252,7 +244,7 @@ class SwitchRuntime {
   std::vector<AppliedFn> observers_;
 
   std::uint64_t event_seq_ = 0;
-  std::map<sched::UpdateId, Pending> pending_;
+  Buckets<sched::Update> pending_;
   /// Bounded dedupe set: `applied_ids_` for membership, `applied_order_`
   /// (insertion order) to retire the oldest id past the window.
   std::set<sched::UpdateId> applied_ids_;
@@ -275,7 +267,7 @@ class SwitchRuntime {
   std::deque<sched::UpdateId> innet_completed_order_;
 
   // Decentralized mode state.
-  std::map<sched::UpdateId, PendingManifest> pending_manifests_;
+  Buckets<SegmentManifest> pending_manifests_;
   std::map<sched::UpdateId, AcceptedManifest> accepted_;
   /// SegmentDones that raced ahead of their manifest: for_update -> preds
   /// already done.  Bounded by the dedupe window against abandoned chains.

@@ -177,6 +177,22 @@ TEST(CoreMessages, TagsAreDistinct) {
   EXPECT_FALSE(peek_tag({}).has_value());
 }
 
+TEST(CoreMessages, ManifestWithHugePeerCountRejected) {
+  // A corrupt u32 peer count must be rejected, never reserved.
+  ManifestMsg m;
+  m.manifest.update = sample_update();
+  m.manifest.preds = {SegmentPeer{1, 2, 3}};
+  util::Bytes wire = m.encode();
+  util::Writer w;
+  m.manifest.update.serialize(w);
+  const std::size_t count_at = 1 + w.size();  // tag, update, then the preds count
+  ASSERT_EQ(wire[count_at], 1u);
+  for (std::size_t i = 0; i < 4; ++i) wire[count_at + i] = 0xFF;
+  std::optional<ManifestMsg> decoded;
+  EXPECT_NO_THROW(decoded = ManifestMsg::decode(wire));
+  EXPECT_FALSE(decoded.has_value());
+}
+
 TEST(CoreMessages, UpdateSigningBytesCoverRule) {
   auto u = sample_update();
   const auto bytes1 = update_signing_bytes(u);

@@ -4,8 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/pki.hpp"
+#include "core/crypto_suite.hpp"
 #include "crypto/dkg.hpp"
+#include "crypto/simbls.hpp"
 
 namespace cicero::core {
 namespace {
@@ -29,7 +30,7 @@ class SwitchRuntimeTest : public ::testing::Test {
     cfg.group_pk = results_.front().group_public_key;
     cfg.quorum = 2;
     cfg.controllers = ctrl_nodes_;
-    cfg.real_crypto = true;
+    cfg.crypto = &suite_;
     switch_pk_ = cfg.key.pk;
     base_cfg_ = cfg;
     rt_ = std::make_unique<SwitchRuntime>(sim_, *net_, cfg);
@@ -83,6 +84,7 @@ class SwitchRuntimeTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
+  CryptoSuite suite_{/*real=*/true, ThresholdBackend::kSimBls};
   std::unique_ptr<sim::NetworkSim> net_;
   std::unique_ptr<crypto::Drbg> drbg_;
   std::vector<crypto::DkgParticipant::Result> results_;
@@ -329,12 +331,9 @@ class DecentralizedSwitchTest : public SwitchRuntimeTest {
       to_peer_.push_back(wire);
     });
     peer_key_ = crypto::SchnorrKeyPair::generate(*drbg_);
-    pki_.register_origin(7, switch_pk_);
-    pki_.register_origin(8, peer_key_.pk);
-    rebuild([this](SwitchRuntime::Config& cfg) {
-      cfg.execution_mode = ExecutionMode::kDecentralized;
-      cfg.pki = &pki_;
-    });
+    suite_.pki().register_origin(7, switch_pk_);
+    suite_.pki().register_origin(8, peer_key_.pk);
+    rebuild([](SwitchRuntime::Config& cfg) { cfg.execution_mode = ExecutionMode::kDecentralized; });
   }
 
   SegmentManifest make_manifest(sched::UpdateId id, std::vector<SegmentPeer> preds,
@@ -381,7 +380,6 @@ class DecentralizedSwitchTest : public SwitchRuntimeTest {
     return n;
   }
 
-  PkiDirectory pki_;
   sim::NodeId peer_node_ = 0;
   crypto::SchnorrKeyPair peer_key_;
   std::vector<util::Bytes> to_peer_;
@@ -441,7 +439,7 @@ TEST_F(DecentralizedSwitchTest, NonSinkSignalsSuccessorInsteadOfAck) {
     if (const auto d = SegmentDoneMsg::decode(w)) {
       EXPECT_EQ(d->for_update, 2u);
       EXPECT_EQ(d->done_update, 1u);
-      EXPECT_TRUE(pki_.verify_segment_done(*d));
+      EXPECT_TRUE(suite_.pki().verify_segment_done(*d));
     }
   }
 }

@@ -47,6 +47,21 @@ TEST(FrostBackend, FlowsCompleteWithRealSignatures) {
   EXPECT_EQ(rejected, 0u);
 }
 
+TEST(FrostBackend, AggregatesCountAsSouthboundBytes) {
+  // Regression: the FROST aggregator shipped its aggregates without
+  // counting them, so the southbound byte total read 0.
+  auto dep = frost_deployment();
+  dep->inject(small_workload(dep->topology(), 20));
+  dep->run(sim::seconds(20));
+  std::uint64_t bytes = 0, applied = 0;
+  for (const auto id : dep->controller_ids()) bytes += dep->controller(id).southbound_bytes();
+  for (const auto sw : dep->topology().switches()) applied += dep->switch_at(sw).updates_applied();
+  ASSERT_GT(applied, 0u);
+  EXPECT_EQ(dep->obs().metrics.counter_value("ctrl.southbound_bytes"), bytes);
+  // At least one encoded AggUpdateMsg per applied update.
+  EXPECT_GE(bytes, applied * core::AggUpdateMsg{}.encode().size());
+}
+
 TEST(FrostBackend, SlowerThanSimBls) {
   // The extra signing round is visible: FROST setup latency exceeds the
   // non-interactive SimBLS backend under identical conditions.

@@ -23,6 +23,20 @@ TEST(Membership, AddControllerKeepsGroupPublicKey) {
   EXPECT_EQ(dep->group_pk(0), pk_before);
 }
 
+TEST(Membership, ModeledReshareChargesLikeReal) {
+  // Modeled crypto charges every simulated cost real crypto charges,
+  // the reshare's deal and finalize work included.
+  const auto busy_after_add = [](bool real_crypto) {
+    auto dep = make_deployment(FrameworkKind::kCicero, net::build_pod(small_pod()), real_crypto);
+    dep->simulator().at(sim::milliseconds(10), [&] { dep->add_controller(0); });
+    dep->run(sim::seconds(5));
+    sim::SimTime busy = 0;
+    for (const auto id : dep->controller_ids()) busy += dep->controller(id).cpu().busy_total();
+    return busy;
+  };
+  EXPECT_EQ(busy_after_add(true), busy_after_add(false));
+}
+
 TEST(Membership, AddedControllerParticipates) {
   auto dep = make_deployment(FrameworkKind::kCicero, net::build_pod(small_pod()));
   std::uint32_t new_id = 0;
