@@ -94,9 +94,15 @@ std::optional<std::pair<BftMessage, util::Bytes>> BftMessage::decode(const util:
     const std::uint32_t n_entries = r.u32();
     for (std::uint32_t i = 0; i < n_entries; ++i) {
       const SeqNum s = r.u64();
+      // encode_body writes the map in ascending order; anything else (a
+      // repeated or out-of-order seq) would decode to a message whose
+      // encoding differs from the bytes received.
+      if (!m.new_view_entries.empty() && s <= m.new_view_entries.rbegin()->first) {
+        return std::nullopt;
+      }
       const util::Bytes req_bytes = r.bytes();
       util::Reader rr(req_bytes);
-      m.new_view_entries[s] = BftRequest::decode(rr);
+      m.new_view_entries.emplace_hint(m.new_view_entries.end(), s, BftRequest::decode(rr));
       rr.expect_end();
     }
     m.new_view_next_seq = r.u64();

@@ -335,7 +335,7 @@ void Controller::process_flow_event(const Event& e) {
         cp->update_scheduled(su.update.id, cause.origin, cause.seq, sim_.now());
       }
     }
-    if (config_.execution_mode == ExecutionMode::kDecentralized) {
+    if (config_.delivery == Delivery::kDecentralized) {
       dispatch_decentralized(local, eid);
     } else {
       for (const sched::UpdateId id : ready) release_update(id);
@@ -398,7 +398,7 @@ void Controller::arm_ack_timer(sched::UpdateId id, sim::SimTime delay) {
            {"attempt", static_cast<std::int64_t>(fl->second.attempt)}});
     }
     const auto chain = dec_chains_.find(id);
-    if (config_.execution_mode == ExecutionMode::kDecentralized &&
+    if (config_.delivery == Delivery::kDecentralized &&
         chain != dec_chains_.end()) {
       // Any hop of the chain may have lost its manifest or its in-band
       // SegmentDone; resending every manifest re-triggers both (switches
@@ -424,7 +424,7 @@ void Controller::arm_ack_timer(sched::UpdateId id, sim::SimTime delay) {
 void Controller::abandon_update(sched::UpdateId id) {
   std::vector<sched::UpdateId> removed;
   const auto chain = dec_chains_.find(id);
-  if (config_.execution_mode == ExecutionMode::kDecentralized &&
+  if (config_.delivery == Delivery::kDecentralized &&
       chain != dec_chains_.end()) {
     // A sink gave up: its whole ancestor closure is unreachable (only the
     // sink's ack would have completed it).
@@ -525,9 +525,7 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
         msg.partial = env_.crypto->partial_sign(config_.share, signing);
       }
     }
-    const bool innet = config_.aggregation == AggregationMode::kInNetwork &&
-                       config_.framework == FrameworkKind::kCicero;
-    if (innet) {
+    if (config_.delivery == Delivery::kInNetwork) {
       const std::size_t rank = member_rank();
       if (!retransmit && rank >= config_.quorum) return;  // silent on the fast path
       ++updates_sent_;
@@ -541,7 +539,7 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
     const auto sw_it = env_.switch_nodes.find(msg.update.switch_node);
     if (sw_it == env_.switch_nodes.end()) return;
 
-    if (config_.framework == FrameworkKind::kCiceroAgg && !is_aggregator()) {
+    if (config_.delivery == Delivery::kControllerAgg && !is_aggregator()) {
       // Route through the aggregator (Fig. 7c).  The partial-carrying hop
       // is part of the signing phase's control-plane traffic.
       const util::Bytes wire = msg.encode();
@@ -550,7 +548,7 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
                             wire.size());
       }
       net_.send(config_.node, aggregator_member().node, wire);
-    } else if (config_.framework == FrameworkKind::kCiceroAgg) {
+    } else if (config_.delivery == Delivery::kControllerAgg) {
       on_peer_update(msg);  // we are the aggregator: count our own partial
     } else {
       const util::Bytes wire = msg.encode();
@@ -595,7 +593,7 @@ void Controller::dispatch_innet(const UpdateMsg& msg, sched::UpdateId uid, std::
     wire = share.encode();
   }
   // The partial-carrying hop to the aggregator switch is signing-phase
-  // traffic (like kCiceroAgg's partial hop); the single fan-out send the
+  // traffic (like controller aggregation's partial hop); the single fan-out send the
   // aggregator makes afterwards is the propagate phase.
   if (obs::CritPath* cp = critpath()) {
     cp->add_phase_bytes(retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kSign,
@@ -805,7 +803,7 @@ void Controller::on_ack(const AckMsg& ack) {
   }
   ++acks_received_;
   m_acks_.inc();
-  if (config_.execution_mode == ExecutionMode::kDecentralized) {
+  if (config_.delivery == Delivery::kDecentralized) {
     on_ack_decentralized(ack);
     return;
   }
@@ -848,7 +846,7 @@ void Controller::on_ack(const AckMsg& ack) {
 // ---------------------------------------------------------------------------
 
 void Controller::on_peer_update(const UpdateMsg& m) {
-  if (config_.framework != FrameworkKind::kCiceroAgg || !is_aggregator()) return;
+  if (config_.delivery != Delivery::kControllerAgg || !is_aggregator()) return;
   // A partial for an update we already aggregated means the sender never
   // saw the ack: the aggregated update or the ack was lost downstream.
   // Replay the cached aggregate; the switch dedupes and re-acks.

@@ -70,18 +70,14 @@ class Controller {
     crypto::Point group_pk;
     std::map<crypto::ShareIndex, crypto::Point> verification_shares;
     std::uint32_t quorum = 3;
-    /// Controller-driven (one southbound round trip per segment) or
-    /// decentralized (one signed manifest per segment, switches sequence
-    /// the chain in-band; incompatible with kCiceroAgg).
-    ExecutionMode execution_mode = ExecutionMode::kControllerDriven;
-    /// In-network aggregation (DESIGN.md §16): replicas address the
-    /// domain's designated aggregator *switch* instead of the target
-    /// switch.  On the optimistic first send only the lowest-ranked
-    /// replica ships the full update body; the next quorum-1 ranks ship
+    /// The path updates take to the switches (DESIGN.md §4.2b).  Under
+    /// kInNetwork the replicas address the domain's designated aggregator
+    /// *switch*: on the optimistic first send only the lowest-ranked
+    /// replica ships the full update body, the next quorum-1 ranks ship
     /// compact PartialShareMsgs and the rest stay silent — every replica
     /// still arms its ack timer, and any retransmission escalates to the
     /// full body, so liveness never depends on the optimistic cast.
-    AggregationMode aggregation = AggregationMode::kNone;
+    Delivery delivery = Delivery::kDirect;
     /// Sim address of the designated aggregator switch (kInNetwork only);
     /// re-pointed by the Deployment when that switch crashes.
     sim::NodeId innet_aggregator = sim::kInvalidNode;
@@ -106,7 +102,8 @@ class Controller {
     const net::Topology* topology = nullptr;
     const sched::UpdateScheduler* scheduler = nullptr;
     /// Every signature made or checked; its backend picks SimBLS or FROST
-    /// (FROST needs kCiceroAgg: the aggregator coordinates the sessions).
+    /// (FROST needs Delivery::kControllerAgg: the aggregator coordinates
+    /// the sessions).
     const CryptoSuite* crypto = nullptr;
     /// topology switch index -> network endpoint.
     std::map<net::NodeIndex, sim::NodeId> switch_nodes;
@@ -192,7 +189,7 @@ class Controller {
                       bool retransmit);
   /// This replica's rank: position of our id in the sorted member list.
   std::size_t member_rank() const;
-  /// The lowest-id member: the aggregator under kCiceroAgg (§4.2).
+  /// The lowest-id member: the aggregator under Delivery::kControllerAgg (§4.2).
   const MemberInfo& aggregator_member() const;
   /// Controller -> switch send, counted in southbound_bytes().
   void send_southbound(sim::NodeId to, const util::Bytes& wire);

@@ -15,38 +15,46 @@ namespace {
 constexpr const char* kLog = "deploy";
 }
 
-Deployment::Deployment(net::Topology topology, DeploymentParams params)
-    : topo_(std::move(topology)), params_(params), obs_(params.metrics, params.trace),
-      drbg_(params.seed), crypto_(params.real_crypto, params.backend) {
-  if (params_.backend == ThresholdBackend::kFrost &&
-      params_.framework != FrameworkKind::kCiceroAgg) {
-    throw std::invalid_argument(
-        "Deployment: the FROST backend requires controller aggregation");
-  }
-  if (params_.execution_mode == ExecutionMode::kDecentralized &&
-      params_.framework == FrameworkKind::kCiceroAgg) {
-    throw std::invalid_argument(
-        "Deployment: decentralized execution aggregates manifests at the "
-        "switch, which controller aggregation bypasses");
-  }
-  if (params_.aggregation == AggregationMode::kInNetwork) {
-    if (params_.framework != FrameworkKind::kCicero) {
+Delivery delivery_of(const DeploymentParams& params) {
+  const bool decentralized = params.execution_mode == ExecutionMode::kDecentralized;
+  const bool frost = params.backend == ThresholdBackend::kFrost;
+  if (params.aggregation == AggregationMode::kInNetwork) {
+    if (params.framework != FrameworkKind::kCicero) {
       throw std::invalid_argument(
           "Deployment: in-network aggregation extends the kCicero framework "
           "(the baselines have no partials to aggregate; kCiceroAgg already "
           "aggregates at a controller)");
     }
-    if (params_.execution_mode != ExecutionMode::kControllerDriven) {
+    if (decentralized) {
       throw std::invalid_argument(
           "Deployment: in-network aggregation is controller-driven only "
           "(decentralized manifests already aggregate at their own switch)");
     }
-    if (params_.backend != ThresholdBackend::kSimBls) {
+    if (frost) {
       throw std::invalid_argument(
           "Deployment: in-network aggregation requires the kSimBls backend "
           "(FROST's signing session needs a controller coordinator)");
     }
+    return Delivery::kInNetwork;
   }
+  if (params.framework == FrameworkKind::kCiceroAgg) {
+    if (decentralized) {
+      throw std::invalid_argument(
+          "Deployment: decentralized execution aggregates manifests at the "
+          "switch, which controller aggregation bypasses");
+    }
+    return Delivery::kControllerAgg;
+  }
+  if (frost) {
+    throw std::invalid_argument("Deployment: the FROST backend requires controller aggregation");
+  }
+  return decentralized ? Delivery::kDecentralized : Delivery::kDirect;
+}
+
+Deployment::Deployment(net::Topology topology, DeploymentParams params)
+    : topo_(std::move(topology)), params_(params), delivery_(delivery_of(params)),
+      obs_(params.metrics, params.trace), drbg_(params.seed),
+      crypto_(params.real_crypto, params.backend) {
   setup_parallel();
   if (psim_ == nullptr) {
     // The trace/log clocks read the sequential simulator; in parallel
@@ -180,12 +188,11 @@ void Deployment::build_nodes() {
     cfg.group_pk = plane.group_pk;
     cfg.quorum = plane_quorum(plane);
     for (const std::uint32_t id : plane.member_ids) cfg.controllers.push_back(ctrl_nodes_.at(id));
-    if (params_.framework == FrameworkKind::kCiceroAgg) {
+    if (delivery_ == Delivery::kControllerAgg) {
       cfg.aggregator = ctrl_nodes_.at(
           *std::min_element(plane.member_ids.begin(), plane.member_ids.end()));
     }
-    cfg.execution_mode = params_.execution_mode;
-    cfg.aggregation = params_.aggregation;
+    cfg.delivery = delivery_;
     cfg.switch_directory = &switch_nodes_;
     cfg.crypto = &crypto_;
     cfg.applied_dedupe_window = params_.applied_dedupe_window;
@@ -200,7 +207,7 @@ void Deployment::build_nodes() {
 
   // Initial in-network aggregator designation (lowest topology index per
   // domain).  Must precede controller construction: member_config reads it.
-  if (params_.aggregation == AggregationMode::kInNetwork) {
+  if (delivery_ == Delivery::kInNetwork) {
     for (const net::DomainId d : topo_.domains()) {
       innet_agg_switch_[d] = pick_innet_aggregator(d);
     }
@@ -289,7 +296,7 @@ Controller::Config Deployment::member_config(const Plane& plane, std::uint32_t i
   cfg.id = id;
   cfg.domain = plane.domain;
   cfg.framework = params_.framework;
-  cfg.execution_mode = params_.execution_mode;
+  cfg.delivery = delivery_;
   cfg.costs = params_.costs;
   cfg.node = ctrl_nodes_.at(id);
   cfg.members = member_infos(plane);
@@ -303,8 +310,7 @@ Controller::Config Deployment::member_config(const Plane& plane, std::uint32_t i
   cfg.bft_timeout = params_.bft_timeout;
   cfg.ack_timeout = params_.ack_timeout;
   cfg.update_max_retries = params_.update_max_retries;
-  cfg.aggregation = params_.aggregation;
-  if (params_.aggregation == AggregationMode::kInNetwork) {
+  if (delivery_ == Delivery::kInNetwork) {
     const auto it = innet_agg_switch_.find(plane.domain);
     if (it != innet_agg_switch_.end() && it->second != net::kNoNode) {
       cfg.innet_aggregator = switch_nodes_.at(it->second);
@@ -388,7 +394,7 @@ void Deployment::restore_link(net::NodeIndex a, net::NodeIndex b) {
 void Deployment::crash_switch(net::NodeIndex sw) {
   switches_.at(sw)->crash();
   faults_->set_node_down(switch_nodes_.at(sw), true);
-  if (params_.aggregation == AggregationMode::kInNetwork) {
+  if (delivery_ == Delivery::kInNetwork) {
     update_innet_aggregator(topo_.node(sw).domain);
   }
 }
@@ -396,7 +402,7 @@ void Deployment::crash_switch(net::NodeIndex sw) {
 void Deployment::recover_switch(net::NodeIndex sw) {
   faults_->set_node_down(switch_nodes_.at(sw), false);
   switches_.at(sw)->recover();
-  if (params_.aggregation == AggregationMode::kInNetwork) {
+  if (delivery_ == Delivery::kInNetwork) {
     update_innet_aggregator(topo_.node(sw).domain);
   }
 }
@@ -861,7 +867,7 @@ void Deployment::notify_switches(const Plane& plane) {
   m.phase = plane.phase;
   m.quorum = plane_quorum(plane);
   for (const std::uint32_t id : plane.member_ids) m.controllers.push_back(ctrl_nodes_.at(id));
-  m.aggregator = params_.framework == FrameworkKind::kCiceroAgg
+  m.aggregator = delivery_ == Delivery::kControllerAgg
                      ? ctrl_nodes_.at(
                            *std::min_element(plane.member_ids.begin(), plane.member_ids.end()))
                      : sim::kInvalidNode;

@@ -10,6 +10,9 @@
 // Centralized/crash-tolerant baselines use a single global control plane
 // regardless of topology domains (that is how the paper deploys them);
 // Cicero frameworks get one control plane per switch domain (§3.3).
+// `delivery_of` reduces the params to one `Delivery` (the path updates
+// take to the switches), computed once in the constructor and handed to
+// every controller and switch runtime; invalid params make it throw.
 //
 // Membership changes (§4.3) are exposed as `add_controller` /
 // `remove_controller`: the bootstrap (lowest-id) member proposes the
@@ -48,20 +51,17 @@ struct DeploymentParams {
   /// update per segment in dependency order; decentralized (ez-Segway
   /// mode, DESIGN.md §15) ships every segment at once as a signed
   /// manifest and lets the switches sequence the chain in-band.
-  /// Incompatible with kCiceroAgg (manifests aggregate at the switch).
   ExecutionMode execution_mode = ExecutionMode::kControllerDriven;
   /// Where threshold partials are combined (DESIGN.md §16): kInNetwork
   /// designates one aggregator switch per domain (P4BFT-style offload —
   /// replicas send one small message per update instead of one full copy
-  /// each).  Requires kCicero, kControllerDriven and the kSimBls backend
-  /// (FROST's signing session needs a controller coordinator).
+  /// each).  `delivery_of` says which combinations are valid.
   AggregationMode aggregation = AggregationMode::kNone;
   std::size_t controllers_per_domain = 4;
   /// Switch-side duplicate-suppression window (SwitchRuntime::Config).
   std::size_t applied_dedupe_window = 4096;
   CostModel costs;
-  /// Threshold scheme; kFrost is only valid with kCiceroAgg (the signing
-  /// session needs a coordinator) and demonstrates the protocol over a
+  /// Threshold scheme; kFrost demonstrates the protocol over a
   /// cryptographically REAL threshold signature.
   ThresholdBackend backend = ThresholdBackend::kSimBls;
   bool real_crypto = true;
@@ -91,6 +91,15 @@ struct DeploymentParams {
   /// the sequential fast path regardless of this value.
   std::uint32_t threads = 1;
 };
+
+/// The delivery path `params` select, and the only code below the public
+/// params that reads ExecutionMode, AggregationMode or the backend's
+/// framework pairing.  Throws std::invalid_argument for the combinations
+/// with no path: FROST outside controller aggregation (its signing
+/// session needs a controller coordinator), decentralized execution under
+/// controller aggregation (manifests aggregate at their switch), and
+/// in-network aggregation outside kCicero's controller-driven SimBLS path.
+Delivery delivery_of(const DeploymentParams& params);
 
 /// Per-flow measurement record.
 struct FlowRecord {
@@ -248,6 +257,7 @@ class Deployment {
 
   net::Topology topo_;
   DeploymentParams params_;
+  Delivery delivery_;  ///< delivery_of(params_), computed once
   sim::Simulator sim_;  ///< the sequential event loop (unused when psim_ set)
   /// Declared before net_/switches_/controllers_: the metric handles they
   /// hold point into this registry, so it must outlive them.

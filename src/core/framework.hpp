@@ -55,14 +55,25 @@ const char* execution_mode_name(ExecutionMode mode);
 /// (matching-digest quorum before aggregation, mismatches reported via
 /// the signed-event path), aggregates, and fans the single signed update
 /// out to the target switch — so each replica sends one small message
-/// per update instead of one full copy per participating switch.
-/// Only meaningful with `kCicero` + `kControllerDriven` (§ DESIGN.md 16).
+/// per update instead of one full copy per participating switch
+/// (§ DESIGN.md 16).  `delivery_of` says which combinations are valid.
 enum class AggregationMode : std::uint8_t {
   kNone = 0,       ///< aggregate where the framework says (switch or controller)
   kInNetwork = 1,  ///< designated aggregator switch per domain (P4BFT-style)
 };
 
 const char* aggregation_mode_name(AggregationMode mode);
+
+/// The path each threshold-signed update takes to the data plane — the
+/// one value the controller and switch runtimes branch on (DESIGN.md §4.2b).
+/// `delivery_of` (deployment.hpp) derives it from the public parameters
+/// and rejects every combination that has no path.
+enum class Delivery : std::uint8_t {
+  kDirect = 0,         ///< every replica sends its copy to the target switch
+  kControllerAgg = 1,  ///< the lowest-id replica aggregates (§4.2)
+  kInNetwork = 2,      ///< a designated aggregator switch aggregates (§16)
+  kDecentralized = 3,  ///< signed manifests, switches sequence in-band (§15)
+};
 
 /// One row of Table 2.
 struct Capabilities {

@@ -113,9 +113,8 @@ void SwitchRuntime::crash() {
   }
   for (const auto& [id, buckets] : pending_manifests_) {
     for (const auto& [digest, bucket] : buckets) {
-      if (bucket.partials.empty()) continue;
-      if (bucket.body.update.op != sched::UpdateOp::kInstall) continue;
-      const auto& rule = bucket.body.update.rule;
+      if (!bucket.body || bucket.body->update.op != sched::UpdateOp::kInstall) continue;
+      const auto& rule = bucket.body->update.rule;
       missed_while_down_.emplace(std::make_pair(rule.match.src_host, rule.match.dst_host),
                                  rule.reserved_bps);
     }
@@ -186,7 +185,7 @@ void SwitchRuntime::emit_event(Event e) {
   cpu_.execute(config_.costs.packet_in_cost + config_.costs.event_sign,
                "packet_in.sign", [this, e = std::move(e)] {
                  const util::Bytes wire = e.encode();
-                 if (config_.framework == FrameworkKind::kCiceroAgg &&
+                 if (config_.delivery == Delivery::kControllerAgg &&
                      config_.aggregator != sim::kInvalidNode) {
                    net_.send(config_.node, config_.aggregator, wire);
                  } else {
@@ -264,11 +263,12 @@ void SwitchRuntime::on_aggregator_notify(const AggregatorNotifyMsg& m) {
 
 void SwitchRuntime::on_update(sim::NodeId from, const UpdateMsg& m) {
   if (down_) return;
-  if (config_.aggregation == AggregationMode::kInNetwork &&
-      config_.framework == FrameworkKind::kCicero) {
+  if (config_.delivery == Delivery::kInNetwork) {
     // In-network mode the replicas only ever address the designated
     // aggregator, so every body copy arriving here is aggregation input.
-    on_innet_body(from, m);
+    util::Bytes signing_bytes = update_signing_bytes(m.update);
+    const std::uint64_t digest = signing_digest64(signing_bytes);
+    add_innet_partial(from, m.update.id, digest, m, std::move(signing_bytes), m.partial);
     return;
   }
   if (applied_ids_.count(m.update.id) != 0) {
@@ -296,49 +296,73 @@ void SwitchRuntime::on_update(sim::NodeId from, const UpdateMsg& m) {
   // Cicero switch aggregation (Fig. 6b): buffer identical updates until a
   // quorum of distinct signers accumulated, bucketed by update body.
   if (m.partial.signer == 0) return;  // Cicero updates must carry a partial
-  add_partial(pending_, m.update.id, m.update, update_signing_bytes(m.update), m.partial,
-              "update", [this](const sched::Update& update) {
-                note_applied(update.id);
-                apply_update(update);
+  util::Bytes signing_bytes = update_signing_bytes(m.update);
+  const crypto::Digest digest = crypto::Sha256::hash(signing_bytes);
+  add_partial(pending_, m.update.id, digest, std::optional(m), std::move(signing_bytes),
+              m.partial, "update", [this](const UpdateMsg& verified, const util::Bytes&) {
+                note_applied(verified.update.id);
+                apply_update(verified.update);
               });
 }
 
-template <typename Body, typename Accept>
-void SwitchRuntime::add_partial(Buckets<Body>& pending, sched::UpdateId id, const Body& body,
-                                util::Bytes signing_bytes,
+template <typename Key, typename Body, typename Accept>
+void SwitchRuntime::add_partial(Buckets<Key, Body>& pending, sched::UpdateId id, const Key& key,
+                                std::optional<Body> body, util::Bytes signing_bytes,
                                 const crypto::PartialSignature& partial, const char* what,
                                 Accept accept) {
-  const crypto::Digest d = crypto::Sha256::hash(signing_bytes);
-  const util::Bytes digest(d.begin(), d.end());
   auto& buckets = pending[id];
-  Bucket<Body>& bucket = buckets[digest];
-  if (bucket.partials.empty()) {
-    bucket.body = body;
+  const auto [slot, opened] = buckets.try_emplace(key);
+  Bucket<Body>& bucket = slot->second;
+  if (!bucket.body && body) {
+    bucket.body = std::move(body);
     bucket.signing_bytes = std::move(signing_bytes);
   }
-  if (buckets.size() > 1) {
+  bucket.partials[partial.signer] = partial;
+  // An id's buckets only grow until it is erased, so opening the second
+  // one happens at most once per pending id.
+  if (opened && buckets.size() == 2) {
     CICERO_LOG_WARN(kLog, "s%u: conflicting %s bodies for id %llu", config_.topo_index, what,
                     static_cast<unsigned long long>(id));
+    if (config_.delivery == Delivery::kInNetwork) {
+      // P4BFT-style response comparison: conflicting digests mean at least
+      // one replica lied about this update.  Report through the signed-
+      // event path so the control plane sees an authenticated, attributable
+      // alarm; the honest quorum's bucket still aggregates on its own.
+      ++agg_mismatches_;
+      m_agg_mismatches_.inc();
+      Event e;
+      e.id = EventId{config_.topo_index, ++event_seq_};
+      e.kind = EventKind::kAggMismatch;
+      for (const auto& [k, b] : buckets) {
+        if (!b.body) continue;
+        e.match = b.body->update.rule.match;
+        break;
+      }
+      emit_event(std::move(e));
+    }
   }
-  bucket.partials[partial.signer] = partial;
-  if (bucket.aggregating || bucket.partials.size() < config_.quorum) return;
+  if (bucket.aggregating || !bucket.body || bucket.partials.size() < config_.quorum) return;
   bucket.aggregating = true;
 
   // Charge aggregation (per-share Lagrange work) + threshold verification.
   const sim::SimTime cost =
       config_.costs.aggregate_per_share * static_cast<sim::SimTime>(config_.quorum) +
       config_.costs.threshold_verify;
-  cpu_.execute(cost, "aggregate", [this, &pending, id, digest, what, accept] {
+  cpu_.execute(cost, "aggregate", [this, &pending, id, key, what, accept] {
     if (down_) return;
     const auto it = pending.find(id);
     if (it == pending.end()) return;
-    const auto bit = it->second.find(digest);
+    const auto bit = it->second.find(key);
     if (bit == it->second.end()) return;
     Bucket<Body>& b = bit->second;
     b.aggregating = false;
-    if (applied_ids_.count(id) != 0 || accepted_.count(id) != 0) return;
-    if (!config_.crypto->combine(config_.group_pk, b.signing_bytes, b.partials,
-                                 config_.quorum)) {
+    if (applied_ids_.count(id) != 0 || accepted_.count(id) != 0 ||
+        innet_completed_.count(id) != 0) {
+      return;
+    }
+    auto agg_sig =
+        config_.crypto->combine(config_.group_pk, b.signing_bytes, b.partials, config_.quorum);
+    if (!agg_sig) {
       // Wait for more partials; a later arrival retries.
       ++updates_rejected_;
       m_rejected_.inc();
@@ -346,9 +370,9 @@ void SwitchRuntime::add_partial(Buckets<Body>& pending, sched::UpdateId id, cons
                       config_.topo_index, what, static_cast<unsigned long long>(id));
       return;
     }
-    const Body verified = std::move(b.body);
+    const Body verified = std::move(*b.body);
     pending.erase(it);
-    accept(verified);
+    accept(verified, *agg_sig);
   });
 }
 
@@ -356,168 +380,84 @@ void SwitchRuntime::add_partial(Buckets<Body>& pending, sched::UpdateId id, cons
 // In-network aggregation (P4BFT-style offload; DESIGN.md §16)
 // ---------------------------------------------------------------------------
 
-bool SwitchRuntime::replay_innet(sched::UpdateId id, sim::NodeId from) {
+bool SwitchRuntime::replay_innet(sched::UpdateId id) {
   const auto it = innet_completed_.find(id);
   if (it == innet_completed_.end()) return false;
   // The replica retransmitted because it never saw the target's ack —
   // resend the cached fan-out; the target's own dedupe then re-acks the
   // whole control plane.  When the target is this switch, the apply-side
-  // dedupe in on_update/on_partial_share already re-acked.
+  // dedupe in add_innet_partial already re-acked.
   if (it->second.target_topo == config_.topo_index) return true;
   ++agg_replays_;
   const util::Bytes wire = it->second.wire;
-  const sim::NodeId to = it->second.target_node;
-  (void)from;
   if (obs::CritPath* cp = critpath()) {
     cp->add_phase_bytes(obs::CritPhase::kRetransmit, wire.size());
   }
-  net_.send(config_.node, to, wire);
+  net_.send(config_.node, it->second.target_node, wire);
   return true;
 }
 
-void SwitchRuntime::on_innet_body(sim::NodeId from, const UpdateMsg& m) {
-  if (replay_innet(m.update.id, from)) return;
-  if (applied_ids_.count(m.update.id) != 0) {
+void SwitchRuntime::on_partial_share(sim::NodeId from, const PartialShareMsg& m) {
+  if (down_ || config_.delivery != Delivery::kInNetwork) return;
+  add_innet_partial(from, m.update_id, m.digest, std::nullopt, {}, m.partial);
+}
+
+void SwitchRuntime::add_innet_partial(sim::NodeId from, sched::UpdateId id,
+                                      std::uint64_t digest, std::optional<UpdateMsg> body,
+                                      util::Bytes signing_bytes,
+                                      const crypto::PartialSignature& partial) {
+  if (replay_innet(id)) return;
+  if (applied_ids_.count(id) != 0) {
     // Self-targeted update already applied (and evicted from the fan-out
     // cache, or applied via an escalated duplicate): plain re-ack.
-    re_ack(m.update.id, from);
+    re_ack(id, from);
     return;
   }
-  if (m.partial.signer == 0) return;  // in-network updates must carry a partial
-  const util::Bytes signing_bytes = update_signing_bytes(m.update);
-  const std::uint64_t digest = signing_digest64(signing_bytes);
-
-  InnetPending& p = innet_pending_[m.update.id];
-  InnetBucket& bucket = p.buckets[digest];
-  if (!bucket.has_body) {
-    bucket.has_body = true;
-    bucket.update = m.update;
-    bucket.cause = m.cause;
-    bucket.signing_bytes = signing_bytes;
-  }
-  bucket.partials[m.partial.signer] = m.partial;
-  if (p.buckets.size() > 1) report_innet_mismatch(m.update.id, p);
-  try_aggregate_innet(m.update.id, digest);
+  if (partial.signer == 0) return;  // in-network updates must carry a partial
+  add_partial(innet_pending_, id, digest, std::move(body), std::move(signing_bytes), partial,
+              "in-network", [this](const UpdateMsg& verified, const util::Bytes& agg_sig) {
+                fan_out(AggregatedUpdateMsg{verified.update, verified.cause, agg_sig});
+              });
 }
 
-void SwitchRuntime::on_partial_share(sim::NodeId from, const PartialShareMsg& m) {
-  if (down_) return;
-  if (config_.aggregation != AggregationMode::kInNetwork) return;
-  if (replay_innet(m.update_id, from)) return;
-  if (applied_ids_.count(m.update_id) != 0) {
-    re_ack(m.update_id, from);
+void SwitchRuntime::fan_out(const AggregatedUpdateMsg& out) {
+  const sched::UpdateId id = out.update.id;
+  const util::Bytes wire = out.encode();
+  // Cache the fan-out for idempotent replay; bounded like the apply-side
+  // dedupe window (retransmission windows are short).
+  const auto dir = config_.switch_directory;
+  const sim::NodeId target = dir != nullptr && dir->count(out.update.switch_node) != 0
+                                 ? dir->at(out.update.switch_node)
+                                 : sim::kInvalidNode;
+  innet_completed_[id] = InnetCompleted{wire, out.update.switch_node, target};
+  innet_completed_order_.push_back(id);
+  while (innet_completed_order_.size() > config_.applied_dedupe_window) {
+    innet_completed_.erase(innet_completed_order_.front());
+    innet_completed_order_.pop_front();
+  }
+
+  ++agg_fanouts_;
+  m_agg_fanouts_.inc();
+  // The aggregate signature is born here, so the sign->propagate
+  // boundary of the update's critical path is stamped at this switch
+  // (the replicas deliberately do not stamp it in in-network mode).
+  if (obs::CritPath* cp = critpath()) {
+    cp->update_signed(id, sim_.now());
+    cp->add_phase_bytes(obs::CritPhase::kPropagate, wire.size());
+  }
+  if (tracing()) {
+    config_.obs->trace.flow_step("flow", flow_track_id(id), "update.agg_fanout", config_.node,
+                                 obs::kTidMain);
+  }
+  if (out.update.switch_node == config_.topo_index) {
+    // The aggregator is itself the target: skip the network hop (and
+    // re-verifying a signature this switch just produced).
+    note_applied(id);
+    apply_update(out.update);
     return;
   }
-  if (m.partial.signer == 0) return;
-  InnetPending& p = innet_pending_[m.update_id];
-  InnetBucket& bucket = p.buckets[m.digest];
-  bucket.partials[m.partial.signer] = m.partial;
-  if (p.buckets.size() > 1) report_innet_mismatch(m.update_id, p);
-  try_aggregate_innet(m.update_id, m.digest);
-}
-
-void SwitchRuntime::report_innet_mismatch(sched::UpdateId id, InnetPending& pending) {
-  if (pending.mismatch_reported) return;
-  pending.mismatch_reported = true;
-  ++agg_mismatches_;
-  m_agg_mismatches_.inc();
-  CICERO_LOG_WARN(kLog, "s%u: conflicting replica digests for update %llu",
-                  config_.topo_index, static_cast<unsigned long long>(id));
-  // P4BFT-style response comparison: conflicting digests mean at least one
-  // replica lied about this update.  Report through the signed-event path
-  // so the control plane sees an authenticated, attributable alarm; the
-  // honest quorum's bucket still aggregates on its own.
-  Event e;
-  e.id = EventId{config_.topo_index, ++event_seq_};
-  e.kind = EventKind::kAggMismatch;
-  for (const auto& [digest, bucket] : pending.buckets) {
-    if (!bucket.has_body) continue;
-    e.match = bucket.update.rule.match;
-    break;
-  }
-  emit_event(std::move(e));
-}
-
-void SwitchRuntime::try_aggregate_innet(sched::UpdateId id, std::uint64_t digest) {
-  auto it = innet_pending_.find(id);
-  if (it == innet_pending_.end()) return;
-  const auto bit = it->second.buckets.find(digest);
-  if (bit == it->second.buckets.end()) return;
-  InnetBucket& bucket = bit->second;
-  if (bucket.aggregating || !bucket.has_body || bucket.partials.size() < config_.quorum) {
-    return;
-  }
-  bucket.aggregating = true;
-
-  // Same cost shape as switch-side aggregation: per-share Lagrange work
-  // plus one threshold verification of the fresh aggregate.
-  const sim::SimTime cost =
-      config_.costs.aggregate_per_share * static_cast<sim::SimTime>(config_.quorum) +
-      config_.costs.threshold_verify;
-  cpu_.execute(cost, "aggregate", [this, id, digest] {
-    if (down_) return;
-    auto it2 = innet_pending_.find(id);
-    if (it2 == innet_pending_.end()) return;
-    const auto bit2 = it2->second.buckets.find(digest);
-    if (bit2 == it2->second.buckets.end()) return;
-    InnetBucket& bucket = bit2->second;
-    bucket.aggregating = false;
-    if (innet_completed_.count(id) != 0 || applied_ids_.count(id) != 0) return;
-
-    auto agg_sig = config_.crypto->combine(config_.group_pk, bucket.signing_bytes,
-                                           bucket.partials, config_.quorum);
-    if (!agg_sig) {
-      ++updates_rejected_;
-      m_rejected_.inc();
-      CICERO_LOG_WARN(kLog, "s%u: in-network aggregate verification failed for update %llu",
-                      config_.topo_index, static_cast<unsigned long long>(id));
-      return;
-    }
-
-    AggregatedUpdateMsg out;
-    out.update = bucket.update;
-    out.cause = bucket.cause;
-    out.agg_sig = std::move(*agg_sig);
-    const util::Bytes wire = out.encode();
-    innet_pending_.erase(it2);
-
-    // Cache the fan-out for idempotent replay; bounded like the apply-side
-    // dedupe window (retransmission windows are short).
-    const auto dir = config_.switch_directory;
-    const sim::NodeId target =
-        dir != nullptr && dir->count(out.update.switch_node) != 0
-            ? dir->at(out.update.switch_node)
-            : sim::kInvalidNode;
-    innet_completed_[id] = InnetCompleted{wire, out.update.switch_node, target};
-    innet_completed_order_.push_back(id);
-    while (innet_completed_order_.size() > config_.applied_dedupe_window) {
-      innet_completed_.erase(innet_completed_order_.front());
-      innet_completed_order_.pop_front();
-    }
-
-    ++agg_fanouts_;
-    m_agg_fanouts_.inc();
-    // The aggregate signature is born here, so the sign->propagate
-    // boundary of the update's critical path is stamped at this switch
-    // (the replicas deliberately do not stamp it in in-network mode).
-    if (obs::CritPath* cp = critpath()) {
-      cp->update_signed(id, sim_.now());
-      cp->add_phase_bytes(obs::CritPhase::kPropagate, wire.size());
-    }
-    if (tracing()) {
-      config_.obs->trace.flow_step("flow", flow_track_id(id), "update.agg_fanout",
-                                   config_.node, obs::kTidMain);
-    }
-    if (out.update.switch_node == config_.topo_index) {
-      // The aggregator is itself the target: skip the network hop (and
-      // re-verifying a signature this switch just produced).
-      note_applied(id);
-      apply_update(out.update);
-      return;
-    }
-    if (target == sim::kInvalidNode) return;  // no directory: nothing to fan out to
-    net_.send(config_.node, target, wire);
-  });
+  if (target == sim::kInvalidNode) return;  // no directory: nothing to fan out to
+  net_.send(config_.node, target, wire);
 }
 
 void SwitchRuntime::on_agg_update(sim::NodeId from, const AggUpdateMsg& m) {
@@ -600,9 +540,13 @@ void SwitchRuntime::on_manifest(sim::NodeId from, const ManifestMsg& m) {
   // Cicero: identical-manifest counting, bucketed by the signed bytes
   // (which pin the segment's position in the chain, not just the rule).
   if (m.partial.signer == 0) return;  // Cicero manifests must carry a partial
-  add_partial(pending_manifests_, id, m.manifest, manifest_signing_bytes(m.manifest, m.epoch),
-              m.partial, "manifest",
-              [this](const SegmentManifest& manifest) { accept_manifest(manifest); });
+  util::Bytes signing_bytes = manifest_signing_bytes(m.manifest, m.epoch);
+  const crypto::Digest digest = crypto::Sha256::hash(signing_bytes);
+  add_partial(pending_manifests_, id, digest, std::optional(m.manifest),
+              std::move(signing_bytes), m.partial, "manifest",
+              [this](const SegmentManifest& manifest, const util::Bytes&) {
+                accept_manifest(manifest);
+              });
 }
 
 void SwitchRuntime::accept_manifest(const SegmentManifest& manifest) {

@@ -5,10 +5,15 @@
 // updates from the control plane are buffered until a quorum of identical
 // updates with valid partial signatures arrives, aggregated, verified
 // against the control plane's single public key, applied, and acknowledged
-// with a signed ack.  Under controller aggregation the switch only
-// verifies one aggregated signature.  Under the centralized/crash-tolerant
-// baselines it applies the first copy of an update it sees — which is
-// precisely the hole Cicero closes (demonstrated by the Byzantine tests).
+// with a signed ack.  Which messages arrive depends on the deployment's
+// `Delivery` (Config::delivery): one aggregated signature to verify under
+// controller aggregation, replica bodies and compact shares to aggregate
+// and fan out on the designated switch under in-network aggregation,
+// signed manifests under decentralized execution.  All three quorum
+// paths (updates, manifests, in-network) share one bucket core,
+// `add_partial`.  Under the centralized/crash-tolerant baselines the
+// switch applies the first copy of an update it sees — which is precisely
+// the hole Cicero closes (demonstrated by the Byzantine tests).
 //
 // All expensive steps charge simulated CPU through the switch's CpuServer.
 // Signatures are made and checked through the deployment's CryptoSuite
@@ -19,6 +24,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "core/cost_model.hpp"
@@ -37,14 +43,13 @@ class SwitchRuntime {
     net::NodeIndex topo_index = net::kNoNode;  ///< identity in the topology
     sim::NodeId node = sim::kInvalidNode;      ///< network endpoint
     FrameworkKind framework = FrameworkKind::kCicero;
-    ExecutionMode execution_mode = ExecutionMode::kControllerDriven;
-    /// In-network aggregation (DESIGN.md §16): when kInNetwork, every
+    /// The path updates take (DESIGN.md §4.2b).  Under kInNetwork every
     /// switch can act as its domain's designated aggregator — collecting
     /// replica bodies/partials, comparing digests P4BFT-style and fanning
     /// the single aggregated update out to the target switch.  Which
     /// switch actually receives the replicas' traffic is pure routing,
     /// chosen (and re-chosen on crash) by the Deployment.
-    AggregationMode aggregation = AggregationMode::kNone;
+    Delivery delivery = Delivery::kDirect;
     /// Signs events/acks/SegmentDones, checks aggregates and peer signals;
     /// owned by the Deployment, outlives every switch.
     const CryptoSuite* crypto = nullptr;
@@ -61,7 +66,7 @@ class SwitchRuntime {
     crypto::Point group_pk;                    ///< control plane threshold PK
     std::uint32_t quorum = 3;
     std::vector<sim::NodeId> controllers;      ///< domain control plane
-    sim::NodeId aggregator = sim::kInvalidNode;  ///< set in kCiceroAgg
+    sim::NodeId aggregator = sim::kInvalidNode;  ///< set under kControllerAgg
     /// Unroutable packets keep arriving while a route is missing, so an
     /// unanswered flow-request event is re-emitted after this interval
     /// (bounded retries); covers events lost to faulty controllers.
@@ -141,22 +146,26 @@ class SwitchRuntime {
   std::size_t applied_dedupe_size() const { return applied_ids_.size(); }
 
  private:
-  // Identical-body counting (Fig. 6b), for updates and, in decentralized
-  // mode (DESIGN.md §15), manifests alike: partials are bucketed by the
-  // digest of the bytes they sign, so a Byzantine controller racing a
-  // corrupted body ahead of the honest copies can never block the honest
-  // quorum's bucket (nor merge with it).  An accepted manifest then waits
-  // locally until every listed predecessor has signaled SegmentDone.
+  // Identical-body counting (Fig. 6b), for updates, decentralized
+  // manifests (DESIGN.md §15) and in-network aggregation (§16) alike:
+  // partials are bucketed by a digest of the bytes they sign, so a
+  // Byzantine controller racing a corrupted body ahead of the honest
+  // copies can never block the honest quorum's bucket (nor merge with
+  // it).  The key is the full SHA-256 for updates and manifests and the
+  // 64-bit prefix for in-network shares, which carry only that.  The body
+  // is optional because a share can open a bucket before any replica's
+  // body arrives.  An accepted manifest then waits locally until every
+  // listed predecessor has signaled SegmentDone.
   template <typename Body>
   struct Bucket {
-    Body body;
+    std::optional<Body> body;
     util::Bytes signing_bytes;
     std::map<crypto::ShareIndex, crypto::PartialSignature> partials;
     bool aggregating = false;
   };
   /// update id -> body digest -> bucket
-  template <typename Body>
-  using Buckets = std::map<sched::UpdateId, std::map<util::Bytes, Bucket<Body>>>;
+  template <typename Key, typename Body>
+  using Buckets = std::map<sched::UpdateId, std::map<Key, Bucket<Body>>>;
   struct AcceptedManifest {
     SegmentManifest manifest;
     std::set<sched::UpdateId> done_preds;  ///< SegmentDones received so far
@@ -169,22 +178,6 @@ class SwitchRuntime {
     bool sink = false;
   };
 
-  // In-network aggregation (DESIGN.md §16): the designated aggregator
-  // buffers one full body (from the lowest-ranked replica) plus compact
-  // partial shares, bucketed by the truncated digest of the canonical
-  // signing bytes so conflicting replica responses can never merge.
-  struct InnetBucket {
-    bool has_body = false;
-    sched::Update update;
-    EventId cause;
-    util::Bytes signing_bytes;
-    std::map<crypto::ShareIndex, crypto::PartialSignature> partials;
-    bool aggregating = false;
-  };
-  struct InnetPending {
-    std::map<std::uint64_t, InnetBucket> buckets;  ///< truncated digest -> bucket
-    bool mismatch_reported = false;
-  };
   /// Completed aggregation, cached for idempotent replay while the id
   /// stays inside the dedupe window (a replica retransmitting means the
   /// target's ack got lost — resend the fan-out, not a fresh aggregate).
@@ -199,24 +192,27 @@ class SwitchRuntime {
                          std::uint32_t retries_left);
   void on_update(sim::NodeId from, const UpdateMsg& m);
   void on_agg_update(sim::NodeId from, const AggUpdateMsg& m);
-  /// Aggregator role: a full update body from a replica (in-network mode).
-  void on_innet_body(sim::NodeId from, const UpdateMsg& m);
-  /// Aggregator role: a compact partial share from a replica.
   void on_partial_share(sim::NodeId from, const PartialShareMsg& m);
-  /// Quorum check + aggregate + fan-out for one digest bucket.
-  void try_aggregate_innet(sched::UpdateId id, std::uint64_t digest);
+  /// Aggregator role (in-network mode): a replica's full body or compact
+  /// share enters the bucket core; a quorum fans the aggregate out.
+  void add_innet_partial(sim::NodeId from, sched::UpdateId id, std::uint64_t digest,
+                         std::optional<UpdateMsg> body, util::Bytes signing_bytes,
+                         const crypto::PartialSignature& partial);
   /// Replays the cached fan-out for a duplicate of a completed id; returns
   /// false when the id is not in the completed cache.
-  bool replay_innet(sched::UpdateId id, sim::NodeId from);
-  /// One signed kAggMismatch event per update id with conflicting buckets.
-  void report_innet_mismatch(sched::UpdateId id, InnetPending& pending);
+  bool replay_innet(sched::UpdateId id);
+  /// Caches and sends (or, when self-targeted, applies) a fresh aggregate.
+  void fan_out(const AggregatedUpdateMsg& out);
   void on_aggregator_notify(const AggregatorNotifyMsg& m);
-  /// Buckets one partial; at a quorum, charges aggregation + threshold
-  /// verification, combines, and hands a verified body to `accept`.
-  template <typename Body, typename Accept>
-  void add_partial(Buckets<Body>& pending, sched::UpdateId id, const Body& body,
-                   util::Bytes signing_bytes, const crypto::PartialSignature& partial,
-                   const char* what, Accept accept);
+  /// Buckets one partial under `key`; at a quorum with a body, charges
+  /// aggregation + threshold verification, combines, and hands the
+  /// verified body and aggregate signature to `accept`.  In in-network
+  /// mode, the partial that opens an id's second bucket reports the
+  /// conflict through the signed-event path.
+  template <typename Key, typename Body, typename Accept>
+  void add_partial(Buckets<Key, Body>& pending, sched::UpdateId id, const Key& key,
+                   std::optional<Body> body, util::Bytes signing_bytes,
+                   const crypto::PartialSignature& partial, const char* what, Accept accept);
   void on_manifest(sim::NodeId from, const ManifestMsg& m);
   /// Switch-local verification gate + dependency wait entry.
   void accept_manifest(const SegmentManifest& manifest);
@@ -244,7 +240,7 @@ class SwitchRuntime {
   std::vector<AppliedFn> observers_;
 
   std::uint64_t event_seq_ = 0;
-  Buckets<sched::Update> pending_;
+  Buckets<crypto::Digest, UpdateMsg> pending_;
   /// Bounded dedupe set: `applied_ids_` for membership, `applied_order_`
   /// (insertion order) to retire the oldest id past the window.
   std::set<sched::UpdateId> applied_ids_;
@@ -262,12 +258,12 @@ class SwitchRuntime {
   std::uint64_t agg_mismatches_ = 0;
 
   // In-network aggregation state (aggregator role only).
-  std::map<sched::UpdateId, InnetPending> innet_pending_;
+  Buckets<std::uint64_t, UpdateMsg> innet_pending_;
   std::map<sched::UpdateId, InnetCompleted> innet_completed_;
   std::deque<sched::UpdateId> innet_completed_order_;
 
   // Decentralized mode state.
-  Buckets<SegmentManifest> pending_manifests_;
+  Buckets<crypto::Digest, SegmentManifest> pending_manifests_;
   std::map<sched::UpdateId, AcceptedManifest> accepted_;
   /// SegmentDones that raced ahead of their manifest: for_update -> preds
   /// already done.  Bounded by the dedupe window against abandoned chains.

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <stdexcept>
+#include <tuple>
+
+#include "core/deployment.hpp"
+
 namespace cicero::core {
 namespace {
 
@@ -40,6 +46,62 @@ TEST(Framework, Table2OnlyCiceroHasUpdateDomains) {
 
 TEST(Framework, Table2MatchesPaperRowCount) {
   EXPECT_EQ(table2_rows().size(), 12u);
+}
+
+TEST(Delivery, EveryParamCombination) {
+  // All 32 framework x execution x aggregation x backend combinations:
+  // the 9 with a delivery path map to it, the other 23 are configuration
+  // errors, never a silent fallback.
+  using F = FrameworkKind;
+  using E = ExecutionMode;
+  using A = AggregationMode;
+  using B = ThresholdBackend;
+  const std::map<std::tuple<F, E, A, B>, Delivery> valid = {
+      {{F::kCentralized, E::kControllerDriven, A::kNone, B::kSimBls}, Delivery::kDirect},
+      {{F::kCentralized, E::kDecentralized, A::kNone, B::kSimBls}, Delivery::kDecentralized},
+      {{F::kCrashTolerant, E::kControllerDriven, A::kNone, B::kSimBls}, Delivery::kDirect},
+      {{F::kCrashTolerant, E::kDecentralized, A::kNone, B::kSimBls}, Delivery::kDecentralized},
+      {{F::kCicero, E::kControllerDriven, A::kNone, B::kSimBls}, Delivery::kDirect},
+      {{F::kCicero, E::kDecentralized, A::kNone, B::kSimBls}, Delivery::kDecentralized},
+      {{F::kCicero, E::kControllerDriven, A::kInNetwork, B::kSimBls}, Delivery::kInNetwork},
+      {{F::kCiceroAgg, E::kControllerDriven, A::kNone, B::kSimBls}, Delivery::kControllerAgg},
+      {{F::kCiceroAgg, E::kControllerDriven, A::kNone, B::kFrost}, Delivery::kControllerAgg},
+  };
+  std::size_t rejected = 0;
+  for (const F f : {F::kCentralized, F::kCrashTolerant, F::kCicero, F::kCiceroAgg}) {
+    for (const E e : {E::kControllerDriven, E::kDecentralized}) {
+      for (const A a : {A::kNone, A::kInNetwork}) {
+        for (const B b : {B::kSimBls, B::kFrost}) {
+          DeploymentParams dp;
+          dp.framework = f;
+          dp.execution_mode = e;
+          dp.aggregation = a;
+          dp.backend = b;
+          const auto it = valid.find({f, e, a, b});
+          SCOPED_TRACE(std::string(framework_name(f)) + " / " + execution_mode_name(e) +
+                       " / " + aggregation_mode_name(a) + " / backend " +
+                       std::to_string(static_cast<int>(b)));
+          if (it != valid.end()) {
+            EXPECT_EQ(delivery_of(dp), it->second);
+          } else {
+            EXPECT_THROW(delivery_of(dp), std::invalid_argument);
+            ++rejected;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(rejected, 23u);
+}
+
+TEST(Delivery, DeploymentRejectsWhatDeliveryOfRejects) {
+  // The constructor goes through delivery_of: an invalid combination
+  // never reaches the runtimes.
+  DeploymentParams dp;
+  dp.framework = FrameworkKind::kCicero;  // switch aggregation
+  dp.backend = ThresholdBackend::kFrost;  // needs a controller coordinator
+  dp.real_crypto = false;
+  EXPECT_THROW(Deployment(net::build_pod(net::FabricParams{}), dp), std::invalid_argument);
 }
 
 }  // namespace

@@ -333,7 +333,7 @@ class DecentralizedSwitchTest : public SwitchRuntimeTest {
     peer_key_ = crypto::SchnorrKeyPair::generate(*drbg_);
     suite_.pki().register_origin(7, switch_pk_);
     suite_.pki().register_origin(8, peer_key_.pk);
-    rebuild([](SwitchRuntime::Config& cfg) { cfg.execution_mode = ExecutionMode::kDecentralized; });
+    rebuild([](SwitchRuntime::Config& cfg) { cfg.delivery = Delivery::kDecentralized; });
   }
 
   SegmentManifest make_manifest(sched::UpdateId id, std::vector<SegmentPeer> preds,

@@ -24,13 +24,6 @@ std::unique_ptr<core::Deployment> frost_deployment(bool real_crypto = true) {
   return std::make_unique<core::Deployment>(net::build_pod(small_pod()), dp);
 }
 
-TEST(FrostBackend, RequiresControllerAggregation) {
-  core::DeploymentParams dp;
-  dp.framework = FrameworkKind::kCicero;  // switch aggregation: invalid
-  dp.backend = ThresholdBackend::kFrost;
-  EXPECT_THROW(core::Deployment(net::build_pod(small_pod()), dp), std::invalid_argument);
-}
-
 TEST(FrostBackend, FlowsCompleteWithRealSignatures) {
   auto dep = frost_deployment();
   const auto flows = small_workload(dep->topology(), 20);
