@@ -10,7 +10,7 @@
 #
 # Usage: scripts/run_benches.sh [build-dir] [output-json]
 #   build-dir    defaults to ./build (configured+built already)
-#   output-json  defaults to BENCH_crypto.json in the repo root
+#   output-json  defaults to bench/out/BENCH_crypto.json
 #
 # Bench artifacts land in bench/out/ (gitignored).  To refresh a perf
 # baseline after an intentional change, copy the new report over:
@@ -22,8 +22,8 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-$repo_root/build}"
-out_json="${2:-$repo_root/BENCH_crypto.json}"
 bench_out="$repo_root/bench/out"
+out_json="${2:-$bench_out/BENCH_crypto.json}"
 mkdir -p "$bench_out"
 
 bench_bin="$build_dir/bench/bench_crypto_micro"

@@ -109,46 +109,31 @@ void Controller::handle_message(sim::NodeId from, const util::Bytes& wire) {
     replica_->on_message(from, wire);
     return;
   }
+  const sim::SimTime ack_verify =
+      threshold_signed(config_.framework) ? config_.costs.ack_verify : sim::SimTime{0};
   switch (static_cast<CoreMsgTag>(*tag)) {
-    case CoreMsgTag::kEvent: {
-      if (auto e = Event::decode(wire)) {
-        cpu_.execute(config_.costs.ctrl_msg_handling + config_.costs.event_verify,
-                     "event.verify", [this, e = std::move(*e)] { on_event(e); });
-      }
-      break;
-    }
-    case CoreMsgTag::kAck: {
-      if (auto a = AckMsg::decode(wire)) {
-        const sim::SimTime cost =
-            config_.costs.ctrl_msg_handling +
-            (threshold_signed(config_.framework) ? config_.costs.ack_verify : sim::SimTime{0});
-        cpu_.execute(cost, "ack.verify", [this, a = std::move(*a)] { on_ack(a); });
-      }
-      break;
-    }
-    case CoreMsgTag::kUpdate: {
-      if (auto m = UpdateMsg::decode(wire)) {
-        cpu_.execute(config_.costs.ctrl_msg_handling, "msg.handle",
-                     [this, m = std::move(*m)] { on_peer_update(m); });
-      }
-      break;
-    }
-    case CoreMsgTag::kFrostSession: {
-      if (auto m = FrostSessionMsg::decode(wire)) {
-        cpu_.execute(config_.costs.ctrl_msg_handling, "msg.handle",
-                     [this, m = std::move(*m)] { on_frost_session(m); });
-      }
-      break;
-    }
-    case CoreMsgTag::kFrostPartial: {
-      if (auto m = FrostPartialMsg::decode(wire)) {
-        cpu_.execute(config_.costs.ctrl_msg_handling + config_.costs.partial_verify,
-                     "partial.verify", [this, m = std::move(*m)] { on_frost_partial(m); });
-      }
-      break;
-    }
+    case CoreMsgTag::kEvent:
+      return handle(wire, config_.costs.event_verify, "event.verify", &Controller::on_event);
+    case CoreMsgTag::kAck: return handle(wire, ack_verify, "ack.verify", &Controller::on_ack);
+    case CoreMsgTag::kUpdate: return handle(wire, 0, "msg.handle", &Controller::on_peer_update);
+    case CoreMsgTag::kFrostSession:
+      return handle(wire, 0, "msg.handle", &Controller::on_frost_session);
+    case CoreMsgTag::kFrostPartial:
+      return handle(wire, config_.costs.partial_verify, "partial.verify",
+                    &Controller::on_frost_partial);
     default:
       break;  // reshare and notify messages are handled by the orchestrator
+  }
+}
+
+// Decodes `wire` as a Msg and, when it parses, charges the handling cost
+// plus `verify` before handing the message to `on`.
+template <typename Msg>
+void Controller::handle(const util::Bytes& wire, sim::SimTime verify, std::string_view op,
+                        void (Controller::*on)(const Msg&)) {
+  if (auto m = Msg::decode(wire)) {
+    cpu_.execute(config_.costs.ctrl_msg_handling + verify, op,
+                 [this, on, m = std::move(*m)] { (this->*on)(m); });
   }
 }
 
@@ -351,15 +336,20 @@ void Controller::release_update(sched::UpdateId id) {
 
 void Controller::send_update(const sched::Update& update, const EventId& cause) {
   if (fault_ == ControllerFault::kSilent) return;
-  update_sent_at_.emplace(update.id, sim_.now());
-  if (config_.ack_timeout > 0 && config_.update_max_retries > 0) {
-    Inflight& fl = inflight_[update.id];
-    fl.cause = cause;
-    fl.attempt = 0;
-    ++fl.epoch;
-    arm_ack_timer(update.id, config_.ack_timeout);
-  }
+  await_ack(update.id, cause);
   dispatch_update(update, cause);
+}
+
+// The one ack-wait entry, for controller-driven updates and chain sinks
+// alike: stamp the first send and arm the retransmission timer.
+void Controller::await_ack(sched::UpdateId id, const EventId& cause) {
+  update_sent_at_.emplace(id, sim_.now());
+  if (config_.ack_timeout <= 0 || config_.update_max_retries == 0) return;
+  Inflight& fl = inflight_[id];
+  fl.cause = cause;
+  fl.attempt = 0;
+  ++fl.epoch;
+  arm_ack_timer(id, config_.ack_timeout);
 }
 
 // One ack-timeout round: if the update is still un-acked when the timer
@@ -397,9 +387,8 @@ void Controller::arm_ack_timer(sched::UpdateId id, sim::SimTime delay) {
           {{"update", static_cast<std::int64_t>(id)},
            {"attempt", static_cast<std::int64_t>(fl->second.attempt)}});
     }
-    const auto chain = dec_chains_.find(id);
-    if (config_.delivery == Delivery::kDecentralized &&
-        chain != dec_chains_.end()) {
+    const auto chain = dec_chains_.find(id);  // keyed by chain sinks only
+    if (chain != dec_chains_.end()) {
       // Any hop of the chain may have lost its manifest or its in-band
       // SegmentDone; resending every manifest re-triggers both (switches
       // dedupe applied segments and re-signal their successors).
@@ -424,8 +413,7 @@ void Controller::arm_ack_timer(sched::UpdateId id, sim::SimTime delay) {
 void Controller::abandon_update(sched::UpdateId id) {
   std::vector<sched::UpdateId> removed;
   const auto chain = dec_chains_.find(id);
-  if (config_.delivery == Delivery::kDecentralized &&
-      chain != dec_chains_.end()) {
+  if (chain != dec_chains_.end()) {
     // A sink gave up: its whole ancestor closure is unreachable (only the
     // sink's ack would have completed it).
     for (const sched::UpdateId a : chain->second->plan.ancestors(id)) {
@@ -435,31 +423,29 @@ void Controller::abandon_update(sched::UpdateId id) {
   } else {
     removed = tracker_.abandon(id);
   }
-  if (std::find(removed.begin(), removed.end(), id) == removed.end()) {
-    // The tracker already saw `id` complete (shouldn't happen with a live
-    // inflight entry, but stay defensive): shed the local state without
-    // double-closing its already-closed trace track.
-    disarm_ack_timer(id);
-    update_sent_at_.erase(id);
-    update_cause_.erase(id);
-  }
+  // The tracker already saw `id` complete (shouldn't happen with a live
+  // inflight entry, but stay defensive): shed the local state without
+  // double-closing its already-closed trace track.
+  if (std::find(removed.begin(), removed.end(), id) == removed.end()) shed(id);
   for (const sched::UpdateId r : removed) {
-    disarm_ack_timer(r);
-    update_sent_at_.erase(r);
-    update_cause_.erase(r);
-    pending_dep_flow_.erase(r);
+    shed(r);
     ++updates_abandoned_;
     m_abandoned_.inc();
     if (tracing()) {
       config_.obs->trace.instant(config_.node, obs::kTidMain, "update.abandoned",
                                  {{"update", static_cast<std::int64_t>(r)}});
     }
-    if (trace_leader()) {
-      config_.obs->trace.async_end("update", update_track_id(r), "update", config_.node,
-                                   obs::kTidMain);
-    }
+    close_track(r, /*arrow=*/false);
   }
   flush_parked_chains();  // abandonment also resolves cross-schedule waits
+}
+
+// Every per-id record of an update that will never be acked.
+void Controller::shed(sched::UpdateId id) {
+  disarm_ack_timer(id);
+  update_sent_at_.erase(id);
+  update_cause_.erase(id);
+  pending_dep_flow_.erase(id);
 }
 
 void Controller::disarm_ack_timer(sched::UpdateId id) {
@@ -505,11 +491,7 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
         pending_dep_flow_.erase(dep);
       }
     }
-    if (retransmit && crit_leader()) critpath()->update_retransmitted(uid, sim_.now());
-    if (retransmit && trace_leader()) {
-      config_.obs->trace.flow_step("flow", flow_track_id(uid), "update.resend", config_.node,
-                                   obs::kTidNet);
-    }
+    if (retransmit) stamp_resend(uid);
     // Decision audit trail: record the exact update body we are about to
     // sign and emit (a mutating controller thereby signs evidence of its
     // own corruption; see core/audit.hpp).
@@ -525,21 +507,17 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
         msg.partial = env_.crypto->partial_sign(config_.share, signing);
       }
     }
-    if (config_.delivery == Delivery::kInNetwork) {
-      const std::size_t rank = member_rank();
-      if (!retransmit && rank >= config_.quorum) return;  // silent on the fast path
-      ++updates_sent_;
-      m_updates_sent_.inc();
-      dispatch_innet(msg, uid, rank, retransmit);
-      return;
-    }
+    const bool innet = config_.delivery == Delivery::kInNetwork;
+    if (innet && !retransmit && member_rank() >= config_.quorum) return;  // fast-path silence
     ++updates_sent_;
     m_updates_sent_.inc();
-
-    const auto sw_it = env_.switch_nodes.find(msg.update.switch_node);
-    if (sw_it == env_.switch_nodes.end()) return;
-
-    if (config_.delivery == Delivery::kControllerAgg && !is_aggregator()) {
+    if (innet) {
+      dispatch_innet(msg, retransmit);
+    } else if (config_.delivery != Delivery::kControllerAgg) {
+      ship(msg.update.switch_node, uid, msg.encode(), retransmit);
+    } else if (is_aggregator()) {
+      on_peer_update(msg);  // we are the aggregator: count our own partial
+    } else {
       // Route through the aggregator (Fig. 7c).  The partial-carrying hop
       // is part of the signing phase's control-plane traffic.
       const util::Bytes wire = msg.encode();
@@ -548,25 +526,38 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
                             wire.size());
       }
       net_.send(config_.node, aggregator_member().node, wire);
-    } else if (config_.delivery == Delivery::kControllerAgg) {
-      on_peer_update(msg);  // we are the aggregator: count our own partial
-    } else {
-      const util::Bytes wire = msg.encode();
-      if (obs::CritPath* cp = critpath()) {
-        cp->add_phase_bytes(
-            retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kPropagate,
-            wire.size());
-      }
-      if (!retransmit) {
-        if (crit_leader()) critpath()->update_signed(uid, sim_.now());
-        if (trace_leader()) {
-          config_.obs->trace.flow_start("flow", flow_track_id(uid), "update.send",
-                                        config_.node, obs::kTidNet);
-        }
-      }
-      send_southbound(sw_it->second, wire);
     }
   });
+}
+
+// Retransmission milestone: the critical path's resend stamp and the flow
+// arrow's resend step.
+void Controller::stamp_resend(sched::UpdateId id) {
+  if (crit_leader()) critpath()->update_retransmitted(id, sim_.now());
+  if (trace_leader()) {
+    config_.obs->trace.flow_step("flow", flow_track_id(id), "update.resend", config_.node,
+                                 obs::kTidNet);
+  }
+}
+
+// The one "signed message to its switch" tail — direct updates, manifests
+// and the aggregator's shipments and replays: the bytes count toward the
+// propagate (or retransmit) phase, and a first send stamps the
+// sign->propagate boundary and opens the flow arrow.
+void Controller::ship(net::NodeIndex sw, sched::UpdateId id, const util::Bytes& wire,
+                      bool retransmit) {
+  const auto node = env_.switch_nodes.find(sw);
+  if (node == env_.switch_nodes.end()) return;
+  if (obs::CritPath* cp = critpath()) {
+    cp->add_phase_bytes(retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kPropagate,
+                        wire.size());
+  }
+  if (!retransmit && crit_leader()) critpath()->update_signed(id, sim_.now());
+  if (!retransmit && trace_leader()) {
+    config_.obs->trace.flow_start("flow", flow_track_id(id), "update.send", config_.node,
+                                  obs::kTidNet);
+  }
+  send_southbound(node->second, wire);
 }
 
 std::size_t Controller::member_rank() const {
@@ -576,11 +567,11 @@ std::size_t Controller::member_rank() const {
   return 0;
 }
 
-void Controller::dispatch_innet(const UpdateMsg& msg, sched::UpdateId uid, std::size_t rank,
-                                bool retransmit) {
+void Controller::dispatch_innet(const UpdateMsg& msg, bool retransmit) {
   if (config_.innet_aggregator == sim::kInvalidNode) return;
+  const sched::UpdateId uid = msg.update.id;
   util::Bytes wire;
-  if (retransmit || rank == 0) {
+  if (retransmit || member_rank() == 0) {
     // Body supplier (or escalated retransmission): the full update, so
     // the aggregator has a bucket body to aggregate into even when every
     // optimistic share was lost or the original supplier lied.
@@ -643,21 +634,13 @@ void Controller::launch_chain(const std::shared_ptr<DecChain>& chain) {
   // controller-side dependency wait past this point, the switches
   // sequence the chain in-band.  Only the sinks are tracked for acks: a
   // sink ack covers its whole ancestor closure.
-  const sim::SimTime now = sim_.now();
   for (const SegmentManifest& m : chain->plan.manifests) {
     m_deps_released_.inc();
-    if (crit_leader()) critpath()->update_released(m.update.id, now);
+    if (crit_leader()) critpath()->update_released(m.update.id, sim_.now());
   }
   for (const sched::UpdateId sink : chain->plan.sinks) {
     dec_chains_[sink] = chain;
-    update_sent_at_.emplace(sink, now);
-    if (config_.ack_timeout > 0 && config_.update_max_retries > 0) {
-      Inflight& fl = inflight_[sink];
-      fl.cause = chain->cause;
-      fl.attempt = 0;
-      ++fl.epoch;
-      arm_ack_timer(sink, config_.ack_timeout);
-    }
+    await_ack(sink, chain->cause);
   }
   for (const SegmentManifest& m : chain->plan.manifests) {
     send_manifest(m, chain->cause, /*retransmit=*/false);
@@ -724,11 +707,7 @@ void Controller::send_manifest(const SegmentManifest& manifest, const EventId& c
   const sched::UpdateId uid = manifest.update.id;
   cpu_.execute(sign_cost, "manifest.sign", [this, uid, retransmit, threshold,
                                             msg = std::move(msg)]() mutable {
-    if (retransmit && crit_leader()) critpath()->update_retransmitted(uid, sim_.now());
-    if (retransmit && trace_leader()) {
-      config_.obs->trace.flow_step("flow", flow_track_id(uid), "update.resend", config_.node,
-                                   obs::kTidNet);
-    }
+    if (retransmit) stamp_resend(uid);
     const util::Bytes signing = manifest_signing_bytes(msg.manifest, msg.epoch);
     // Decision audit trail, as for updates: the signed bytes pin the
     // segment's position in the chain, not just the rule.
@@ -736,60 +715,8 @@ void Controller::send_manifest(const SegmentManifest& manifest, const EventId& c
     if (threshold) msg.partial = env_.crypto->partial_sign(config_.share, signing);
     ++manifests_sent_;
     m_manifests_sent_.inc();
-
-    const auto sw_it = env_.switch_nodes.find(msg.manifest.update.switch_node);
-    if (sw_it == env_.switch_nodes.end()) return;
-    const util::Bytes wire = msg.encode();
-    if (obs::CritPath* cp = critpath()) {
-      cp->add_phase_bytes(
-          retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kPropagate, wire.size());
-    }
-    if (!retransmit) {
-      if (crit_leader()) critpath()->update_signed(uid, sim_.now());
-      if (trace_leader()) {
-        config_.obs->trace.flow_start("flow", flow_track_id(uid), "update.send", config_.node,
-                                      obs::kTidNet);
-      }
-    }
-    send_southbound(sw_it->second, wire);
+    ship(msg.manifest.update.switch_node, uid, msg.encode(), retransmit);
   });
-}
-
-// A sink acked: its whole ancestor closure is installed (the sink's local
-// preconditions required every upstream SegmentDone, transitively).
-// Complete the closure in the tracker, stamp the acked milestone on every
-// segment (records stay complete, keeping the attribution floor intact)
-// and close the lifecycle traces.
-void Controller::on_ack_decentralized(const AckMsg& ack) {
-  const auto ch = dec_chains_.find(ack.update_id);
-  if (ch == dec_chains_.end()) return;  // duplicate sink ack, or not a sink
-  disarm_ack_timer(ack.update_id);
-  const std::shared_ptr<DecChain> chain = ch->second;
-  dec_chains_.erase(ch);
-
-  const sim::SimTime now = sim_.now();
-  const auto sent = update_sent_at_.find(ack.update_id);
-  if (sent != update_sent_at_.end()) {
-    // One histogram sample per chain sink: first manifest out -> sink ack
-    // in, the decentralized analogue of the per-update ack round trip.
-    if (config_.obs != nullptr) update_ack_ms_.observe(sim::to_ms(now - sent->second));
-    update_sent_at_.erase(sent);
-  }
-  for (const sched::UpdateId id : chain->plan.ancestors(ack.update_id)) {
-    if (!chain->finalized.insert(id).second) continue;  // shared with another sink
-    tracker_.complete(id);  // ready list unused: every segment already shipped
-    update_cause_.erase(id);
-    if (crit_leader()) critpath()->update_acked(id, now);
-    if (trace_leader()) {
-      config_.obs->trace.async_end("update", update_track_id(id), "update", config_.node,
-                                   obs::kTidMain);
-      if (id == ack.update_id) {
-        config_.obs->trace.flow_end("flow", flow_track_id(id), "update.ack", config_.node,
-                                    obs::kTidNet);
-      }
-    }
-  }
-  flush_parked_chains();  // the closure may free a cross-schedule wait
 }
 
 // ---------------------------------------------------------------------------
@@ -803,41 +730,70 @@ void Controller::on_ack(const AckMsg& ack) {
   }
   ++acks_received_;
   m_acks_.inc();
-  if (config_.delivery == Delivery::kDecentralized) {
-    on_ack_decentralized(ack);
+  const sched::UpdateId acked = ack.update_id;
+  const bool decentralized = config_.delivery == Delivery::kDecentralized;
+  const auto chain = dec_chains_.find(acked);
+  if (decentralized && chain == dec_chains_.end()) return;  // duplicate sink ack, or not a sink
+
+  // The first ack ends the wait: no more retransmissions, and one
+  // round-trip sample (first send -> ack; per chain sink when
+  // decentralized).
+  disarm_ack_timer(acked);
+  const auto sent = update_sent_at_.find(acked);
+  const bool first = sent != update_sent_at_.end();
+  if (first) {
+    if (config_.obs != nullptr) update_ack_ms_.observe(sim::to_ms(sim_.now() - sent->second));
+    update_sent_at_.erase(sent);
+  }
+
+  if (decentralized) {
+    // A sink acked: its whole ancestor closure is installed (the sink's
+    // local preconditions required every upstream SegmentDone,
+    // transitively).  Complete the closure in the tracker, stamp the acked
+    // milestone on every segment (records stay complete, keeping the
+    // attribution floor intact) and close the lifecycle traces.
+    const std::shared_ptr<DecChain> ch = chain->second;
+    dec_chains_.erase(chain);
+    for (const sched::UpdateId id : ch->plan.ancestors(acked)) {
+      if (!ch->finalized.insert(id).second) continue;  // shared with another sink
+      tracker_.complete(id);  // ready list unused: every segment already shipped
+      update_cause_.erase(id);
+      if (crit_leader()) critpath()->update_acked(id, sim_.now());
+      close_track(id, /*arrow=*/id == acked);
+    }
+    flush_parked_chains();  // the closure may free a cross-schedule wait
     return;
   }
-  disarm_ack_timer(ack.update_id);  // cancels the pending retransmission wakeup
-  if (crit_leader()) critpath()->update_acked(ack.update_id, sim_.now());
-  const auto it = update_sent_at_.find(ack.update_id);
-  if (it != update_sent_at_.end()) {
-    if (config_.obs != nullptr) {
-      update_ack_ms_.observe(sim::to_ms(sim_.now() - it->second));
-      if (trace_leader()) {
-        config_.obs->trace.async_end("update", update_track_id(ack.update_id), "update",
-                                     config_.node, obs::kTidMain);
-        config_.obs->trace.flow_end("flow", flow_track_id(ack.update_id), "update.ack",
-                                    config_.node, obs::kTidNet);
-      }
-    }
-    update_sent_at_.erase(it);
-  }
+  if (crit_leader()) critpath()->update_acked(acked, sim_.now());
+  if (first) close_track(acked, /*arrow=*/true);
   // Retransmits use inflight_'s copy, so the cause can go — but only once
   // the tracker has scheduled the id.  An ack can outrun our own
   // route.compute (the switch answered a faster replica's copy while ours
   // is still queued); erasing then would strip the cause the pending
   // dispatch still reads.  The switch dedupes our late copy and re-acks.
-  if (tracker_.knows(ack.update_id)) update_cause_.erase(ack.update_id);
-  for (const sched::UpdateId id : tracker_.complete(ack.update_id)) {
+  if (tracker_.knows(acked)) update_cause_.erase(acked);
+  for (const sched::UpdateId id : tracker_.complete(acked)) {
     if (trace_leader()) {
       // Dependency-release edge: arrow from this ack to the dependent's
       // dispatch (closed in dispatch_update's sign callback).
       config_.obs->trace.flow_start(
-          "dep", "d:" + std::to_string(ack.update_id) + ":" + std::to_string(id),
-          "dep.release", config_.node, obs::kTidMain);
-      pending_dep_flow_[id] = ack.update_id;
+          "dep", "d:" + std::to_string(acked) + ":" + std::to_string(id), "dep.release",
+          config_.node, obs::kTidMain);
+      pending_dep_flow_[id] = acked;
     }
     release_update(id);
+  }
+}
+
+// Closes `id`'s update lifecycle track on the trace leader, and its flow
+// arrow when `arrow` (the acked id itself).
+void Controller::close_track(sched::UpdateId id, bool arrow) {
+  if (!trace_leader()) return;
+  config_.obs->trace.async_end("update", update_track_id(id), "update", config_.node,
+                               obs::kTidMain);
+  if (arrow) {
+    config_.obs->trace.flow_end("flow", flow_track_id(id), "update.ack", config_.node,
+                                obs::kTidNet);
   }
 }
 
@@ -852,18 +808,8 @@ void Controller::on_peer_update(const UpdateMsg& m) {
   // Replay the cached aggregate; the switch dedupes and re-acks.
   const auto done = agg_completed_.find(m.update.id);
   if (done != agg_completed_.end()) {
-    const auto sw_it = env_.switch_nodes.find(m.update.switch_node);
-    if (sw_it != env_.switch_nodes.end()) {
-      if (obs::CritPath* cp = critpath()) {
-        cp->update_retransmitted(m.update.id, sim_.now());
-        cp->add_phase_bytes(obs::CritPhase::kRetransmit, done->second.size());
-      }
-      if (trace_leader()) {
-        config_.obs->trace.flow_step("flow", flow_track_id(m.update.id), "update.resend",
-                                     config_.node, obs::kTidNet);
-      }
-      send_southbound(sw_it->second, done->second);
-    }
+    stamp_resend(m.update.id);
+    ship(m.update.switch_node, m.update.id, done->second, /*retransmit=*/true);
     return;
   }
   AggPending& p = agg_pending_[m.update.id];
@@ -1028,24 +974,8 @@ void Controller::aggregate_and_ship(sched::UpdateId id) {
                                                         config_.group_pk, p.frost_partials)
                          : env_.crypto->aggregate(p.signing_bytes, p.partials, config_.quorum);
     if (!sig) return;
-    AggUpdateMsg out;
-    out.update = p.update;
-    out.cause = p.cause;
-    out.agg_sig = *sig;
-    const util::Bytes wire = out.encode();
-    agg_completed_[id] = wire;
-    const auto sw_it = env_.switch_nodes.find(p.update.switch_node);
-    if (sw_it != env_.switch_nodes.end()) {
-      if (obs::CritPath* cp = critpath()) {
-        cp->update_signed(id, sim_.now());  // aggregator == crit leader
-        cp->add_phase_bytes(obs::CritPhase::kPropagate, wire.size());
-      }
-      if (trace_leader()) {
-        config_.obs->trace.flow_start("flow", flow_track_id(id), "update.send", config_.node,
-                                      obs::kTidNet);
-      }
-      send_southbound(sw_it->second, wire);
-    }
+    const util::Bytes& wire = agg_completed_[id] = AggUpdateMsg{p.update, p.cause, *sig}.encode();
+    ship(p.update.switch_node, id, wire, /*retransmit=*/false);
     agg_pending_.erase(it);
   });
 }

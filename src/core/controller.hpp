@@ -15,6 +15,12 @@
 //     verifies partials from its peers and ships one aggregated signature
 //     per update to the switch.
 //
+// The apply/ack transaction is written once for every delivery shape:
+// one ack wait (`await_ack`, for updates and decentralized chain sinks),
+// one first-ack path (`on_ack`), one per-id shed on abandonment, and one
+// ship tail (`ship`) that sends direct updates, manifests and the
+// aggregator's shipments and replays to their switch.
+//
 // Byzantine behaviours for the security tests are injected with
 // `set_fault`: a faulty controller can mutate updates before signing,
 // stay silent, or fire unsolicited rogue updates at switches (the
@@ -25,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string_view>
 
 #include "bft/pbft.hpp"
 #include "core/cost_model.hpp"
@@ -176,17 +183,22 @@ class Controller {
 
  private:
   void rebuild_replica();
+  template <typename Msg>
+  void handle(const util::Bytes& wire, sim::SimTime verify, std::string_view op,
+              void (Controller::*on)(const Msg&));
   void on_event(const Event& e);
   void on_deliver(bft::SeqNum seq, const util::Bytes& payload);
   void process_event(const Event& e);
   void process_flow_event(const Event& e);
   void release_update(sched::UpdateId id);
   void send_update(const sched::Update& update, const EventId& cause);
+  void await_ack(sched::UpdateId id, const EventId& cause);
   void dispatch_update(const sched::Update& update, const EventId& cause,
                        bool retransmit = false);
   /// In-network aggregation: rank-dependent send to the aggregator switch.
-  void dispatch_innet(const UpdateMsg& msg, sched::UpdateId uid, std::size_t rank,
-                      bool retransmit);
+  void dispatch_innet(const UpdateMsg& msg, bool retransmit);
+  void ship(net::NodeIndex sw, sched::UpdateId id, const util::Bytes& wire, bool retransmit);
+  void stamp_resend(sched::UpdateId id);
   /// This replica's rank: position of our id in the sorted member list.
   std::size_t member_rank() const;
   /// The lowest-id member: the aggregator under Delivery::kControllerAgg (§4.2).
@@ -199,11 +211,12 @@ class Controller {
   /// arm sink timers.
   void dispatch_decentralized(const sched::UpdateSchedule& local, const EventId& cause);
   void send_manifest(const SegmentManifest& manifest, const EventId& cause, bool retransmit);
-  void on_ack_decentralized(const AckMsg& ack);
+  void close_track(sched::UpdateId id, bool arrow);
   /// Retry exhaustion: finalize `id` and every transitive dependent (or,
   /// in decentralized mode, the sink's whole ancestor closure) so no
   /// tracker entry, timer, trace track or counter is left stranded.
   void abandon_update(sched::UpdateId id);
+  void shed(sched::UpdateId id);
   void on_peer_update(const UpdateMsg& m);  ///< aggregator role
   void on_frost_session(const FrostSessionMsg& m);   ///< signer role (kFrost)
   void on_frost_partial(const FrostPartialMsg& m);   ///< aggregator role (kFrost)

@@ -1,5 +1,8 @@
 #include "core/switch_runtime.hpp"
 
+#include <algorithm>
+#include <type_traits>
+
 #include "bft/failure_detector.hpp"
 #include "util/logging.hpp"
 
@@ -55,12 +58,7 @@ bool SwitchRuntime::packet_in(const net::FlowMatch& match, double reserved_bps) 
 
 void SwitchRuntime::emit_flow_request(const net::FlowMatch& match, double reserved_bps,
                                       std::uint32_t retries_left) {
-  Event e;
-  e.id = EventId{config_.topo_index, ++event_seq_};
-  e.kind = EventKind::kFlowRequest;
-  e.match = match;
-  e.reserved_bps = reserved_bps;
-  emit_event(std::move(e));
+  emit_event(EventKind::kFlowRequest, match, reserved_bps);
   if (config_.event_retry <= 0) return;
   if (retries_left == 0) {
     // Last attempt.  If it too goes unanswered, forget the outstanding
@@ -105,23 +103,21 @@ void SwitchRuntime::crash() {
   // route so recover() re-requests it through the signed-event path — the
   // control plane then schedules a fresh chain instead of this switch
   // waiting forever for SegmentDones from an abandoned one.
-  for (const auto& [id, am] : accepted_) {
-    if (am.manifest.update.op != sched::UpdateOp::kInstall) continue;
-    const auto& rule = am.manifest.update.rule;
-    missed_while_down_.emplace(std::make_pair(rule.match.src_host, rule.match.dst_host),
-                               rule.reserved_bps);
-  }
+  const auto miss = [this](const sched::Update& u) {
+    if (u.op != sched::UpdateOp::kInstall) return;
+    missed_while_down_.emplace(std::make_pair(u.rule.match.src_host, u.rule.match.dst_host),
+                               u.rule.reserved_bps);
+  };
+  for (const auto& [id, am] : accepted_) miss(am.manifest.update);
   for (const auto& [id, buckets] : pending_manifests_) {
     for (const auto& [digest, bucket] : buckets) {
-      if (!bucket.body || bucket.body->update.op != sched::UpdateOp::kInstall) continue;
-      const auto& rule = bucket.body->update.rule;
-      missed_while_down_.emplace(std::make_pair(rule.match.src_host, rule.match.dst_host),
-                                 rule.reserved_bps);
+      if (bucket.body) miss(bucket.body->update);
     }
   }
   pending_manifests_.clear();
   accepted_.clear();
   early_done_.clear();
+  early_done_order_.clear();
   dec_applied_.clear();
   // Aggregator role (in-network mode): buffered replica traffic and the
   // fan-out cache die with the switch.  Liveness comes from the replicas'
@@ -157,27 +153,24 @@ void SwitchRuntime::recover() {
 
 void SwitchRuntime::request_teardown(const net::FlowMatch& match) {
   if (down_) return;
-  Event e;
-  e.id = EventId{config_.topo_index, ++event_seq_};
-  e.kind = EventKind::kFlowTeardown;
-  e.match = match;
-  emit_event(std::move(e));
+  emit_event(EventKind::kFlowTeardown, match);
 }
 
 void SwitchRuntime::report_link_failure(net::NodeIndex neighbor) {
   if (down_) return;
   for (const net::FlowRule& rule : table_.rules()) {
     if (rule.next_hop != neighbor) continue;
-    Event e;
-    e.id = EventId{config_.topo_index, ++event_seq_};
-    e.kind = EventKind::kFlowRequest;  // re-route request for this flow
-    e.match = rule.match;
-    e.reserved_bps = rule.reserved_bps;
-    emit_event(std::move(e));
+    emit_event(EventKind::kFlowRequest, rule.match, rule.reserved_bps);  // re-route request
   }
 }
 
-void SwitchRuntime::emit_event(Event e) {
+void SwitchRuntime::emit_event(EventKind kind, const net::FlowMatch& match,
+                               double reserved_bps) {
+  Event e;
+  e.id = EventId{config_.topo_index, ++event_seq_};
+  e.kind = kind;
+  e.match = match;
+  e.reserved_bps = reserved_bps;
   ++events_emitted_;
   m_events_.inc();
   config_.crypto->sign(config_.key, e);
@@ -199,59 +192,29 @@ void SwitchRuntime::handle_message(sim::NodeId from, const util::Bytes& wire) {
   const auto tag = peek_tag(wire);
   if (!tag) return;
   switch (static_cast<CoreMsgTag>(*tag)) {
-    case CoreMsgTag::kUpdate: {
-      if (auto m = UpdateMsg::decode(wire)) {
-        cpu_.execute(config_.costs.ctrl_msg_handling, "msg.handle",
-                     [this, from, m = std::move(*m)] { on_update(from, m); });
-      }
-      break;
-    }
-    case CoreMsgTag::kAggUpdate: {
-      if (auto m = AggUpdateMsg::decode(wire)) {
-        cpu_.execute(config_.costs.ctrl_msg_handling, "msg.handle",
-                     [this, from, m = std::move(*m)] { on_agg_update(from, m); });
-      }
-      break;
-    }
-    case CoreMsgTag::kPartialShare: {
-      if (auto m = PartialShareMsg::decode(wire)) {
-        cpu_.execute(config_.costs.ctrl_msg_handling, "msg.handle",
-                     [this, from, m = std::move(*m)] { on_partial_share(from, m); });
-      }
-      break;
-    }
-    case CoreMsgTag::kAggregatedUpdate: {
-      if (auto m = AggregatedUpdateMsg::decode(wire)) {
-        cpu_.execute(config_.costs.ctrl_msg_handling, "msg.handle", [this, from,
-                                                                     m = std::move(*m)] {
-          // Same dedupe/verify/apply path as controller-side aggregation:
-          // the only difference is who aggregated (a peer switch).
-          on_agg_update(from, AggUpdateMsg{m.update, m.cause, m.agg_sig});
-        });
-      }
-      break;
-    }
-    case CoreMsgTag::kAggregatorNotify: {
+    case CoreMsgTag::kUpdate: return handle(from, wire, &SwitchRuntime::on_update);
+    case CoreMsgTag::kAggUpdate: return handle(from, wire, &SwitchRuntime::on_agg_update);
+    case CoreMsgTag::kPartialShare: return handle(from, wire, &SwitchRuntime::on_partial_share);
+    case CoreMsgTag::kAggregatedUpdate:
+      return handle(from, wire, &SwitchRuntime::on_aggregated_update);
+    case CoreMsgTag::kManifest: return handle(from, wire, &SwitchRuntime::on_manifest);
+    case CoreMsgTag::kSegmentDone: return handle(from, wire, &SwitchRuntime::on_segment_done);
+    case CoreMsgTag::kAggregatorNotify:
       if (auto m = AggregatorNotifyMsg::decode(wire)) on_aggregator_notify(*m);
-      break;
-    }
-    case CoreMsgTag::kManifest: {
-      if (auto m = ManifestMsg::decode(wire)) {
-        cpu_.execute(config_.costs.ctrl_msg_handling, "msg.handle",
-                     [this, from, m = std::move(*m)] { on_manifest(from, m); });
-      }
-      break;
-    }
-    case CoreMsgTag::kSegmentDone: {
-      if (auto m = SegmentDoneMsg::decode(wire)) {
-        cpu_.execute(config_.costs.ctrl_msg_handling, "msg.handle",
-                     [this, m = std::move(*m)] { on_segment_done(m); });
-      }
-      break;
-    }
+      return;
     default:
       CICERO_LOG_DEBUG(kLog, "s%u: unexpected tag 0x%02x", config_.topo_index, *tag);
-      break;
+  }
+}
+
+// Every control message but the aggregator notice takes one path in:
+// decode, charge the handling cost, then dispatch to its handler.
+template <typename Msg>
+void SwitchRuntime::handle(sim::NodeId from, const util::Bytes& wire,
+                           void (SwitchRuntime::*on)(sim::NodeId, const Msg&)) {
+  if (auto m = Msg::decode(wire)) {
+    cpu_.execute(config_.costs.ctrl_msg_handling, "msg.handle",
+                 [this, from, on, m = std::move(*m)] { (this->*on)(from, m); });
   }
 }
 
@@ -271,24 +234,14 @@ void SwitchRuntime::on_update(sim::NodeId from, const UpdateMsg& m) {
     add_innet_partial(from, m.update.id, digest, m, std::move(signing_bytes), m.partial);
     return;
   }
-  if (applied_ids_.count(m.update.id) != 0) {
-    // Duplicate of an applied update: the sender retransmitted because it
-    // never saw our ack (or its partial arrived after the quorum closed).
-    // Re-ack to the sender only instead of re-applying (idempotence).
-    re_ack(m.update.id, from);
-    return;
-  }
-  if (config_.obs != nullptr) first_rx_.emplace(m.update.id, sim_.now());
-  if (obs::CritPath* cp = critpath()) cp->update_rx(m.update.id, sim_.now());
-  if (tracing()) {
-    config_.obs->trace.flow_step("flow", flow_track_id(m.update.id), "update.rx",
-                                 config_.node, obs::kTidMain);
-  }
+  // A duplicate means the sender retransmitted because it never saw our
+  // ack (or its partial arrived after the quorum closed).
+  if (answer_duplicate(m.update.id, from)) return;
+  note_rx(m.update.id);
 
   if (!threshold_signed(config_.framework)) {
     // No quorum authentication: the first copy of the update is applied
     // as-is.  (This is the attack surface the Byzantine tests exploit.)
-    note_applied(m.update.id);
     apply_update(m.update);
     return;
   }
@@ -300,7 +253,6 @@ void SwitchRuntime::on_update(sim::NodeId from, const UpdateMsg& m) {
   const crypto::Digest digest = crypto::Sha256::hash(signing_bytes);
   add_partial(pending_, m.update.id, digest, std::optional(m), std::move(signing_bytes),
               m.partial, "update", [this](const UpdateMsg& verified, const util::Bytes&) {
-                note_applied(verified.update.id);
                 apply_update(verified.update);
               });
 }
@@ -330,15 +282,13 @@ void SwitchRuntime::add_partial(Buckets<Key, Body>& pending, sched::UpdateId id,
       // alarm; the honest quorum's bucket still aggregates on its own.
       ++agg_mismatches_;
       m_agg_mismatches_.inc();
-      Event e;
-      e.id = EventId{config_.topo_index, ++event_seq_};
-      e.kind = EventKind::kAggMismatch;
+      net::FlowMatch match;
       for (const auto& [k, b] : buckets) {
         if (!b.body) continue;
-        e.match = b.body->update.rule.match;
+        match = b.body->update.rule.match;
         break;
       }
-      emit_event(std::move(e));
+      emit_event(EventKind::kAggMismatch, match);
     }
   }
   if (bucket.aggregating || !bucket.body || bucket.partials.size() < config_.quorum) return;
@@ -406,13 +356,9 @@ void SwitchRuntime::add_innet_partial(sim::NodeId from, sched::UpdateId id,
                                       std::uint64_t digest, std::optional<UpdateMsg> body,
                                       util::Bytes signing_bytes,
                                       const crypto::PartialSignature& partial) {
-  if (replay_innet(id)) return;
-  if (applied_ids_.count(id) != 0) {
-    // Self-targeted update already applied (and evicted from the fan-out
-    // cache, or applied via an escalated duplicate): plain re-ack.
-    re_ack(id, from);
-    return;
-  }
+  // Self-targeted update already applied (and evicted from the fan-out
+  // cache, or applied via an escalated duplicate): plain re-ack.
+  if (replay_innet(id) || answer_duplicate(id, from)) return;
   if (partial.signer == 0) return;  // in-network updates must carry a partial
   add_partial(innet_pending_, id, digest, std::move(body), std::move(signing_bytes), partial,
               "in-network", [this](const UpdateMsg& verified, const util::Bytes& agg_sig) {
@@ -430,11 +376,8 @@ void SwitchRuntime::fan_out(const AggregatedUpdateMsg& out) {
                                  ? dir->at(out.update.switch_node)
                                  : sim::kInvalidNode;
   innet_completed_[id] = InnetCompleted{wire, out.update.switch_node, target};
-  innet_completed_order_.push_back(id);
-  while (innet_completed_order_.size() > config_.applied_dedupe_window) {
-    innet_completed_.erase(innet_completed_order_.front());
-    innet_completed_order_.pop_front();
-  }
+  remember(innet_completed_order_, id,
+           [this](sched::UpdateId old) { innet_completed_.erase(old); });
 
   ++agg_fanouts_;
   m_agg_fanouts_.inc();
@@ -452,7 +395,6 @@ void SwitchRuntime::fan_out(const AggregatedUpdateMsg& out) {
   if (out.update.switch_node == config_.topo_index) {
     // The aggregator is itself the target: skip the network hop (and
     // re-verifying a signature this switch just produced).
-    note_applied(id);
     apply_update(out.update);
     return;
   }
@@ -460,22 +402,19 @@ void SwitchRuntime::fan_out(const AggregatedUpdateMsg& out) {
   net_.send(config_.node, target, wire);
 }
 
-void SwitchRuntime::on_agg_update(sim::NodeId from, const AggUpdateMsg& m) {
+// Same dedupe/verify/apply path as controller-side aggregation: the only
+// difference is who aggregated (a peer switch).
+void SwitchRuntime::on_aggregated_update(sim::NodeId from, const AggregatedUpdateMsg& m) {
+  on_agg_update(from, AggUpdateMsg{m.update, m.cause, m.agg_sig});
+}
+
+void SwitchRuntime::on_agg_update(sim::NodeId /*from*/, const AggUpdateMsg& m) {
   if (down_) return;
-  if (applied_ids_.count(m.update.id) != 0) {
-    // The aggregator forwards retransmissions on behalf of whichever
-    // controller is still missing the ack, so the re-ack goes to the
-    // whole control plane rather than just the aggregator.
-    (void)from;
-    re_ack(m.update.id, sim::kInvalidNode);
-    return;
-  }
-  if (config_.obs != nullptr) first_rx_.emplace(m.update.id, sim_.now());
-  if (obs::CritPath* cp = critpath()) cp->update_rx(m.update.id, sim_.now());
-  if (tracing()) {
-    config_.obs->trace.flow_step("flow", flow_track_id(m.update.id), "update.rx",
-                                 config_.node, obs::kTidMain);
-  }
+  // The aggregator forwards retransmissions on behalf of whichever
+  // controller is still missing the ack, so the re-ack goes to the whole
+  // control plane rather than just the aggregator.
+  if (answer_duplicate(m.update.id, sim::kInvalidNode)) return;
+  note_rx(m.update.id);
   cpu_.execute(config_.costs.threshold_verify, "threshold.verify", [this, m] {
     if (down_) return;
     if (applied_ids_.count(m.update.id) != 0) return;
@@ -486,19 +425,51 @@ void SwitchRuntime::on_agg_update(sim::NodeId from, const AggUpdateMsg& m) {
                       static_cast<unsigned long long>(m.update.id));
       return;
     }
-    note_applied(m.update.id);
     apply_update(m.update);
   });
 }
 
+// First receipt of a fresh update or manifest: the apply-latency start,
+// the critical path's rx milestone and the flow arrow's step.
+void SwitchRuntime::note_rx(sched::UpdateId id) {
+  if (config_.obs != nullptr) first_rx_.emplace(id, sim_.now());
+  if (obs::CritPath* cp = critpath()) cp->update_rx(id, sim_.now());
+  if (tracing()) {
+    config_.obs->trace.flow_step("flow", flow_track_id(id), "update.rx", config_.node,
+                                 obs::kTidMain);
+  }
+}
+
+// Idempotent retransmission handling (§5.1): a copy of an applied id is
+// answered instead of re-applied.  An applied segment re-signals its
+// successors (the likely lost messages) and re-acks only as its chain's
+// sink; anything else re-acks `to`.
+bool SwitchRuntime::answer_duplicate(sched::UpdateId id, sim::NodeId to) {
+  if (applied_ids_.count(id) == 0) return false;
+  const auto dec = dec_applied_.find(id);
+  if (dec != dec_applied_.end()) signal_successors(id, dec->second.succs, /*resignal=*/true);
+  if (dec == dec_applied_.end() || dec->second.sink) re_ack(id, to);
+  return true;
+}
+
 void SwitchRuntime::note_applied(sched::UpdateId id) {
   if (!applied_ids_.insert(id).second) return;
-  applied_order_.push_back(id);
-  while (applied_order_.size() > config_.applied_dedupe_window) {
-    const sched::UpdateId oldest = applied_order_.front();
-    applied_order_.pop_front();
-    applied_ids_.erase(oldest);
-    dec_applied_.erase(oldest);
+  remember(applied_order_, id, [this](sched::UpdateId old) {
+    applied_ids_.erase(old);
+    dec_applied_.erase(old);
+  });
+}
+
+// The one retention rule for the switch's bounded memories — applied ids
+// (with their decentralized peers), cached fan-outs and parked
+// SegmentDones: `order` holds the remembered ids oldest first, and past
+// Config::applied_dedupe_window the oldest is handed to `forget`.
+template <typename Order, typename Forget>
+void SwitchRuntime::remember(Order& order, sched::UpdateId id, Forget forget) {
+  order.push_back(id);
+  while (order.size() > config_.applied_dedupe_window) {
+    forget(order.front());
+    order.pop_front();
   }
 }
 
@@ -511,26 +482,10 @@ void SwitchRuntime::on_manifest(sim::NodeId from, const ManifestMsg& m) {
   if (m.epoch < phase_) return;  // stale control-plane epoch
   phase_ = m.epoch;
   const sched::UpdateId id = m.manifest.update.id;
-  if (applied_ids_.count(id) != 0) {
-    // Duplicate of an applied segment: the controller retransmitted
-    // because the chain's sink never acked.  Idempotent recovery —
-    // re-signal our successors (the likely lost messages) and, if we are
-    // the sink, re-ack the sender.
-    const auto dec = dec_applied_.find(id);
-    if (dec != dec_applied_.end()) {
-      signal_successors(id, dec->second.succs, /*resignal=*/true);
-      if (dec->second.sink) re_ack(id, from);
-    } else {
-      re_ack(id, from);
-    }
-    return;
-  }
-  if (config_.obs != nullptr) first_rx_.emplace(id, sim_.now());
-  if (obs::CritPath* cp = critpath()) cp->update_rx(id, sim_.now());
-  if (tracing()) {
-    config_.obs->trace.flow_step("flow", flow_track_id(id), "update.rx", config_.node,
-                                 obs::kTidMain);
-  }
+  // A duplicate segment: the controller retransmitted because the chain's
+  // sink never acked.
+  if (answer_duplicate(id, from)) return;
+  note_rx(id);
 
   if (!threshold_signed(config_.framework)) {
     if (accepted_.count(id) == 0) accept_manifest(m.manifest);
@@ -570,6 +525,7 @@ void SwitchRuntime::accept_manifest(const SegmentManifest& manifest) {
   if (early != early_done_.end()) {
     am.done_preds.insert(early->second.begin(), early->second.end());
     early_done_.erase(early);
+    early_done_order_.erase(std::find(early_done_order_.begin(), early_done_order_.end(), id));
   }
   maybe_apply_manifest(id);
 }
@@ -582,13 +538,12 @@ void SwitchRuntime::maybe_apply_manifest(sched::UpdateId id) {
   }
   const SegmentManifest manifest = std::move(it->second.manifest);
   accepted_.erase(it);
-  note_applied(id);
-  dec_applied_[id] = DecApplied{manifest.succs, manifest.sink};
   if (obs::CritPath* cp = critpath()) cp->update_peer_ready(id, sim_.now());
   apply_update(manifest.update);
+  dec_applied_[id] = DecApplied{manifest.succs, manifest.sink};  // read once the apply lands
 }
 
-void SwitchRuntime::on_segment_done(const SegmentDoneMsg& d) {
+void SwitchRuntime::on_segment_done(sim::NodeId /*from*/, const SegmentDoneMsg& d) {
   if (down_) return;
   if (d.epoch < phase_) return;  // stale epoch
   phase_ = d.epoch;
@@ -616,9 +571,11 @@ void SwitchRuntime::on_segment_done(const SegmentDoneMsg& d) {
     }
     // Signal raced ahead of the manifest (or its quorum); park it.  The
     // bound keeps abandoned chains from pinning memory.
-    early_done_[d.for_update].insert(d.done_update);
-    while (early_done_.size() > config_.applied_dedupe_window) {
-      early_done_.erase(early_done_.begin());
+    const auto [parked, fresh] = early_done_.try_emplace(d.for_update);
+    parked->second.insert(d.done_update);
+    if (fresh) {
+      remember(early_done_order_, d.for_update,
+               [this](sched::UpdateId old) { early_done_.erase(old); });
     }
   });
 }
@@ -627,29 +584,14 @@ void SwitchRuntime::signal_successors(sched::UpdateId id,
                                       const std::vector<SegmentPeer>& succs, bool resignal) {
   for (const SegmentPeer& succ : succs) {
     if (succ.node == sim::kInvalidNode) continue;
-    SegmentDoneMsg done;
-    done.for_update = succ.update_id;
-    done.done_update = id;
-    done.switch_node = config_.topo_index;
-    done.epoch = phase_;
-    const bool sign = threshold_signed(config_.framework);
-    if (sign) config_.crypto->sign(config_.key, done);
-    const sim::SimTime cost = sign ? config_.costs.ack_sign : sim::SimTime{0};
-    const sim::NodeId to = succ.node;
-    cpu_.execute(cost, "segdone.sign", [this, to, resignal, done = std::move(done)] {
-      if (down_) return;
-      ++peer_signals_sent_;
-      const util::Bytes wire = done.encode();
-      if (obs::CritPath* cp = critpath()) {
-        cp->add_phase_bytes(
-            resignal ? obs::CritPhase::kRetransmit : obs::CritPhase::kPeerSignal, wire.size());
-      }
-      net_.send(config_.node, to, wire);
-    });
+    send_signed(SegmentDoneMsg{succ.update_id, id, config_.topo_index, phase_, {}}, succ.node,
+                resignal ? obs::CritPhase::kRetransmit : obs::CritPhase::kPeerSignal,
+                "segdone.sign");
   }
 }
 
 void SwitchRuntime::apply_update(const sched::Update& update) {
+  note_applied(update.id);
   if (tracing()) {
     config_.obs->trace.async_begin("update", update_track_id(update.id), "apply",
                                    config_.node, obs::kTidMain);
@@ -690,20 +632,27 @@ void SwitchRuntime::apply_update(const sched::Update& update) {
 }
 
 void SwitchRuntime::send_ack(sched::UpdateId id, sim::NodeId to, obs::CritPhase phase) {
-  AckMsg ack;
-  ack.update_id = id;
-  ack.switch_node = config_.topo_index;
+  send_signed(AckMsg{id, config_.topo_index, {}}, to, phase, "ack.sign");
+}
+
+// The one signed send, for acks and SegmentDones: PKI-signed under the
+// threshold-signed frameworks (signing charged), then sent to `to` — or
+// to the whole control plane when `to` is kInvalidNode.
+template <typename Msg>
+void SwitchRuntime::send_signed(Msg msg, sim::NodeId to, obs::CritPhase phase,
+                                std::string_view op) {
   const bool sign = threshold_signed(config_.framework);
-  if (sign) config_.crypto->sign(config_.key, ack);
+  if (sign) config_.crypto->sign(config_.key, msg);
   const sim::SimTime cost = sign ? config_.costs.ack_sign : sim::SimTime{0};
-  cpu_.execute(cost, "ack.sign", [this, to, phase, ack = std::move(ack)] {
+  cpu_.execute(cost, op, [this, to, phase, msg = std::move(msg)] {
     if (down_) return;
-    const util::Bytes wire = ack.encode();
+    if constexpr (std::is_same_v<Msg, SegmentDoneMsg>) ++peer_signals_sent_;
+    const util::Bytes wire = msg.encode();
+    const bool everyone = to == sim::kInvalidNode;
     if (obs::CritPath* cp = critpath()) {
-      const std::size_t copies = to == sim::kInvalidNode ? config_.controllers.size() : 1;
-      cp->add_phase_bytes(phase, wire.size() * copies);
+      cp->add_phase_bytes(phase, wire.size() * (everyone ? config_.controllers.size() : 1));
     }
-    if (to == sim::kInvalidNode) {
+    if (everyone) {
       net_.multicast(config_.node, config_.controllers, wire);
     } else {
       net_.send(config_.node, to, wire);

@@ -11,9 +11,12 @@
 // and fan out on the designated switch under in-network aggregation,
 // signed manifests under decentralized execution.  All three quorum
 // paths (updates, manifests, in-network) share one bucket core,
-// `add_partial`.  Under the centralized/crash-tolerant baselines the
-// switch applies the first copy of an update it sees — which is precisely
-// the hole Cicero closes (demonstrated by the Byzantine tests).
+// `add_partial`, and the steps around it are each written once: receipt
+// stamp, duplicate answer, signed send (acks and SegmentDones), and the
+// oldest-first retention rule that bounds every id memory (`remember`).
+// Under the centralized/crash-tolerant baselines the switch applies the
+// first copy of an update it sees — which is precisely the hole Cicero
+// closes (demonstrated by the Byzantine tests).
 //
 // All expensive steps charge simulated CPU through the switch's CpuServer.
 // Signatures are made and checked through the deployment's CryptoSuite
@@ -23,9 +26,11 @@
 
 #include <deque>
 #include <functional>
+#include <list>
 #include <map>
 #include <optional>
 #include <set>
+#include <string_view>
 
 #include "core/cost_model.hpp"
 #include "core/framework.hpp"
@@ -60,6 +65,8 @@ class SwitchRuntime {
     /// update ids the switch remembers (§5.1 idempotence).  Retransmission
     /// windows are short — a few ack-timeout doublings — so a few thousand
     /// ids comfortably outlast any retry while keeping long-run memory flat.
+    /// The same bound, oldest insertion first, caps the in-network fan-out
+    /// cache and the parked early SegmentDones.
     std::size_t applied_dedupe_window = 4096;
     CostModel costs;
     crypto::SchnorrKeyPair key;                ///< PKI pair (event/ack signing)
@@ -187,12 +194,20 @@ class SwitchRuntime {
     sim::NodeId target_node = sim::kInvalidNode;
   };
 
-  void emit_event(Event e);
+  /// Signs and sends a fresh event (next sequence number) to the control plane.
+  void emit_event(EventKind kind, const net::FlowMatch& match, double reserved_bps = 0.0);
   void emit_flow_request(const net::FlowMatch& match, double reserved_bps,
                          std::uint32_t retries_left);
+  template <typename Msg>
+  void handle(sim::NodeId from, const util::Bytes& wire,
+              void (SwitchRuntime::*on)(sim::NodeId, const Msg&));
   void on_update(sim::NodeId from, const UpdateMsg& m);
   void on_agg_update(sim::NodeId from, const AggUpdateMsg& m);
+  /// A peer aggregator switch's fan-out (in-network aggregation).
+  void on_aggregated_update(sim::NodeId from, const AggregatedUpdateMsg& m);
   void on_partial_share(sim::NodeId from, const PartialShareMsg& m);
+  void note_rx(sched::UpdateId id);
+  bool answer_duplicate(sched::UpdateId id, sim::NodeId to);
   /// Aggregator role (in-network mode): a replica's full body or compact
   /// share enters the bucket core; a quorum fans the aggregate out.
   void add_innet_partial(sim::NodeId from, sched::UpdateId id, std::uint64_t digest,
@@ -218,16 +233,21 @@ class SwitchRuntime {
   void accept_manifest(const SegmentManifest& manifest);
   /// Applies an accepted manifest once every predecessor has signaled.
   void maybe_apply_manifest(sched::UpdateId id);
-  void on_segment_done(const SegmentDoneMsg& d);
+  void on_segment_done(sim::NodeId from, const SegmentDoneMsg& d);
   /// Signs and sends one SegmentDoneMsg per downstream peer.
   void signal_successors(sched::UpdateId id, const std::vector<SegmentPeer>& succs,
                          bool resignal);
   /// Duplicate-suppression with a bounded memory (Config::applied_dedupe_window).
   void note_applied(sched::UpdateId id);
+  template <typename Order, typename Forget>
+  void remember(Order& order, sched::UpdateId id, Forget forget);
+  /// Notes `update` applied, then commits it to the table and acks/signals.
   void apply_update(const sched::Update& update);
   /// Signs and sends an ack to `to`, or to the whole control plane when
   /// `to` is kInvalidNode.
   void send_ack(sched::UpdateId id, sim::NodeId to, obs::CritPhase phase);
+  template <typename Msg>
+  void send_signed(Msg msg, sim::NodeId to, obs::CritPhase phase, std::string_view op);
   /// Re-ack of an already-applied update to the sender of a duplicate copy
   /// (idempotent retransmission handling, §5.1).
   void re_ack(sched::UpdateId id, sim::NodeId to);
@@ -268,6 +288,9 @@ class SwitchRuntime {
   /// SegmentDones that raced ahead of their manifest: for_update -> preds
   /// already done.  Bounded by the dedupe window against abandoned chains.
   std::map<sched::UpdateId, std::set<sched::UpdateId>> early_done_;
+  /// early_done_'s keys, oldest first (a list: it stays empty, and
+  /// allocation-free, on every switch that never parks a signal).
+  std::list<sched::UpdateId> early_done_order_;
   std::map<sched::UpdateId, DecApplied> dec_applied_;
   /// Highest control-plane membership epoch seen; older manifests and
   /// peer signals are stale and dropped.

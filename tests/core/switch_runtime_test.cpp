@@ -318,6 +318,38 @@ TEST_F(SwitchRuntimeTest, AppliedDedupeWindowBoundsMemory) {
   EXPECT_EQ(rt_->acks_reissued(), 1u);
 }
 
+TEST_F(SwitchRuntimeTest, InNetworkReplayCacheBoundedByWindow) {
+  // As the designated aggregator, the switch caches each fan-out for
+  // idempotent replay.  The cache shares the dedupe window: with a window
+  // of 2, after three fan-outs only the two newest ids still replay.
+  const sim::NodeId target = net_->add_node("target");
+  std::size_t to_target = 0;
+  net_->set_handler(target, [&to_target](sim::NodeId, const util::Bytes&) { ++to_target; });
+  const std::map<net::NodeIndex, sim::NodeId> directory = {{9, target}};
+  rebuild([&directory](SwitchRuntime::Config& cfg) {
+    cfg.delivery = Delivery::kInNetwork;
+    cfg.switch_directory = &directory;
+    cfg.applied_dedupe_window = 2;
+  });
+  const auto to_target_switch = [this](sched::UpdateId id) {
+    sched::Update u = make_update(id);
+    u.switch_node = 9;
+    return u;
+  };
+  for (sched::UpdateId id = 1; id <= 3; ++id) {
+    send_partial(to_target_switch(id), 0);
+    send_partial(to_target_switch(id), 1);
+  }
+  ASSERT_EQ(rt_->agg_fanouts(), 3u);
+  ASSERT_EQ(to_target, 3u);
+  send_partial(to_target_switch(3), 2);  // late body for a cached id
+  EXPECT_EQ(rt_->agg_replays(), 1u);
+  EXPECT_EQ(to_target, 4u);
+  send_partial(to_target_switch(1), 2);  // late body for an evicted id
+  EXPECT_EQ(rt_->agg_replays(), 1u);
+  EXPECT_EQ(to_target, 4u);
+}
+
 // ---------------------------------------------------------------------------
 // Decentralized execution (manifest + SegmentDone handling)
 // ---------------------------------------------------------------------------
@@ -413,6 +445,23 @@ TEST_F(DecentralizedSwitchTest, EarlySegmentDoneParkedUntilManifest) {
   send_manifest_partial(m, 0);
   send_manifest_partial(m, 1);
   EXPECT_EQ(rt_->updates_applied(), 1u);  // parked signal satisfied the pred
+}
+
+TEST_F(DecentralizedSwitchTest, ParkedSignalsForgetTheOldestFirst) {
+  // Parked signals are bounded by the dedupe window and forget in arrival
+  // order.  Update ids are origin-major, so evicting the smallest id
+  // instead would drop this fresh signal for a low-numbered origin.
+  rebuild([](SwitchRuntime::Config& cfg) {
+    cfg.delivery = Delivery::kDecentralized;
+    cfg.applied_dedupe_window = 2;
+  });
+  send_segment_done(/*for_update=*/30, /*done_update=*/1);
+  send_segment_done(/*for_update=*/40, /*done_update=*/1);
+  send_segment_done(/*for_update=*/10, /*done_update=*/1);  // evicts 30's signal
+  const auto m = make_manifest(10, {SegmentPeer{1, 8, peer_node_}}, {});
+  send_manifest_partial(m, 0);
+  send_manifest_partial(m, 1);
+  EXPECT_EQ(rt_->updates_applied(), 1u);
 }
 
 TEST_F(DecentralizedSwitchTest, ForgedSegmentDoneRejected) {
