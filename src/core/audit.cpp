@@ -19,11 +19,20 @@ void AuditLog::append(const EventId& cause, const util::Bytes& update_bytes,
                       const crypto::SchnorrKeyPair& key) {
   AuditEntry e;
   e.index = entries_.size();
-  if (!entries_.empty()) e.prev = entries_.back().digest();
+  e.prev = head_;
   e.cause = cause;
   e.update_digest = crypto::Sha256::hash(update_bytes);
-  e.sig = crypto::schnorr_sign(key, crypto::digest_bytes(e.digest())).to_bytes();
+  head_ = e.digest();
   entries_.push_back(std::move(e));
+  if (entries_.size() % kCheckpointEvery == 0) sign_head(key);
+}
+
+void AuditLog::seal(const crypto::SchnorrKeyPair& key) {
+  if (!entries_.empty() && entries_.back().sig.empty()) sign_head(key);
+}
+
+void AuditLog::sign_head(const crypto::SchnorrKeyPair& key) {
+  entries_.back().sig = crypto::schnorr_sign(key, crypto::digest_bytes(head_)).to_bytes();
 }
 
 bool AuditLog::verify_chain(const std::vector<AuditEntry>& entries, const crypto::Point& pk) {
@@ -32,13 +41,13 @@ bool AuditLog::verify_chain(const std::vector<AuditEntry>& entries, const crypto
     const AuditEntry& e = entries[i];
     if (e.index != i) return false;
     if (!std::equal(e.prev.begin(), e.prev.end(), prev.begin())) return false;
-    const auto sig = crypto::SchnorrSignature::from_bytes(e.sig);
-    if (!sig || !crypto::schnorr_verify(pk, crypto::digest_bytes(e.digest()), *sig)) {
-      return false;
-    }
     prev = e.digest();
+    if (e.sig.empty()) continue;
+    const auto sig = crypto::SchnorrSignature::from_bytes(e.sig);
+    if (!sig || !crypto::schnorr_verify(pk, crypto::digest_bytes(prev), *sig)) return false;
   }
-  return true;
+  // An unsigned tail is not covered by any signature, so it is not evidence.
+  return entries.empty() || !entries.back().sig.empty();
 }
 
 std::map<EventId, std::multiset<std::string>> AuditLog::decisions(

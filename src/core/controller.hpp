@@ -142,9 +142,12 @@ class Controller {
   /// re-points every replica of the domain at the new designated switch.
   void set_innet_aggregator(sim::NodeId node) { config_.innet_aggregator = node; }
 
-  /// Hash-chained, signed log of every update this controller emitted
-  /// (§7 future work: decision auditability); see core/audit.hpp.
+  /// Hash-chained log of every update this controller emitted, its head
+  /// signed every 64 entries (§7 future work: decision auditability); see
+  /// core/audit.hpp.
   const AuditLog& audit() const { return audit_; }
+  /// Signs the audit log's head so the whole log verifies as evidence.
+  void seal_audit() { audit_.seal(config_.key); }
   void set_on_membership(MembershipFn fn) { on_membership_ = std::move(fn); }
 
   /// True while a membership change is being installed; events delivered

@@ -15,13 +15,27 @@ class AuditTest : public ::testing::Test {
   }
   crypto::SchnorrKeyPair kp_;
 
-  AuditLog make_log(int entries) {
+  AuditLog make_unsealed_log(int entries) {
     AuditLog log;
     for (int i = 0; i < entries; ++i) {
       log.append(EventId{1, static_cast<std::uint64_t>(i)},
                  util::to_bytes("update-" + std::to_string(i)), kp_);
     }
     return log;
+  }
+
+  AuditLog make_log(int entries) {
+    AuditLog log = make_unsealed_log(entries);
+    log.seal(kp_);
+    return log;
+  }
+
+  static std::vector<std::size_t> signed_indices(const AuditLog& log) {
+    std::vector<std::size_t> out;
+    for (const AuditEntry& e : log.entries()) {
+      if (!e.sig.empty()) out.push_back(e.index);
+    }
+    return out;
   }
 };
 
@@ -64,10 +78,52 @@ TEST_F(AuditTest, WrongKeyRejected) {
 }
 
 TEST_F(AuditTest, ForgedSignatureDetected) {
+  // Only the sealed head carries a signature in a short log.
   AuditLog log = make_log(3);
   auto entries = log.entries();
-  entries[1].sig[10] ^= 0xFF;
+  ASSERT_FALSE(entries.back().sig.empty());
+  entries.back().sig[10] ^= 0xFF;
   EXPECT_FALSE(AuditLog::verify_chain(entries, kp_.pk));
+}
+
+TEST_F(AuditTest, CheckpointCadence) {
+  AuditLog log = make_unsealed_log(130);
+  EXPECT_EQ(signed_indices(log), (std::vector<std::size_t>{63, 127}));
+  log.seal(kp_);
+  EXPECT_EQ(signed_indices(log), (std::vector<std::size_t>{63, 127, 129}));
+  EXPECT_TRUE(AuditLog::verify_chain(log.entries(), kp_.pk));
+  const auto sealed = log.entries();
+  log.seal(kp_);
+  EXPECT_EQ(log.entries().back().sig, sealed.back().sig);
+  EXPECT_EQ(signed_indices(log), (std::vector<std::size_t>{63, 127, 129}));
+}
+
+TEST_F(AuditTest, UnsealedTailRejected) {
+  const AuditLog log = make_unsealed_log(5);
+  EXPECT_TRUE(log.entries().back().sig.empty());
+  EXPECT_FALSE(AuditLog::verify_chain(log.entries(), kp_.pk));
+}
+
+TEST_F(AuditTest, TamperBeforeCheckpointDetected) {
+  // Entry 70 is covered only by the seal at index 99: no checkpoint sits
+  // between them, so only the chain links it to a signature.
+  AuditLog log = make_log(100);
+  auto entries = log.entries();
+  ASSERT_TRUE(entries[70].sig.empty());
+  entries[70].update_digest[0] ^= 0x01;
+  EXPECT_FALSE(AuditLog::verify_chain(entries, kp_.pk));
+  // Re-linking the chain after the edit still breaks the signed head.
+  for (std::size_t i = 71; i < entries.size(); ++i) entries[i].prev = entries[i - 1].digest();
+  EXPECT_FALSE(AuditLog::verify_chain(entries, kp_.pk));
+}
+
+TEST_F(AuditTest, PrefixEndingBetweenCheckpointsRejected) {
+  const AuditLog log = make_log(130);
+  const auto& all = log.entries();
+  const std::vector<AuditEntry> at_checkpoint(all.begin(), all.begin() + 64);
+  EXPECT_TRUE(AuditLog::verify_chain(at_checkpoint, kp_.pk));
+  const std::vector<AuditEntry> between(all.begin(), all.begin() + 100);
+  EXPECT_FALSE(AuditLog::verify_chain(between, kp_.pk));
 }
 
 TEST_F(AuditTest, HonestLogsAgree) {

@@ -192,7 +192,8 @@ TEST(Byzantine, AuditLogExposesMutatingController) {
   // Every chain verifies under its owner's key (including the corrupt
   // one — it signed its own corrupted decisions).
   for (const auto id : ids) {
-    const auto& ctrl = dep->controller(id);
+    auto& ctrl = dep->controller(id);
+    ctrl.seal_audit();
     EXPECT_TRUE(core::AuditLog::verify_chain(ctrl.audit().entries(), ctrl.config().key.pk));
   }
   // Honest controllers agree pairwise; each disagrees with the corrupt one.
