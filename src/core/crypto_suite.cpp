@@ -117,6 +117,11 @@ std::optional<util::Bytes> CryptoSuite::frost_aggregate(
   return sig->to_bytes();
 }
 
+crypto::SchnorrKeyPair CryptoSuite::switch_key(crypto::Drbg& drbg) const {
+  if (real_) return crypto::SchnorrKeyPair::generate(drbg);
+  return crypto::SchnorrKeyPair{drbg.next_secret_scalar(), crypto::Point::infinity()};
+}
+
 CryptoSuite::PlaneKeys CryptoSuite::deal_plane(const std::vector<crypto::ShareIndex>& indices,
                                                std::size_t t, bool threshold_signing,
                                                crypto::Drbg& drbg) const {

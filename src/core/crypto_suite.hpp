@@ -11,8 +11,9 @@
 // everything and returns fixed placeholders, whose sizes feed the byte
 // metrics: partials {0x00}, FROST round-1 payload {0x01} (set by the
 // controller in both modes), SimBLS aggregate {0x00}, FROST aggregate
-// {0x01}, FROST z {0x00}, Schnorr signatures empty.  Callers charge the
-// simulated CPU cost of every operation in both modes.
+// {0x01}, FROST z {0x00}, Schnorr signatures empty, switch public keys
+// at infinity (nothing reads them: no signature is checked).  Callers
+// charge the simulated CPU cost of every operation in both modes.
 #pragma once
 
 #include <map>
@@ -92,6 +93,11 @@ class CryptoSuite {
   std::optional<util::Bytes> frost_aggregate(
       const util::Bytes& msg, const FrostSession& session, const crypto::Point& group_pk,
       const std::map<crypto::ShareIndex, crypto::Scalar>& z) const;
+
+  /// A switch's PKI key pair.  Real: SchnorrKeyPair::generate.  Modeled:
+  /// the same secret scalar draw (so every later draw from `drbg` is
+  /// unchanged), with the public key left at infinity.
+  crypto::SchnorrKeyPair switch_key(crypto::Drbg& drbg) const;
 
   struct PlaneKeys {
     crypto::Point group_pk;

@@ -71,7 +71,6 @@ Deployment::Deployment(net::Topology topology, DeploymentParams params)
   faults_ = std::make_unique<sim::FaultInjector>(sim_, *net_,
                                                 params_.seed ^ 0xFA17FA17FA17FA17ULL);
   build_nodes();
-  wire_handlers();
   if (psim_ != nullptr) {
     std::vector<obs::Observability*> shard_obs;
     for (const auto& o : shard_obs_) shard_obs.push_back(o.get());
@@ -184,24 +183,25 @@ void Deployment::build_nodes() {
     cfg.node = switch_nodes_.at(sw);
     cfg.framework = params_.framework;
     cfg.costs = params_.costs;
-    cfg.key = crypto::SchnorrKeyPair::generate(drbg_);
+    cfg.key = crypto_.switch_key(drbg_);
     cfg.group_pk = plane.group_pk;
-    cfg.quorum = plane_quorum(plane);
-    for (const std::uint32_t id : plane.member_ids) cfg.controllers.push_back(ctrl_nodes_.at(id));
-    if (delivery_ == Delivery::kControllerAgg) {
-      cfg.aggregator = ctrl_nodes_.at(
-          *std::min_element(plane.member_ids.begin(), plane.member_ids.end()));
-    }
+    const auto& members = members_.at(d);
+    cfg.quorum = quorum_for(members.size());
+    for (const auto& m : members) cfg.controllers.push_back(m.node);
+    if (delivery_ == Delivery::kControllerAgg) cfg.aggregator = members.front().node;
     cfg.delivery = delivery_;
     cfg.switch_directory = &switch_nodes_;
     cfg.crypto = &crypto_;
-    cfg.applied_dedupe_window = params_.applied_dedupe_window;
     cfg.domain = d;
     cfg.obs = obs_for_domain(d);
     crypto_.pki().register_origin(sw, cfg.key.pk);
     auto runtime = std::make_unique<SwitchRuntime>(sim_for_domain(d), *net_, std::move(cfg));
     runtime->add_applied_observer(
         [this, sw](const sched::Update& u) { on_switch_applied(sw, u); });
+    net_->set_handler(switch_nodes_.at(sw),
+                      [rt = runtime.get()](sim::NodeId from, const util::Bytes& wire) {
+                        rt->handle_message(from, wire);
+                      });
     switches_[sw] = std::move(runtime);
   }
 
@@ -213,21 +213,21 @@ void Deployment::build_nodes() {
     }
   }
 
-  // Controllers (after switches and all planes exist, so the cross-domain
-  // directory is complete at construction).
-  std::map<net::DomainId, std::vector<Controller::MemberInfo>> directory;
-  for (const auto& [d, plane] : planes_) directory[d] = member_infos(plane);
-  for (auto& [d, plane] : planes_) {
-    const net::DomainId dom = d;
-    for (const std::uint32_t id : plane.member_ids) {
-      auto ctrl = std::make_unique<Controller>(
-          sim_for_domain(dom), *net_, member_config(plane, id),
-          Controller::Environment{&topo_, &scheduler_, &crypto_, switch_nodes_, directory});
-      ctrl->set_on_membership(
-          [this, dom](const Event& e) { on_membership_event(dom, e); });
-      controllers_[id] = std::move(ctrl);
-    }
+  // Controllers (after switches and all planes exist).
+  for (const auto& [d, members] : members_) {
+    for (const auto& m : members) spawn_controller(d, m.id);
   }
+}
+
+void Deployment::spawn_controller(net::DomainId domain, std::uint32_t id) {
+  auto ctrl = std::make_unique<Controller>(
+      sim_for_domain(domain), *net_, member_config(domain, id),
+      Controller::Environment{&topo_, &scheduler_, &crypto_, &switch_nodes_, &members_});
+  ctrl->set_on_membership([this, domain](const Event& e) { on_membership_event(domain, e); });
+  net_->set_handler(ctrl->node(), [c = ctrl.get()](sim::NodeId from, const util::Bytes& wire) {
+    c->handle_message(from, wire);
+  });
+  controllers_[id] = std::move(ctrl);
 }
 
 std::uint32_t Deployment::provision_controller(net::DomainId domain,
@@ -236,10 +236,13 @@ std::uint32_t Deployment::provision_controller(net::DomainId domain,
   const sim::NodeId node = net_->add_node("ctrl:" + std::to_string(id));
   node_shard_.push_back(shard_of_domain(domain));
   node_place_[node] = Placement2{placement.dc, placement.pod, false};
-  ctrl_nodes_[id] = node;
-  ctrl_domain_[id] = domain;
-  ctrl_keys_[id] = crypto::SchnorrKeyPair::generate(drbg_);
-  crypto_.pki().register_origin(kControllerOriginBase + id, ctrl_keys_[id].pk);
+  // Controller keys are real in both crypto modes: they sign the audit
+  // log's checkpoints.
+  ControllerRecord& rec = ctrl_records_[id];
+  rec.domain = domain;
+  rec.node = node;
+  rec.key = crypto::SchnorrKeyPair::generate(drbg_);
+  crypto_.pki().register_origin(kControllerOriginBase + id, rec.key.pk);
   if (obs_.trace.enabled()) {
     obs_.trace.set_process_name(node, net_->node_name(node));
     obs_.trace.set_thread_name(node, obs::kTidMain, "controller");
@@ -251,89 +254,65 @@ std::uint32_t Deployment::provision_controller(net::DomainId domain,
 
 void Deployment::build_plane(net::DomainId domain,
                              const std::vector<net::NodeIndex>& domain_switches) {
-  Plane plane;
-  plane.domain = domain;
   const std::size_t n = params_.framework == FrameworkKind::kCentralized
                             ? 1
                             : params_.controllers_per_domain;
   const net::Placement placement = domain_switches.empty()
                                        ? net::Placement{}
                                        : topo_.node(domain_switches.front()).placement;
+  // Ids are provisioned in ascending order, so the list is sorted by id.
+  std::vector<Controller::MemberInfo>& members = members_[domain];
   for (std::size_t i = 0; i < n; ++i) {
-    plane.member_ids.push_back(provision_controller(domain, placement));
+    members.push_back(member_info(provision_controller(domain, placement)));
   }
 
   // Threshold key material: share index = controller id + 1.
   std::vector<crypto::ShareIndex> indices;
-  for (const std::uint32_t id : plane.member_ids) indices.push_back(id + 1);
-  auto keys = crypto_.deal_plane(indices, plane_quorum(plane),
-                                 threshold_signed(params_.framework), drbg_);
+  for (const auto& m : members) indices.push_back(m.id + 1);
+  auto keys = crypto_.deal_plane(indices, quorum_for(n), threshold_signed(params_.framework),
+                                 drbg_);
+  Plane& plane = planes_[domain];
   plane.group_pk = keys.group_pk;
   plane.verification_shares = std::move(keys.verification_shares);
-  for (std::size_t i = 0; i < plane.member_ids.size(); ++i) {
-    shares_[plane.member_ids[i]] = std::move(keys.shares[i]);
-  }
-  planes_[domain] = std::move(plane);
+  for (std::size_t i = 0; i < n; ++i) ctrl_records_.at(members[i].id).share = keys.shares[i];
 }
 
-std::uint32_t Deployment::plane_quorum(const Plane& plane) const {
-  const std::size_t n = plane.member_ids.size();
-  return static_cast<std::uint32_t>(std::max<std::size_t>(1, (n - 1) / 3 + 1));
+std::uint32_t Deployment::quorum_for(std::size_t members) {
+  return static_cast<std::uint32_t>(std::max<std::size_t>(1, (members - 1) / 3 + 1));
 }
 
-std::vector<Controller::MemberInfo> Deployment::member_infos(const Plane& plane) const {
-  std::vector<Controller::MemberInfo> members;
-  for (const std::uint32_t mid : plane.member_ids) {
-    members.push_back(Controller::MemberInfo{mid, ctrl_nodes_.at(mid), ctrl_keys_.at(mid).pk});
-  }
-  std::sort(members.begin(), members.end(),
-            [](const auto& a, const auto& b) { return a.id < b.id; });
-  return members;
+Controller::MemberInfo Deployment::member_info(std::uint32_t id) const {
+  const ControllerRecord& rec = ctrl_records_.at(id);
+  return Controller::MemberInfo{id, rec.node, rec.key.pk};
 }
 
-Controller::Config Deployment::member_config(const Plane& plane, std::uint32_t id) {
+Controller::Config Deployment::member_config(net::DomainId domain, std::uint32_t id) {
+  const ControllerRecord& rec = ctrl_records_.at(id);
+  const Plane& plane = planes_.at(domain);
   Controller::Config cfg;
   cfg.id = id;
-  cfg.domain = plane.domain;
+  cfg.domain = domain;
   cfg.framework = params_.framework;
   cfg.delivery = delivery_;
   cfg.costs = params_.costs;
-  cfg.node = ctrl_nodes_.at(id);
-  cfg.members = member_infos(plane);
-  cfg.key = ctrl_keys_.at(id);
-  cfg.share = shares_.at(id);
+  cfg.node = rec.node;
+  cfg.members = members_.at(domain);
+  cfg.key = rec.key;
+  cfg.share = rec.share;
   cfg.group_pk = plane.group_pk;
   cfg.verification_shares = plane.verification_shares;
-  cfg.quorum = plane_quorum(plane);
+  cfg.quorum = quorum_for(cfg.members.size());
   cfg.nonce_seed = params_.seed ^ (0x9E3779B97F4A7C15ULL * (id + 1));
-  cfg.sign_bft_messages = params_.sign_bft_messages;
-  cfg.bft_timeout = params_.bft_timeout;
   cfg.ack_timeout = params_.ack_timeout;
   cfg.update_max_retries = params_.update_max_retries;
   if (delivery_ == Delivery::kInNetwork) {
-    const auto it = innet_agg_switch_.find(plane.domain);
+    const auto it = innet_agg_switch_.find(domain);
     if (it != innet_agg_switch_.end() && it->second != net::kNoNode) {
       cfg.innet_aggregator = switch_nodes_.at(it->second);
     }
   }
-  cfg.obs = obs_for_domain(plane.domain);
+  cfg.obs = obs_for_domain(domain);
   return cfg;
-}
-
-void Deployment::wire_handlers() {
-  for (auto& [sw, runtime] : switches_) {
-    net_->set_handler(switch_nodes_.at(sw),
-                      [rt = runtime.get()](sim::NodeId from, const util::Bytes& wire) {
-                        rt->handle_message(from, wire);
-                      });
-  }
-  for (auto& [id, ctrl] : controllers_) {
-    net_->set_handler(ctrl_nodes_.at(id),
-                      [this, id = id](sim::NodeId from, const util::Bytes& wire) {
-                        const auto it = controllers_.find(id);
-                        if (it != controllers_.end()) it->second->handle_message(from, wire);
-                      });
-  }
 }
 
 sim::SimTime Deployment::latency(sim::NodeId a, sim::NodeId b) const {
@@ -365,9 +344,11 @@ std::vector<std::uint32_t> Deployment::controller_ids() const {
 }
 
 std::vector<std::uint32_t> Deployment::domain_controller_ids(net::DomainId d) const {
-  const auto it = planes_.find(d);
-  if (it == planes_.end()) return {};
-  return it->second.member_ids;
+  std::vector<std::uint32_t> ids;
+  const auto it = members_.find(d);
+  if (it == members_.end()) return ids;
+  for (const auto& m : it->second) ids.push_back(m.id);
+  return ids;
 }
 
 void Deployment::set_controller_fault(std::uint32_t id, ControllerFault fault) {
@@ -433,20 +414,16 @@ void Deployment::update_innet_aggregator(net::DomainId d) {
   // management-plane routing change a real deployment would push; the
   // replicas' ack timers cover any update in flight at the old
   // aggregator (retransmissions escalate to full bodies, DESIGN.md §16).
-  const auto pit = planes_.find(d);
-  if (pit == planes_.end()) return;
-  for (const std::uint32_t id : pit->second.member_ids) {
-    if (removed_.count(id) != 0) continue;
-    const auto cit = controllers_.find(id);
-    if (cit != controllers_.end()) cit->second->set_innet_aggregator(node);
-  }
+  const auto mit = members_.find(d);
+  if (mit == members_.end()) return;
+  for (const auto& m : mit->second) controllers_.at(m.id)->set_innet_aggregator(node);
 }
 
 std::size_t Deployment::pending_updates() const {
+  // Current members only: silenced ex-members don't count.
   std::size_t pending = 0;
-  for (const auto& [id, ctrl] : controllers_) {
-    if (removed_.count(id) != 0) continue;  // silenced ex-members don't count
-    pending += ctrl->tracker().pending();
+  for (const auto& [d, members] : members_) {
+    for (const auto& m : members) pending += controllers_.at(m.id)->tracker().pending();
   }
   return pending;
 }
@@ -692,13 +669,10 @@ std::map<net::DomainId, double> Deployment::events_share_per_domain() const {
   std::uint64_t total = 0;
   for (const auto& [sw, runtime] : switches_) total += runtime->events_emitted();
   std::map<net::DomainId, double> out;
-  for (const auto& [d, plane] : planes_) {
+  for (const auto& [d, members] : members_) {
     std::uint64_t processed = 0;
-    for (const std::uint32_t id : plane.member_ids) {
-      const auto it = controllers_.find(id);
-      if (it != controllers_.end()) {
-        processed = std::max(processed, it->second->events_processed());
-      }
+    for (const auto& m : members) {
+      processed = std::max(processed, controllers_.at(m.id)->events_processed());
     }
     out[d] = total == 0 ? 0.0 : static_cast<double>(processed) / static_cast<double>(total);
   }
@@ -719,7 +693,7 @@ std::uint32_t Deployment::add_controller(net::DomainId domain) {
   if (psim_ != nullptr) {
     throw std::logic_error("add_controller: membership changes require threads == 1");
   }
-  Plane& plane = planes_.at(domain);
+  const std::uint32_t bootstrap = members_.at(domain).front().id;
   // (i) provision keys/identifier and hand the directory entry out before
   // the proposal, mirroring the paper's bootstrap step.
   const auto& sample = topo_.switches_in_domain(domain);
@@ -729,8 +703,6 @@ std::uint32_t Deployment::add_controller(net::DomainId domain) {
 
   // (ii) the bootstrap controller (lowest id) proposes the addition
   // through consensus.
-  const std::uint32_t bootstrap =
-      *std::min_element(plane.member_ids.begin(), plane.member_ids.end());
   controllers_.at(bootstrap)->propose_membership(EventKind::kAddController, new_id);
   return new_id;
 }
@@ -739,15 +711,14 @@ void Deployment::remove_controller(std::uint32_t id) {
   if (psim_ != nullptr) {
     throw std::logic_error("remove_controller: membership changes require threads == 1");
   }
-  const net::DomainId domain = ctrl_domain_.at(id);
-  Plane& plane = planes_.at(domain);
-  // Any live member that detected the failure proposes the removal.
-  std::uint32_t proposer = UINT32_MAX;
-  for (const std::uint32_t m : plane.member_ids) {
-    if (m != id) proposer = std::min(proposer, m);
+  // Any live member that detected the failure proposes the removal: the
+  // lowest-id one other than `id`.
+  for (const auto& m : members_.at(ctrl_records_.at(id).domain)) {
+    if (m.id == id) continue;
+    controllers_.at(m.id)->propose_membership(EventKind::kRemoveController, id);
+    return;
   }
-  if (proposer == UINT32_MAX) throw std::logic_error("remove_controller: no proposer");
-  controllers_.at(proposer)->propose_membership(EventKind::kRemoveController, id);
+  throw std::logic_error("remove_controller: no proposer");
 }
 
 void Deployment::on_membership_event(net::DomainId domain, const Event& e) {
@@ -757,54 +728,49 @@ void Deployment::on_membership_event(net::DomainId domain, const Event& e) {
 }
 
 void Deployment::run_membership_change(net::DomainId domain, const Event& e) {
-  Plane& plane = planes_.at(domain);
+  const std::vector<Controller::MemberInfo>& members = members_.at(domain);
 
   // Freeze event processing (events delivered during the change queue up).
-  for (const std::uint32_t id : plane.member_ids) {
-    const auto it = controllers_.find(id);
-    if (it != controllers_.end()) it->second->begin_membership_change();
-  }
+  for (const auto& m : members) controllers_.at(m.id)->begin_membership_change();
 
-  std::vector<std::uint32_t> new_members = plane.member_ids;
+  std::vector<Controller::MemberInfo> new_members;
+  for (const auto& m : members) {
+    if (e.kind == EventKind::kAddController || m.id != e.member) new_members.push_back(m);
+  }
   if (e.kind == EventKind::kAddController) {
-    new_members.push_back(e.member);
-  } else {
-    new_members.erase(std::remove(new_members.begin(), new_members.end(), e.member),
-                      new_members.end());
+    const Controller::MemberInfo joining = member_info(e.member);
+    new_members.insert(std::upper_bound(new_members.begin(), new_members.end(), joining,
+                                        [](const auto& a, const auto& b) { return a.id < b.id; }),
+                       joining);
   }
-  std::sort(new_members.begin(), new_members.end());
   if (new_members.empty()) return;
-
-  const std::size_t t_old = plane_quorum(plane);
-  const std::size_t t_new = std::max<std::size_t>(1, (new_members.size() - 1) / 3 + 1);
 
   // (iii) resharing: a quorum of existing members re-deals toward the new
   // member set; the group public key is unchanged (the suite checks it).
   // The message exchange is orchestrated here, its costs charged to the
   // dealers' and receivers' CPUs in both crypto modes.
   std::vector<crypto::ShareIndex> new_indices;
-  for (const std::uint32_t id : new_members) new_indices.push_back(id + 1);
+  for (const auto& m : new_members) new_indices.push_back(m.id + 1);
 
+  const std::size_t t_old = quorum_for(members.size());
   std::vector<crypto::SecretShare> dealers;
   std::vector<std::uint32_t> quorum_ids;
-  for (const std::uint32_t id : plane.member_ids) {
-    if (e.kind == EventKind::kRemoveController && id == e.member) continue;
-    dealers.push_back(shares_.at(id));
-    quorum_ids.push_back(id);
+  for (const auto& m : members) {
+    if (e.kind == EventKind::kRemoveController && m.id == e.member) continue;
+    dealers.push_back(ctrl_records_.at(m.id).share);
+    quorum_ids.push_back(m.id);
     if (dealers.size() == t_old) break;
   }
 
-  auto keys = crypto_.reshare(dealers, new_indices, t_new, plane.group_pk, drbg_);
+  auto keys = crypto_.reshare(dealers, new_indices, quorum_for(new_members.size()),
+                              planes_.at(domain).group_pk, drbg_);
   for (const std::uint32_t id : quorum_ids) {
     controllers_.at(id)->cpu().charge(params_.costs.reshare_deal_cost);
   }
-  std::map<std::uint32_t, crypto::SecretShare> new_shares;
-  for (std::size_t i = 0; i < new_members.size(); ++i) {
-    new_shares[new_members[i]] = std::move(keys.shares[i]);
-    const auto it = controllers_.find(new_members[i]);
+  for (const auto& m : new_members) {
+    const auto it = controllers_.find(m.id);
     if (it != controllers_.end()) it->second->cpu().charge(params_.costs.reshare_finalize_cost);
   }
-  const auto new_vshares = std::move(keys.verification_shares);
 
   // Apply after the (charged) exchange latency: one control-plane RTT per
   // resharing round.
@@ -813,12 +779,15 @@ void Deployment::run_membership_change(net::DomainId domain, const Event& e) {
                               params_.costs.reshare_finalize_cost;
   const EventKind kind = e.kind;
   const std::uint32_t member = e.member;
-  sim_.after(settle, [this, domain, kind, member, new_members, new_shares, new_vshares] {
+  sim_.after(settle, [this, domain, kind, member, new_members = std::move(new_members),
+                      keys = std::move(keys)] {
     Plane& pl = planes_.at(domain);
-    pl.member_ids = new_members;
-    pl.verification_shares = new_vshares;
+    pl.verification_shares = keys.verification_shares;
     pl.phase += 1;
-    for (const auto& [id, share] : new_shares) shares_[id] = share;
+    for (std::size_t i = 0; i < new_members.size(); ++i) {
+      ctrl_records_.at(new_members[i].id).share = keys.shares[i];
+    }
+    members_.at(domain) = new_members;
 
     if (kind == EventKind::kRemoveController) {
       // Keep the object (ids are never reused and callbacks may still be
@@ -827,56 +796,38 @@ void Deployment::run_membership_change(net::DomainId domain, const Event& e) {
       if (it != controllers_.end()) {
         it->second->set_fault(ControllerFault::kSilent);
         it->second->replica().crash();
-        removed_.insert(member);
       }
     }
 
     // Rebuild every member's group view + a fresh PBFT instance for the
-    // new membership, then drain queued events.
-    for (const std::uint32_t id : pl.member_ids) {
-      if (controllers_.count(id) == 0) {
-        // Newly added controller object (iv: receives data-plane state,
-        // policies and directory).
-        std::map<net::DomainId, std::vector<Controller::MemberInfo>> directory;
-        for (const auto& [dd, pp] : planes_) directory[dd] = member_infos(pp);
-        auto ctrl = std::make_unique<Controller>(
-            sim_, *net_, member_config(pl, id),
-            Controller::Environment{&topo_, &scheduler_, &crypto_, switch_nodes_, directory});
-        ctrl->set_on_membership(
-            [this, domain](const Event& ev) { on_membership_event(domain, ev); });
-        controllers_[id] = std::move(ctrl);
-        net_->set_handler(ctrl_nodes_.at(id),
-                          [this, id](sim::NodeId from, const util::Bytes& wire) {
-                            const auto it = controllers_.find(id);
-                            if (it != controllers_.end()) {
-                              it->second->handle_message(from, wire);
-                            }
-                          });
-        continue;
+    // new membership, then drain queued events.  A newly added member is
+    // constructed here (iv: receives data-plane state, policies and the
+    // directory).
+    for (const auto& m : new_members) {
+      const auto it = controllers_.find(m.id);
+      if (it == controllers_.end()) {
+        spawn_controller(domain, m.id);
+      } else {
+        it->second->finish_membership_change(pl.phase, member_config(domain, m.id));
       }
-      controllers_.at(id)->finish_membership_change(pl.phase, member_config(pl, id));
     }
-    notify_switches(pl);
+    notify_switches(domain);
     CICERO_LOG_INFO(kLog, "domain %u membership now phase %llu with %zu members", domain,
-                    static_cast<unsigned long long>(pl.phase), pl.member_ids.size());
+                    static_cast<unsigned long long>(pl.phase), new_members.size());
   });
 }
 
-void Deployment::notify_switches(const Plane& plane) {
+void Deployment::notify_switches(net::DomainId domain) {
+  const auto& members = members_.at(domain);
   AggregatorNotifyMsg m;
-  m.phase = plane.phase;
-  m.quorum = plane_quorum(plane);
-  for (const std::uint32_t id : plane.member_ids) m.controllers.push_back(ctrl_nodes_.at(id));
-  m.aggregator = delivery_ == Delivery::kControllerAgg
-                     ? ctrl_nodes_.at(
-                           *std::min_element(plane.member_ids.begin(), plane.member_ids.end()))
-                     : sim::kInvalidNode;
-  const std::uint32_t bootstrap =
-      *std::min_element(plane.member_ids.begin(), plane.member_ids.end());
+  m.phase = planes_.at(domain).phase;
+  m.quorum = quorum_for(members.size());
+  for (const auto& c : members) m.controllers.push_back(c.node);
+  m.aggregator = delivery_ == Delivery::kControllerAgg ? members.front().node : sim::kInvalidNode;
   for (const net::NodeIndex sw : global_plane(params_.framework)
                                      ? topo_.switches()
-                                     : topo_.switches_in_domain(plane.domain)) {
-    net_->send(ctrl_nodes_.at(bootstrap), switch_nodes_.at(sw), m.encode());
+                                     : topo_.switches_in_domain(domain)) {
+    net_->send(members.front().node, switch_nodes_.at(sw), m.encode());
   }
 }
 

@@ -58,19 +58,15 @@ struct DeploymentParams {
   /// each).  `delivery_of` says which combinations are valid.
   AggregationMode aggregation = AggregationMode::kNone;
   std::size_t controllers_per_domain = 4;
-  /// Switch-side duplicate-suppression window (SwitchRuntime::Config).
-  std::size_t applied_dedupe_window = 4096;
   CostModel costs;
   /// Threshold scheme; kFrost demonstrates the protocol over a
   /// cryptographically REAL threshold signature.
   ThresholdBackend backend = ThresholdBackend::kSimBls;
   bool real_crypto = true;
-  bool sign_bft_messages = false;
   std::uint64_t seed = 1;
   /// Tear the route down after each flow completes (Fig. 11c's
   /// unamortized setup/teardown mode).
   bool teardown_after_flow = false;
-  sim::SimTime bft_timeout = sim::milliseconds(400);
   /// Controller-side apply/ack retransmission (see Controller::Config);
   /// `ack_timeout <= 0` or `update_max_retries == 0` disables.
   sim::SimTime ack_timeout = sim::milliseconds(500);
@@ -206,13 +202,21 @@ class Deployment {
   std::size_t pending_updates() const;
 
  private:
-  struct Plane {  ///< one control plane (domain or global)
-    net::DomainId domain = 0;
-    std::vector<std::uint32_t> member_ids;
+  /// One control plane's key material and membership phase; its members
+  /// live in `members_`.
+  struct Plane {
     crypto::Point group_pk;
     std::map<crypto::ShareIndex, crypto::Point> verification_shares;
     std::uint64_t phase = 0;
     std::set<EventId> membership_seen;
+  };
+  /// What provisioning hands one controller id (kept after removal: ids
+  /// are never reused).
+  struct ControllerRecord {
+    net::DomainId domain = 0;
+    sim::NodeId node = sim::kInvalidNode;
+    crypto::SchnorrKeyPair key;
+    crypto::SecretShare share;  ///< set when the id joins a plane
   };
 
   struct Placement2;
@@ -220,9 +224,11 @@ class Deployment {
   void build_nodes();
   void build_plane(net::DomainId domain, const std::vector<net::NodeIndex>& domain_switches);
   std::uint32_t provision_controller(net::DomainId domain, const net::Placement& placement);
-  Controller::Config member_config(const Plane& plane, std::uint32_t id);
-  std::vector<Controller::MemberInfo> member_infos(const Plane& plane) const;
-  void wire_handlers();
+  Controller::MemberInfo member_info(std::uint32_t id) const;
+  Controller::Config member_config(net::DomainId domain, std::uint32_t id);
+  /// Constructs member `id` of `domain` and connects it to the network and
+  /// to the membership orchestrator.
+  void spawn_controller(net::DomainId domain, std::uint32_t id);
   sim::SimTime latency(sim::NodeId a, sim::NodeId b) const;
   sim::SimTime latency_between(const Placement2& pa, const Placement2& pb) const;
   sim::SimTime min_cross_shard_latency() const;
@@ -241,8 +247,9 @@ class Deployment {
   void on_switch_applied(net::NodeIndex sw, const sched::Update& update);
   void on_membership_event(net::DomainId domain, const Event& e);
   void run_membership_change(net::DomainId domain, const Event& e);
-  void notify_switches(const Plane& plane);
-  std::uint32_t plane_quorum(const Plane& plane) const;
+  void notify_switches(net::DomainId domain);
+  /// Threshold t for a plane of `members` controllers: f + 1, n >= 3f + 1.
+  static std::uint32_t quorum_for(std::size_t members);
   /// In-network aggregation: deterministic designation rule — the lowest
   /// topology index among the domain's non-crashed switches.
   net::NodeIndex pick_innet_aggregator(net::DomainId d) const;
@@ -280,19 +287,22 @@ class Deployment {
   sched::ReversePathScheduler scheduler_;
 
   std::map<net::NodeIndex, std::unique_ptr<SwitchRuntime>> switches_;
+  /// topology switch index -> network endpoint; every controller and
+  /// switch runtime holds a const pointer to it.
   std::map<net::NodeIndex, sim::NodeId> switch_nodes_;
+  std::map<std::uint32_t, ControllerRecord> ctrl_records_;
+  /// The control-plane directory: each plane's current members, sorted by
+  /// id.  Written only by build_plane and a membership change's settle;
+  /// every controller reads it through a const pointer, so it is declared
+  /// before (and outlives) controllers_.
+  Controller::Directory members_;
   std::map<std::uint32_t, std::unique_ptr<Controller>> controllers_;
-  std::map<std::uint32_t, crypto::SecretShare> shares_;
-  std::map<std::uint32_t, crypto::SchnorrKeyPair> ctrl_keys_;
-  std::map<std::uint32_t, sim::NodeId> ctrl_nodes_;
-  std::map<std::uint32_t, net::DomainId> ctrl_domain_;
   std::map<net::DomainId, Plane> planes_;
   /// In-network aggregation: current designated aggregator switch per
   /// domain (kNoNode when the whole domain is down).
   std::map<net::DomainId, net::NodeIndex> innet_agg_switch_;
   std::map<sim::NodeId, Placement2> node_place_;
   std::uint32_t next_ctrl_id_ = 0;
-  std::set<std::uint32_t> removed_;  ///< silenced ex-members (ids never reused)
 
   // flow driver state: records_ is shared (disjoint elements per shard);
   // the waiting set and path cache are striped by the ingress switch's

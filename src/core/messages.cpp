@@ -305,38 +305,6 @@ std::optional<FrostPartialMsg> FrostPartialMsg::decode(const util::Bytes& wire) 
 // Membership
 // ---------------------------------------------------------------------------
 
-util::Bytes ReshareMsg::encode() const {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(CoreMsgTag::kReshare));
-  w.u32(dealer_member);
-  w.u64(phase);
-  w.u32(dealer_index);
-  w.u32(static_cast<std::uint32_t>(commitments.size()));
-  for (const auto& c : commitments) w.bytes(c);
-  w.u32(receiver_index);
-  w.bytes(share);
-  return w.take();
-}
-
-std::optional<ReshareMsg> ReshareMsg::decode(const util::Bytes& wire) {
-  try {
-    util::Reader r(wire);
-    if (r.u8() != static_cast<std::uint8_t>(CoreMsgTag::kReshare)) return std::nullopt;
-    ReshareMsg m;
-    m.dealer_member = r.u32();
-    m.phase = r.u64();
-    m.dealer_index = r.u32();
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) m.commitments.push_back(r.bytes());
-    m.receiver_index = r.u32();
-    m.share = r.bytes();
-    r.expect_end();
-    return m;
-  } catch (const util::DeserializeError&) {
-    return std::nullopt;
-  }
-}
-
 util::Bytes AggregatorNotifyMsg::encode() const {
   util::Writer w;
   w.u8(static_cast<std::uint8_t>(CoreMsgTag::kAggregatorNotify));

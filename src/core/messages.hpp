@@ -13,7 +13,7 @@
 //   0x03  UpdateMsg      controller -> switch (or -> aggregator)
 //   0x04  AckMsg         switch -> control plane
 //   0x05  AggUpdateMsg   aggregator -> switch
-//   0x06  ReshareMsg     old member -> new member (membership change)
+//   0x06  retired (membership reshares run in-process); never reuse
 //   0x07  AggregatorNotifyMsg  control plane -> switch
 //   0x0A  ManifestMsg    controller -> switch (decentralized execution)
 //   0x0B  SegmentDoneMsg switch -> switch (decentralized execution)
@@ -38,7 +38,6 @@ enum class CoreMsgTag : std::uint8_t {
   kUpdate = 0x03,
   kAck = 0x04,
   kAggUpdate = 0x05,
-  kReshare = 0x06,
   kAggregatorNotify = 0x07,
   kFrostSession = 0x08,  ///< aggregator -> signers: chosen commitment set
   kFrostPartial = 0x09,  ///< signer -> aggregator: z_i for a session
@@ -192,20 +191,6 @@ struct FrostPartialMsg {
 
   util::Bytes encode() const;
   static std::optional<FrostPartialMsg> decode(const util::Bytes& wire);
-};
-
-/// Old member -> new member: one resharing deal of a membership change
-/// (carries real crypto::ReshareDeal content).
-struct ReshareMsg {
-  std::uint32_t dealer_member = 0;  ///< controller id of the dealer
-  std::uint64_t phase = 0;          ///< membership phase being established
-  crypto::ShareIndex dealer_index = 0;
-  std::vector<util::Bytes> commitments;  ///< serialized points
-  crypto::ShareIndex receiver_index = 0;
-  util::Bytes share;  ///< scalar dealt to the receiver
-
-  util::Bytes encode() const;
-  static std::optional<ReshareMsg> decode(const util::Bytes& wire);
 };
 
 /// Control plane -> switch: the current aggregator (or none) and quorum.

@@ -22,21 +22,31 @@
 // signing/aggregating/verifying.
 #pragma once
 
+#include <vector>
+
 #include "crypto/threshold.hpp"
 
 namespace cicero::crypto {
 
-class SimBlsScheme final : public ThresholdScheme {
+/// (t, n)-threshold signatures with non-interactive partials.
+class SimBlsScheme final {
  public:
-  PartialSignature partial_sign(const SecretShare& share,
-                                const util::Bytes& msg) const override;
+  /// Signs `msg` with a key share.
+  PartialSignature partial_sign(const SecretShare& share, const util::Bytes& msg) const;
+  /// Verifies one partial against the signer's verification share
+  /// (share * G), so a malicious partial can be attributed and discarded
+  /// before aggregation.
   bool verify_partial(const Point& verification_share, const util::Bytes& msg,
-                      const PartialSignature& partial) const override;
+                      const PartialSignature& partial) const;
+  /// Aggregates >= threshold partials (distinct signers) into a full
+  /// signature.  Returns nullopt if there are fewer than `threshold`
+  /// distinct signers.  Partials are assumed pre-verified.
   std::optional<util::Bytes> aggregate(const util::Bytes& msg,
                                        const std::vector<PartialSignature>& partials,
-                                       std::size_t threshold) const override;
+                                       std::size_t threshold) const;
+  /// Verifies an aggregated signature against the group public key.
   bool verify(const Point& group_public_key, const util::Bytes& msg,
-              const util::Bytes& signature) const override;
+              const util::Bytes& signature) const;
 
   /// The shared scheme instance (stateless).
   static const SimBlsScheme& instance();

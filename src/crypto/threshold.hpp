@@ -1,23 +1,22 @@
-// Threshold signature interface used by the Cicero protocol layer.
+// Threshold signature partials used by the Cicero protocol layer.
 //
 // The paper authenticates every network update with a (t, n)-threshold
 // signature (§3.2): each controller contributes a partial signature under
 // its key share; any t partials aggregate into one signature that verifies
 // against the single control-plane public key held by switches.
 //
-// Two backends implement this interface:
+// Two backends exist, each with its own API; core::CryptoSuite is the one
+// seam the protocol calls through:
 //  * `SimBlsScheme` (simbls.hpp) — non-interactive, any-t aggregation;
 //    structurally identical to the paper's BLS but not hiding (DESIGN.md §1
 //    documents the substitution).  Default for protocol runs.
 //  * FROST threshold Schnorr (frost.hpp) — cryptographically real, but
-//    interactive (a coordinator picks the signer set); exposed through its
-//    own API and used where an aggregator exists.
+//    interactive (a coordinator picks the signer set); used where an
+//    aggregator exists.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <vector>
 
 #include "crypto/group.hpp"
 #include "crypto/shamir.hpp"
@@ -33,33 +32,6 @@ struct PartialSignature {
   util::Bytes to_bytes() const;
   static std::optional<PartialSignature> from_bytes(const util::Bytes& b);
   bool operator==(const PartialSignature& o) const = default;
-};
-
-/// Abstract (t, n)-threshold signature scheme with non-interactive partials.
-class ThresholdScheme {
- public:
-  virtual ~ThresholdScheme() = default;
-
-  /// Signs `msg` with a key share.
-  virtual PartialSignature partial_sign(const SecretShare& share,
-                                        const util::Bytes& msg) const = 0;
-
-  /// Verifies one partial against the signer's verification share
-  /// (share * G), so a malicious partial can be attributed and discarded
-  /// before aggregation.
-  virtual bool verify_partial(const Point& verification_share, const util::Bytes& msg,
-                              const PartialSignature& partial) const = 0;
-
-  /// Aggregates >= threshold partials (distinct signers) into a full
-  /// signature.  Returns nullopt if there are fewer than `threshold`
-  /// distinct signers.  Partials are assumed pre-verified.
-  virtual std::optional<util::Bytes> aggregate(const util::Bytes& msg,
-                                               const std::vector<PartialSignature>& partials,
-                                               std::size_t threshold) const = 0;
-
-  /// Verifies an aggregated signature against the group public key.
-  virtual bool verify(const Point& group_public_key, const util::Bytes& msg,
-                      const util::Bytes& signature) const = 0;
 };
 
 }  // namespace cicero::crypto

@@ -130,17 +130,6 @@ std::vector<util::Bytes> random_encodings(util::Rng& rng) {
   fp.z = random_bytes(rng, 32);
   out.push_back(fp.encode());
 
-  ReshareMsg rs;
-  rs.dealer_member = static_cast<std::uint32_t>(rng.next_u64());
-  rs.phase = rng.next_u64();
-  rs.dealer_index = static_cast<crypto::ShareIndex>(rng.uniform_int(1, 64));
-  for (std::uint64_t i = 0, n = rng.next_below(4); i < n; ++i) {
-    rs.commitments.push_back(random_bytes(rng, 33));
-  }
-  rs.receiver_index = static_cast<crypto::ShareIndex>(rng.uniform_int(1, 64));
-  rs.share = random_bytes(rng, 32);
-  out.push_back(rs.encode());
-
   AggregatorNotifyMsg an;
   an.phase = rng.next_u64();
   an.aggregator = static_cast<sim::NodeId>(rng.next_u64());
@@ -199,10 +188,6 @@ std::optional<util::Bytes> decode_reencode(const util::Bytes& wire) {
       const auto m = AggUpdateMsg::decode(wire);
       return m ? std::optional(m->encode()) : std::nullopt;
     }
-    case CoreMsgTag::kReshare: {
-      const auto m = ReshareMsg::decode(wire);
-      return m ? std::optional(m->encode()) : std::nullopt;
-    }
     case CoreMsgTag::kAggregatorNotify: {
       const auto m = AggregatorNotifyMsg::decode(wire);
       return m ? std::optional(m->encode()) : std::nullopt;
@@ -238,10 +223,10 @@ std::optional<util::Bytes> decode_reencode(const util::Bytes& wire) {
 TEST(MessagesProperty, AllTagsCovered) {
   // Every tag appears exactly once per random_encodings() batch; if a
   // message type is added without extending this suite, this count
-  // breaks first (12 = every CoreMsgTag value).
+  // breaks first (11 = every CoreMsgTag value).
   util::Rng rng(1);
   const auto encodings = random_encodings(rng);
-  EXPECT_EQ(encodings.size(), 12u);
+  EXPECT_EQ(encodings.size(), 11u);
   std::set<std::uint8_t> tags;
   for (const auto& wire : encodings) {
     const auto tag = peek_tag(wire);

@@ -139,22 +139,6 @@ TEST(CoreMessages, AckRoundTripAndVerification) {
   EXPECT_FALSE(pki.verify_ack(forged));
 }
 
-TEST(CoreMessages, ReshareRoundTrip) {
-  ReshareMsg m;
-  m.dealer_member = 2;
-  m.phase = 5;
-  m.dealer_index = 3;
-  m.commitments = {{1, 2}, {3, 4}};
-  m.receiver_index = 6;
-  m.share = {9, 9};
-  const auto back = ReshareMsg::decode(m.encode());
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->dealer_member, 2u);
-  EXPECT_EQ(back->phase, 5u);
-  EXPECT_EQ(back->commitments.size(), 2u);
-  EXPECT_EQ(back->share, (util::Bytes{9, 9}));
-}
-
 TEST(CoreMessages, AggregatorNotifyRoundTrip) {
   AggregatorNotifyMsg m;
   m.phase = 3;

@@ -2,6 +2,8 @@
 // forwarding, and parallel per-domain processing.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "integration/helpers.hpp"
 
 namespace cicero {
@@ -90,6 +92,40 @@ TEST(MultiDomain, CrossPodFlowForwardedAndCompleted) {
     forwarded += dep->controller(id).events_forwarded();
   }
   EXPECT_GT(forwarded, 0u);
+}
+
+TEST(MultiDomain, ForwardReachesDomainAfterLowestIdMemberRemoved) {
+  // Cross-domain events go to the remote domain's lowest-id member; once
+  // that member is removed, every other domain must forward to its
+  // successor, not to the silenced ex-member.
+  auto dep = make_deployment(FrameworkKind::kCicero, two_pod_topology());
+  net::NodeIndex src = net::kNoNode, dst = net::kNoNode;
+  for (const auto h : dep->topology().hosts()) {
+    const auto& pl = dep->topology().node(h).placement;
+    if (pl.pod == 0 && src == net::kNoNode) src = h;
+    if (pl.pod == 1 && dst == net::kNoNode) dst = h;
+  }
+  const net::DomainId dst_domain = dep->topology().node(dep->topology().host_tor(dst)).domain;
+  const auto before = dep->domain_controller_ids(dst_domain);
+  dep->simulator().at(sim::milliseconds(10), [&] { dep->remove_controller(before.front()); });
+  dep->run(sim::seconds(5));
+  const auto after = dep->domain_controller_ids(dst_domain);
+  ASSERT_EQ(after.size(), before.size() - 1);
+  std::map<std::uint32_t, std::uint64_t> processed;  // the removal event so far
+  for (const auto id : after) processed[id] = dep->controller(id).events_processed();
+
+  workload::Flow f;
+  f.arrival = sim::milliseconds(1);
+  f.src_host = src;
+  f.dst_host = dst;
+  f.size_bytes = 1e5;
+  f.reserved_bps = 1e6;
+  dep->inject({f});
+  dep->run(sim::seconds(15));
+  EXPECT_EQ(completed_count(*dep), 1u);
+  for (const auto id : after) {
+    EXPECT_EQ(dep->controller(id).events_processed(), processed[id] + 1) << "controller " << id;
+  }
 }
 
 TEST(MultiDomain, FullWorkloadCompletes) {
