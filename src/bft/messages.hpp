@@ -1,11 +1,9 @@
 // BFT atomic-broadcast wire messages.
 //
 // PBFT-style three-phase protocol messages plus view-change machinery and
-// failure-detector heartbeats.  Every message can carry a Schnorr
-// signature over its body (the paper's controllers "use a PKI system to
-// validate messages sent with the atomic broadcast", §3.2); signing can be
-// disabled per-group for large sweeps, in which case costs are still
-// charged in simulated time by the cost model.
+// failure-detector heartbeats; messages.cpp holds their field lists.  A
+// message can carry a Schnorr signature over its body (controllers "use a
+// PKI system to validate messages sent with the atomic broadcast", §3.2).
 #pragma once
 
 #include <cstdint>
@@ -14,7 +12,7 @@
 #include <vector>
 
 #include "crypto/sha256.hpp"
-#include "util/serialize.hpp"
+#include "util/codec.hpp"
 
 namespace cicero::bft {
 
@@ -41,6 +39,7 @@ enum class BftMsgType : std::uint8_t {
   kFetch = 7,
   kFetchReply = 8,
 };
+constexpr BftMsgType wire_max(BftMsgType) { return BftMsgType::kFetchReply; }
 
 /// A client request as ordered by the protocol.  Requests are deduplicated
 /// by (submitter, local_seq), so re-submission after a view change cannot
@@ -49,6 +48,7 @@ struct BftRequest {
   ReplicaId submitter = 0;
   std::uint64_t local_seq = 0;
   util::Bytes payload;
+  static constexpr bool kFramed = true;  ///< nests as a u32-length frame
 
   util::Bytes encode() const;
   static BftRequest decode(util::Reader& r);
@@ -75,11 +75,11 @@ struct BftMessage {
   // New view payload: seq -> request for every seq the new primary re-issues.
   std::map<SeqNum, BftRequest> new_view_entries;
   SeqNum new_view_next_seq = 0;  ///< first fresh seq after re-issues
+  static constexpr bool kFramed = true;
 
-  /// Serialized body (everything except the signature) — this is what gets
-  /// signed.
+  /// Serialized body (everything except the signature): what gets signed.
   util::Bytes encode_body() const;
-  /// Full wire encoding: body length-prefixed, then signature bytes.
+  /// Full wire encoding: tag, body length-prefixed, then signature bytes.
   util::Bytes encode(const util::Bytes& signature) const;
   /// Parses the wire encoding; returns message + signature bytes.
   static std::optional<std::pair<BftMessage, util::Bytes>> decode(const util::Bytes& wire);

@@ -34,8 +34,8 @@ bft::PbftKeys make_pbft_keys(const Controller::Config& c) {
 
 Controller::Controller(sim::Simulator& simulator, sim::NetworkSim& network, Config config,
                        Environment env)
-    : sim_(simulator), net_(network), config_(std::move(config)), env_(std::move(env)),
-      cpu_(simulator) {
+    : obs::NodeHooks(config.obs, config.domain), sim_(simulator), net_(network),
+      config_(std::move(config)), env_(std::move(env)), cpu_(simulator) {
   frost_ = env_.crypto->frost_party(config_.share, config_.group_pk, config_.nonce_seed);
   if (config_.obs != nullptr) {
     cpu_.set_obs(config_.obs, config_.node, obs::kTidMain);
@@ -56,22 +56,9 @@ Controller::Controller(sim::Simulator& simulator, sim::NetworkSim& network, Conf
   rebuild_replica();
 }
 
-bool Controller::tracing() const {
-  return config_.obs != nullptr && config_.obs->trace.enabled();
-}
-
 // Exactly one member per control plane owns the deployment-wide async
 // lifecycle tracks; reuse the aggregator-selection rule (lowest id).
 bool Controller::trace_leader() const { return tracing() && is_aggregator(); }
-
-obs::CritPath* Controller::critpath() const {
-  return config_.obs != nullptr && config_.obs->critpath.enabled() ? &config_.obs->critpath
-                                                                   : nullptr;
-}
-
-std::string Controller::update_track_id(sched::UpdateId id) const {
-  return "u:" + std::to_string(config_.domain) + ":" + std::to_string(id);
-}
 
 std::string Controller::event_track_id(const EventId& id) const {
   return "e:" + std::to_string(id.origin) + ":" + std::to_string(id.seq);
@@ -423,7 +410,6 @@ void Controller::abandon_update(sched::UpdateId id) {
     }
     close_track(r, /*arrow=*/false);
   }
-  flush_parked_chains();  // abandonment also resolves cross-schedule waits
 }
 
 // Every per-id record of an update that will never be acked.
@@ -592,34 +578,13 @@ void Controller::dispatch_decentralized(const sched::UpdateSchedule& local,
   if (fault_ == ControllerFault::kSilent) return;
   auto chain = std::make_shared<DecChain>();
   chain->cause = cause;
-  chain->plan = DecentralizedScheduler::plan(local, tracker_, *env_.switch_nodes);
-
-  // In-band signaling only sequences THIS schedule's edges.  A dependency
-  // on an earlier schedule's still-pending update cannot be waited out at
-  // the switch (that applier predates the plan and will never signal it),
-  // so the whole chain parks at the controller until the tracker has seen
-  // every such predecessor complete — the same gating the
-  // controller-driven path gets from release_update.
-  std::set<sched::UpdateId> waiting;
-  for (const auto& su : local.updates) {
-    for (const sched::UpdateId d : su.deps) {
-      if (chain->plan.index.count(d) != 0) continue;  // sequenced in-band
-      if (!tracker_.knows(d) || tracker_.completed(d)) continue;
-      waiting.insert(d);
-    }
-  }
-  if (!waiting.empty()) {
-    parked_chains_.push_back(ParkedChain{std::move(chain), std::move(waiting)});
-    return;
-  }
-  launch_chain(chain);
-}
-
-void Controller::launch_chain(const std::shared_ptr<DecChain>& chain) {
+  chain->plan = plan_decentralized(local, *env_.switch_nodes);
   // Every segment leaves the controller immediately — there is no
   // controller-side dependency wait past this point, the switches
-  // sequence the chain in-band.  Only the sinks are tracked for acks: a
-  // sink ack covers its whole ancestor closure.
+  // sequence the chain in-band.  (The domain filter in process_flow_event
+  // keeps only dependencies inside this schedule, so no segment can wait
+  // on another schedule's update.)  Only the sinks are tracked for acks:
+  // a sink ack covers its whole ancestor closure.
   for (const SegmentManifest& m : chain->plan.manifests) {
     m_deps_released_.inc();
     if (crit_leader()) critpath()->update_released(m.update.id, sim_.now());
@@ -631,47 +596,6 @@ void Controller::launch_chain(const std::shared_ptr<DecChain>& chain) {
   for (const SegmentManifest& m : chain->plan.manifests) {
     send_manifest(m, chain->cause, /*retransmit=*/false);
   }
-}
-
-// Re-examine parked chains after any tracker completion (sink-ack closure
-// or abandonment).  A chain whose cross-schedule waits have all drained
-// launches — unless the completion that freed it was an abandonment that
-// swept the chain's own ids (tracker_.abandon walks reverse-dependence
-// edges across schedules); a never-launched chain's segments can't have
-// completed any other way, so any completed segment means exactly that.
-// Such a chain is dropped, abandoning whatever the sweep missed, instead
-// of shipping segments downstream of a rule that never landed.
-void Controller::flush_parked_chains() {
-  if (in_chain_flush_ || parked_chains_.empty()) return;
-  in_chain_flush_ = true;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (auto it = parked_chains_.begin(); it != parked_chains_.end();) {
-      ParkedChain& pk = *it;
-      for (auto w = pk.waiting.begin(); w != pk.waiting.end();) {
-        w = tracker_.completed(*w) ? pk.waiting.erase(w) : std::next(w);
-      }
-      if (!pk.waiting.empty()) {
-        ++it;
-        continue;
-      }
-      const std::shared_ptr<DecChain> chain = pk.chain;
-      it = parked_chains_.erase(it);
-      progress = true;
-      const bool swept =
-          std::any_of(chain->plan.manifests.begin(), chain->plan.manifests.end(),
-                      [this](const SegmentManifest& m) { return tracker_.completed(m.update.id); });
-      if (!swept) {
-        launch_chain(chain);
-        continue;
-      }
-      for (const SegmentManifest& m : chain->plan.manifests) {
-        if (!tracker_.completed(m.update.id)) abandon_update(m.update.id);
-      }
-    }
-  }
-  in_chain_flush_ = false;
 }
 
 void Controller::send_manifest(const SegmentManifest& manifest, const EventId& cause,
@@ -747,7 +671,6 @@ void Controller::on_ack(const AckMsg& ack) {
       if (crit_leader()) critpath()->update_acked(id, sim_.now());
       close_track(id, /*arrow=*/id == acked);
     }
-    flush_parked_chains();  // the closure may free a cross-schedule wait
     return;
   }
   if (crit_leader()) critpath()->update_acked(acked, sim_.now());

@@ -57,7 +57,7 @@ enum class ControllerFault : std::uint8_t {
   kRogueUpdates,   ///< additionally fires unsolicited updates at switches
 };
 
-class Controller {
+class Controller : private obs::NodeHooks {
  public:
   struct MemberInfo {
     std::uint32_t id = 0;  ///< controller id; share index is id + 1
@@ -303,21 +303,6 @@ class Controller {
   };
   std::map<sched::UpdateId, std::shared_ptr<DecChain>> dec_chains_;
 
-  /// Chains whose schedule depends on an *earlier* schedule's
-  /// still-pending updates.  Those predecessors predate this plan, so
-  /// their appliers will never signal it in-band; the whole chain is
-  /// held at the controller until the tracker has seen every listed id
-  /// complete (sink ack or abandonment), mirroring the dependency wait
-  /// the controller-driven path gets from the tracker's release gating.
-  struct ParkedChain {
-    std::shared_ptr<DecChain> chain;
-    std::set<sched::UpdateId> waiting;  ///< uncompleted cross-schedule deps
-  };
-  void launch_chain(const std::shared_ptr<DecChain>& chain);
-  void flush_parked_chains();
-  std::vector<ParkedChain> parked_chains_;
-  bool in_chain_flush_ = false;  ///< abandon_update re-enters via flush
-
   std::uint64_t events_seen_ = 0;
   std::uint64_t events_processed_ = 0;
   std::uint64_t updates_sent_ = 0;
@@ -333,19 +318,12 @@ class Controller {
   // update release->sign->apply->ack) are emitted by the aggregator
   // (lowest-id member) only, so one deployment-wide track exists per
   // event/update; per-node CPU spans are emitted by everyone.
-  bool tracing() const;
   bool trace_leader() const;
-  std::string update_track_id(sched::UpdateId id) const;
   std::string event_track_id(const EventId& id) const;
-  /// Critical-path profiler sink, or nullptr when obs is absent/disabled.
-  obs::CritPath* critpath() const;
   /// Milestone records follow the trace-leader rule (aggregator only), so
   /// each update gets exactly one deployment-wide record; phase *byte*
   /// accounting is per-sender and recorded by every member.
   bool crit_leader() const { return critpath() != nullptr && is_aggregator(); }
-  /// Globally-unique flow-arrow track for one update ("u:<id>"; update
-  /// ids are unique deployment-wide, see sched::update_id_base).
-  static std::string flow_track_id(sched::UpdateId id) { return "u:" + std::to_string(id); }
   /// Parent (acked) update per released dependent, pending its dispatch
   /// flow-arrow close; trace-leader only, erased at dispatch.
   std::map<sched::UpdateId, sched::UpdateId> pending_dep_flow_;

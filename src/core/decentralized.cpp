@@ -23,9 +23,8 @@ std::vector<sched::UpdateId> DecentralizedPlan::ancestors(sched::UpdateId id) co
   return closure;
 }
 
-DecentralizedPlan DecentralizedScheduler::plan(
-    const sched::UpdateSchedule& local, const sched::DependencyTracker& tracker,
-    const std::map<net::NodeIndex, sim::NodeId>& switch_nodes) {
+DecentralizedPlan plan_decentralized(const sched::UpdateSchedule& local,
+                                     const std::map<net::NodeIndex, sim::NodeId>& switch_nodes) {
   DecentralizedPlan out;
   std::map<sched::UpdateId, net::NodeIndex> segment_switch;
   for (const auto& su : local.updates) segment_switch[su.update.id] = su.update.switch_node;
@@ -46,16 +45,20 @@ DecentralizedPlan DecentralizedScheduler::plan(
     for (const sched::UpdateId d : su.deps) {
       if (segment_switch.count(d) != 0) m.preds.push_back(peer_of(d));
     }
-    // The tracker's reverse-edge export is this schedule's dependents plus
-    // any edge an *earlier* schedule wired onto these ids — filter to the
-    // schedule so the plan is a pure function of the ordered event.
-    for (const sched::UpdateId d : tracker.dependents(su.update.id)) {
-      if (segment_switch.count(d) != 0) m.succs.push_back(peer_of(d));
-    }
-    m.sink = m.succs.empty();
     out.index[su.update.id] = out.manifests.size();
-    if (m.sink) out.sinks.push_back(su.update.id);
     out.manifests.push_back(std::move(m));
+  }
+  // Successors invert the dependence edges, walked in schedule order.
+  for (const auto& su : local.updates) {
+    for (const sched::UpdateId d : su.deps) {
+      const auto slot = out.index.find(d);
+      if (slot == out.index.end()) continue;
+      out.manifests[slot->second].succs.push_back(peer_of(su.update.id));
+    }
+  }
+  for (SegmentManifest& m : out.manifests) {
+    m.sink = m.succs.empty();
+    if (m.sink) out.sinks.push_back(m.update.id);
   }
   return out;
 }

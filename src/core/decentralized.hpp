@@ -4,16 +4,15 @@
 // segment: once the BFT-ordered intent is scheduled, every segment ships
 // at once as a signed SegmentManifest and the switches sequence the chain
 // in-band with signed SegmentDone signals (see DESIGN.md §15).  This
-// module turns one domain-filtered schedule plus the DependencyTracker's
-// dependency-edge export into those manifests: each segment's upstream
-// gates (preds), downstream signal targets (succs), and whether it is a
-// chain sink — the segment whose apply acks the control plane for its
-// whole ancestor closure.
+// module turns one domain-filtered schedule into those manifests: each
+// segment's upstream gates (preds), downstream signal targets (succs), and
+// whether it is a chain sink — the segment whose apply acks the control
+// plane for its whole ancestor closure.
 //
 // Every correct controller derives the identical plan for the same
-// ordered event (the schedule is deterministic and the tracker edges are
-// queried right after the schedule is inserted), which is what makes the
-// threshold quorum over manifest_signing_bytes meaningful.
+// ordered event (the plan reads nothing but the deterministic schedule),
+// which is what makes the threshold quorum over manifest_signing_bytes
+// meaningful.
 #pragma once
 
 #include <map>
@@ -21,7 +20,6 @@
 
 #include "core/messages.hpp"
 #include "net/topology.hpp"
-#include "sched/depgraph.hpp"
 #include "sched/update.hpp"
 #include "sim/network.hpp"
 
@@ -39,19 +37,13 @@ struct DecentralizedPlan {
   std::vector<sched::UpdateId> ancestors(sched::UpdateId id) const;
 };
 
-class DecentralizedScheduler {
- public:
-  /// Builds the manifest set for `local` (an already-domain-filtered
-  /// schedule that was just inserted into `tracker`).  Predecessors come
-  /// from the schedule's own dependence sets; successors from the
-  /// tracker's reverse-edge export, filtered to the schedule (edges onto
-  /// later schedules cannot exist yet, so the filter only guards against
-  /// cross-schedule dependence from earlier ids).  `switch_nodes`
-  /// resolves each peer's sim address so switches need no topology
-  /// directory of their own.
-  static DecentralizedPlan plan(const sched::UpdateSchedule& local,
-                                const sched::DependencyTracker& tracker,
-                                const std::map<net::NodeIndex, sim::NodeId>& switch_nodes);
-};
+/// Builds the manifest set for `local`, an already-domain-filtered
+/// schedule.  Predecessors are each update's own dependence set;
+/// successors are those edges inverted, in schedule order; dependencies
+/// outside the schedule are dropped, so the plan is a pure function of the
+/// ordered event.  `switch_nodes` resolves each peer's sim address so
+/// switches need no topology directory of their own.
+DecentralizedPlan plan_decentralized(const sched::UpdateSchedule& local,
+                                     const std::map<net::NodeIndex, sim::NodeId>& switch_nodes);
 
 }  // namespace cicero::core

@@ -468,34 +468,15 @@ void Deployment::inject(const std::vector<workload::Flow>& flows) {
       const auto& path = flow_path(fs, {match.src_host, match.dst_host});
       if (path.size() < 3) return;  // unroutable
 
-      const sim::SimTime transmit =
-          topo_.path_latency(path) +
-          sim::from_sec(r.flow.size_bytes * 8.0 / params_.costs.flow_effective_bps);
-
       // Is the route already installed?  Sequential mode checks the whole
       // path (rules may have been torn down mid-path); parallel mode may
       // only read its own shard's switches, so it checks the ingress rule —
       // reverse-path install order makes that the last rule to appear.
-      bool ready = true;
-      if (psim_ == nullptr) {
-        for (std::size_t p = 1; p + 1 < path.size(); ++p) {
-          if (!switches_.at(path[p])->table().has(match)) {
-            ready = false;
-            break;
-          }
-        }
-      } else {
-        ready = switches_.at(ingress)->table().has(match);
-      }
+      const bool ready = psim_ == nullptr ? route_installed(path, match)
+                                          : switches_.at(ingress)->table().has(match);
       if (ready) {
         r.rule_reused = true;
-        r.route_ready = ssim.now();
-        r.completion = ssim.now() + transmit;
-        r.completed = true;
-        if (params_.teardown_after_flow) {
-          ssim.at(r.completion,
-                  [this, ingress, match] { switches_.at(ingress)->request_teardown(match); });
-        }
+        complete_flow(ssim, r, path);
         return;
       }
 
@@ -527,56 +508,44 @@ void Deployment::on_switch_applied(net::NodeIndex sw, const sched::Update& updat
     if (ready.empty()) return;
     fs.waiting.erase(key);
     const auto& path = flow_path(fs, key);
-    for (const std::size_t idx : ready) {
-      FlowRecord& r = records_[idx];
-      const sim::SimTime transmit =
-          topo_.path_latency(path) +
-          sim::from_sec(r.flow.size_bytes * 8.0 / params_.costs.flow_effective_bps);
-      r.route_ready = ssim.now();
-      r.completion = ssim.now() + transmit;
-      r.completed = true;
-      if (params_.teardown_after_flow) {
-        const net::FlowMatch match = update.rule.match;
-        ssim.at(r.completion,
-                [this, ingress, match] { switches_.at(ingress)->request_teardown(match); });
-      }
-    }
+    for (const std::size_t idx : ready) complete_flow(ssim, records_[idx], path);
     return;
   }
 
   (void)sw;
+  // Sequential mode: the flows waiting on this match are ready once every
+  // switch of the route holds its rule.  The route is read through
+  // flow_path because a link change may have dropped the cached one.
   FlowShard& fs = flow_shards_[0];
+  if (fs.waiting.count(key) == 0) return;
+  const auto& path = flow_path(fs, key);
+  if (!route_installed(path, update.rule.match)) return;
   auto [begin, end] = fs.waiting.equal_range(key);
   std::vector<std::size_t> ready;
-  for (auto it = begin; it != end; ++it) {
-    const auto& path = fs.path_cache.at(key);
-    bool all = true;
-    for (std::size_t p = 1; p + 1 < path.size(); ++p) {
-      if (!switches_.at(path[p])->table().has(update.rule.match)) {
-        all = false;
-        break;
-      }
-    }
-    if (all) ready.push_back(it->second);
-  }
-  if (ready.empty()) return;
+  for (auto it = begin; it != end; ++it) ready.push_back(it->second);
   fs.waiting.erase(key);
+  for (const std::size_t idx : ready) complete_flow(sim_, records_[idx], path);
+}
 
-  for (const std::size_t idx : ready) {
-    FlowRecord& r = records_[idx];
-    const auto& path = fs.path_cache.at(key);
-    const sim::SimTime transmit =
-        topo_.path_latency(path) +
-        sim::from_sec(r.flow.size_bytes * 8.0 / params_.costs.flow_effective_bps);
-    r.route_ready = sim_.now();
-    r.completion = sim_.now() + transmit;
-    r.completed = true;
-    if (params_.teardown_after_flow) {
-      const net::NodeIndex ingress = topo_.host_tor(r.flow.src_host);
-      const net::FlowMatch match = update.rule.match;
-      sim_.at(r.completion,
-              [this, ingress, match] { switches_.at(ingress)->request_teardown(match); });
-    }
+bool Deployment::route_installed(const std::vector<net::NodeIndex>& path,
+                                 const net::FlowMatch& match) const {
+  if (path.size() < 3) return false;  // unroutable since a link change
+  for (std::size_t p = 1; p + 1 < path.size(); ++p) {
+    if (!switches_.at(path[p])->table().has(match)) return false;
+  }
+  return true;
+}
+
+void Deployment::complete_flow(sim::Simulator& sim, FlowRecord& r,
+                               const std::vector<net::NodeIndex>& path) {
+  r.route_ready = sim.now();
+  r.completion = sim.now() + topo_.path_latency(path) +
+                 sim::from_sec(r.flow.size_bytes * 8.0 / params_.costs.flow_effective_bps);
+  r.completed = true;
+  if (params_.teardown_after_flow) {
+    const net::NodeIndex ingress = topo_.host_tor(r.flow.src_host);
+    const net::FlowMatch match{r.flow.src_host, r.flow.dst_host};
+    sim.at(r.completion, [this, ingress, match] { switches_.at(ingress)->request_teardown(match); });
   }
 }
 

@@ -313,6 +313,11 @@ class Deployment {
   };
   const std::vector<net::NodeIndex>& flow_path(FlowShard& fs,
                                                const std::pair<net::NodeIndex, net::NodeIndex>& key);
+  /// Whether `path` routes and every switch on it holds the rule for `match`.
+  bool route_installed(const std::vector<net::NodeIndex>& path, const net::FlowMatch& match) const;
+  /// Marks `r` routed now and done after its transfer along `path`;
+  /// schedules the route's teardown if the deployment tears flows down.
+  void complete_flow(sim::Simulator& sim, FlowRecord& r, const std::vector<net::NodeIndex>& path);
   std::vector<FlowRecord> records_;
   std::vector<FlowShard> flow_shards_{1};
 };

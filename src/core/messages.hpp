@@ -29,7 +29,7 @@
 #include "net/flow_table.hpp"
 #include "sched/update.hpp"
 #include "sim/network.hpp"
-#include "util/serialize.hpp"
+#include "util/codec.hpp"
 
 namespace cicero::core {
 
@@ -75,6 +75,7 @@ enum class EventKind : std::uint8_t {
   kRemoveController = 3,
   kAggMismatch = 4,  ///< aggregator switch saw conflicting replica digests
 };
+constexpr EventKind wire_max(EventKind) { return EventKind::kAggMismatch; }
 
 /// A data-plane (or membership) event.  Signed by its origin's PKI key;
 /// the signature covers `body()` so forwarding across domains preserves
@@ -124,15 +125,22 @@ struct UpdateMsg {
   static std::optional<UpdateMsg> decode(const util::Bytes& wire);
 };
 
-/// Aggregator -> switch: update plus the aggregated threshold signature.
-struct AggUpdateMsg {
+/// An update plus its aggregated threshold signature.  Two tags share this
+/// layout: AggUpdateMsg runs aggregator -> switch; AggregatedUpdateMsg is
+/// the in-network hop, aggregator switch -> target switch, kept distinct
+/// so fan-out accounting and the switch-to-switch hop stay
+/// distinguishable on the wire and in telemetry.
+template <CoreMsgTag Tag>
+struct SignedUpdateMsg {
   sched::Update update;
   EventId cause;
   util::Bytes agg_sig;
 
   util::Bytes encode() const;
-  static std::optional<AggUpdateMsg> decode(const util::Bytes& wire);
+  static std::optional<SignedUpdateMsg> decode(const util::Bytes& wire);
 };
+using AggUpdateMsg = SignedUpdateMsg<CoreMsgTag::kAggUpdate>;
+using AggregatedUpdateMsg = SignedUpdateMsg<CoreMsgTag::kAggregatedUpdate>;
 
 /// Controller replica -> aggregator switch (in-network aggregation): a
 /// compact threshold partial for an update whose body another replica
@@ -147,19 +155,6 @@ struct PartialShareMsg {
 
   util::Bytes encode() const;
   static std::optional<PartialShareMsg> decode(const util::Bytes& wire);
-};
-
-/// Aggregator switch -> target switch (in-network aggregation): the update
-/// body plus the aggregated threshold signature.  Same shape as
-/// AggUpdateMsg but a distinct tag, so fan-out accounting and the
-/// switch-to-switch hop stay distinguishable on the wire and in telemetry.
-struct AggregatedUpdateMsg {
-  sched::Update update;
-  EventId cause;
-  util::Bytes agg_sig;
-
-  util::Bytes encode() const;
-  static std::optional<AggregatedUpdateMsg> decode(const util::Bytes& wire);
 };
 
 /// Switch -> control plane acknowledgement that `update_id` was applied.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <type_traits>
 
-#include "bft/failure_detector.hpp"
 #include "util/logging.hpp"
 
 namespace cicero::core {
@@ -13,7 +12,8 @@ constexpr const char* kLog = "switch";
 }
 
 SwitchRuntime::SwitchRuntime(sim::Simulator& simulator, sim::NetworkSim& network, Config config)
-    : sim_(simulator), net_(network), config_(std::move(config)), cpu_(simulator) {
+    : obs::NodeHooks(config.obs, config.domain), sim_(simulator), net_(network),
+      config_(std::move(config)), cpu_(simulator) {
   if (config_.obs != nullptr) {
     cpu_.set_obs(config_.obs, config_.node, obs::kTidMain);
     auto& m = config_.obs->metrics;
@@ -24,21 +24,6 @@ SwitchRuntime::SwitchRuntime(sim::Simulator& simulator, sim::NetworkSim& network
     m_agg_mismatches_ = m.counter("switch.agg_mismatches");
     update_apply_ms_ = m.histogram("switch.update_apply_ms", obs::latency_buckets_ms());
   }
-}
-
-bool SwitchRuntime::tracing() const {
-  return config_.obs != nullptr && config_.obs->trace.enabled();
-}
-
-std::string SwitchRuntime::update_track_id(sched::UpdateId id) const {
-  return "u:" + std::to_string(config_.domain) + ":" + std::to_string(id);
-}
-
-obs::CritPath* SwitchRuntime::critpath() const {
-  if (config_.obs != nullptr && config_.obs->critpath.enabled()) {
-    return &config_.obs->critpath;
-  }
-  return nullptr;
 }
 
 bool SwitchRuntime::packet_in(const net::FlowMatch& match, double reserved_bps) {

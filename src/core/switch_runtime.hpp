@@ -42,7 +42,7 @@
 
 namespace cicero::core {
 
-class SwitchRuntime {
+class SwitchRuntime : private obs::NodeHooks {
  public:
   struct Config {
     net::NodeIndex topo_index = net::kNoNode;  ///< identity in the topology
@@ -304,15 +304,7 @@ class SwitchRuntime {
 
   // Observability.  Exactly one switch applies a given update, so the
   // "apply" phase of the update lifecycle track — and the rx/applied
-  // critical-path milestones — are emitted here.
-  bool tracing() const;
-  std::string update_track_id(sched::UpdateId id) const;
-  obs::CritPath* critpath() const;
-  /// Flow-event track shared with the controllers (globally unique: update
-  /// ids are partitioned across domains via update_id_base).
-  static std::string flow_track_id(sched::UpdateId id) {
-    return "u:" + std::to_string(id);
-  }
+  // critical-path milestones — are emitted here (hooks: obs::NodeHooks).
   obs::Counter m_events_;
   obs::Counter m_applied_;
   obs::Counter m_rejected_;

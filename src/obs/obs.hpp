@@ -13,6 +13,9 @@
 //   kTidNet    network send/receive markers
 #pragma once
 
+#include <cstdint>
+#include <string>
+
 #include "obs/critpath.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -34,6 +37,30 @@ struct Observability {
   Tracer trace;
   MetricsRegistry metrics;
   CritPath critpath;
+};
+
+/// The observability hooks every protocol node (controller, switch)
+/// shares; nodes inherit them privately.  All are null-safe.
+class NodeHooks {
+ public:
+  NodeHooks(Observability* obs, std::uint32_t domain) : obs_(obs), domain_(domain) {}
+
+  bool tracing() const { return obs_ != nullptr && obs_->trace.enabled(); }
+  /// Critical-path profiler sink, or nullptr when obs is absent/disabled.
+  CritPath* critpath() const {
+    return obs_ != nullptr && obs_->critpath.enabled() ? &obs_->critpath : nullptr;
+  }
+  /// An update's async lifecycle track, named within the node's domain.
+  std::string update_track_id(std::uint64_t id) const {
+    return "u:" + std::to_string(domain_) + ":" + std::to_string(id);
+  }
+  /// Deployment-wide flow-arrow track of one update ("u:<id>"; update ids
+  /// are unique across domains, see core::update_id_base).
+  static std::string flow_track_id(std::uint64_t id) { return "u:" + std::to_string(id); }
+
+ private:
+  Observability* obs_;
+  std::uint32_t domain_;
 };
 
 }  // namespace cicero::obs

@@ -167,16 +167,6 @@ std::vector<UpdateId> DependencyTracker::complete(UpdateId id) {
   return ready;
 }
 
-std::vector<UpdateId> DependencyTracker::dependents(UpdateId id) const {
-  std::vector<UpdateId> out;
-  const std::uint32_t* slot = index_.find(id);
-  if (slot == nullptr) return out;
-  for (std::uint32_t e = nodes_[*slot].rdep_head; e != kNoEdge; e = edges_[e].next) {
-    out.push_back(nodes_[edges_[e].dependent].update.id);
-  }
-  return out;
-}
-
 std::vector<UpdateId> DependencyTracker::abandon(UpdateId id) {
   std::vector<UpdateId> removed;
   const std::uint32_t* slot = index_.find(id);

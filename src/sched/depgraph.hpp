@@ -47,12 +47,6 @@ class DependencyTracker {
   /// can arrive from a faulty network).
   std::vector<UpdateId> complete(UpdateId id);
 
-  /// Direct dependents of `id` (updates whose dependence sets contain it),
-  /// in insertion order; empty for unknown ids or once `id` has completed
-  /// (completion clears its edge chain).  This is the dependency-edge
-  /// export the decentralized planner turns into manifest successor lists.
-  std::vector<UpdateId> dependents(UpdateId id) const;
-
   /// Abandons `id` and, transitively, every dependent that could now
   /// never be released: each uncompleted update in the closure is marked
   /// completed (so counters drain and late acks stay idempotent no-ops)

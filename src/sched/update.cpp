@@ -2,28 +2,6 @@
 
 namespace cicero::sched {
 
-void Update::serialize(util::Writer& w) const {
-  w.u64(id);
-  w.u32(switch_node);
-  w.u8(static_cast<std::uint8_t>(op));
-  w.u32(rule.match.src_host);
-  w.u32(rule.match.dst_host);
-  w.u32(rule.next_hop);
-  w.f64(rule.reserved_bps);
-}
-
-Update Update::deserialize(util::Reader& r) {
-  Update u;
-  u.id = r.u64();
-  u.switch_node = r.u32();
-  const std::uint8_t op = r.u8();
-  if (op > 1) throw util::DeserializeError("Update: bad op");
-  u.op = static_cast<UpdateOp>(op);
-  u.rule.match.src_host = r.u32();
-  u.rule.match.dst_host = r.u32();
-  u.rule.next_hop = r.u32();
-  u.rule.reserved_bps = r.f64();
-  return u;
-}
+void Update::serialize(util::Writer& w) const { util::Encoder{w}(*this); }
 
 }  // namespace cicero::sched

@@ -12,13 +12,14 @@
 #include <vector>
 
 #include "net/flow_table.hpp"
-#include "util/serialize.hpp"
+#include "util/codec.hpp"
 
 namespace cicero::sched {
 
 using UpdateId = std::uint64_t;
 
 enum class UpdateOp : std::uint8_t { kInstall = 0, kRemove = 1 };
+constexpr UpdateOp wire_max(UpdateOp) { return UpdateOp::kRemove; }
 
 struct Update {
   UpdateId id = 0;
@@ -26,10 +27,17 @@ struct Update {
   UpdateOp op = UpdateOp::kInstall;
   net::FlowRule rule;  ///< for kRemove only rule.match is meaningful
 
-  void serialize(util::Writer& w) const;
-  static Update deserialize(util::Reader& r);
+  void serialize(util::Writer& w) const;  ///< the fields() layout below
   bool operator==(const Update&) const = default;
 };
+
+/// Wire layout of an Update (util/codec.hpp); also what threshold
+/// partials sign, behind the "cicero/update" domain.
+template <class IO, util::Of<Update> U>
+void fields(IO& io, U& u) {
+  io(u.id, u.switch_node, u.op, u.rule.match.src_host, u.rule.match.dst_host, u.rule.next_hop,
+     u.rule.reserved_bps);
+}
 
 struct ScheduledUpdate {
   Update update;

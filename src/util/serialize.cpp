@@ -1,5 +1,6 @@
 #include "util/serialize.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace cicero::util {
@@ -111,6 +112,14 @@ Bytes Reader::raw(std::size_t len) {
   Bytes out(data_ + pos_, data_ + pos_ + len);
   pos_ += len;
   return out;
+}
+
+std::uint32_t Reader::count(std::size_t min_elem_size) {
+  const std::uint32_t n = u32();
+  if (n > remaining() / std::max<std::size_t>(min_elem_size, 1)) {
+    throw DeserializeError("element count exceeds message");
+  }
+  return n;
 }
 
 void Reader::expect_end() const {

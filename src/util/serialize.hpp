@@ -1,9 +1,12 @@
-// Binary serialization for protocol messages.
+// Binary serialization primitives: little-endian fixed-width integers,
+// u32-length-prefixed byte strings, bounded element counts.
 //
-// All on-the-wire encodings in Cicero (events, updates, acks, BFT phases,
-// membership messages) use this little-endian, length-prefixed format.
-// The format is intentionally simple and self-delimiting so the same bytes
-// that are signed can be transported and re-verified byte-for-byte.
+// Protocol messages (events, updates, acks, BFT phases, membership) do not
+// call these field by field: each states its layout once as a field list,
+// and util/codec.hpp walks that list with one rule per field type.  The
+// format is simple and self-delimiting, so the same bytes that are signed
+// can be transported and re-verified byte-for-byte.  Crypto objects
+// (points, commitments, partials) still use Writer/Reader directly.
 #pragma once
 
 #include <cstdint>
@@ -66,6 +69,10 @@ class Reader {
   std::string str();
   /// Reads exactly `len` raw bytes (no length prefix).
   Bytes raw(std::size_t len);
+  /// Reads a u32 element count and rejects it unless `count` elements of
+  /// at least `min_elem_size` bytes each fit in what is left, so a corrupt
+  /// count cannot make the caller reserve gigabytes.
+  std::uint32_t count(std::size_t min_elem_size);
 
   std::size_t remaining() const { return size_ - pos_; }
   bool at_end() const { return pos_ == size_; }

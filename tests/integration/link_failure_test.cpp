@@ -2,6 +2,8 @@
 // §7 future work "topology discovery and link state probing").
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "integration/helpers.hpp"
 #include "net/checker.hpp"
 
@@ -59,6 +61,38 @@ TEST(LinkFailure, FlowReroutedAroundDeadLink) {
     EXPECT_FALSE((trace.path[i] == flow.link_a && trace.path[i + 1] == flow.link_b) ||
                  (trace.path[i] == flow.link_b && trace.path[i + 1] == flow.link_a));
   }
+}
+
+TEST(LinkFailure, OffPathFailureWhileFlowWaits) {
+  // A link change drops every cached route while flows still wait for
+  // their rules; the flow driver must recompute the route when those
+  // rules land rather than read the dropped cache entry.
+  auto dep = make_deployment(FrameworkKind::kCicero, net::build_pod(small_pod()));
+  const auto& topo = dep->topology();
+  const auto hosts = topo.hosts();
+  workload::Flow f;
+  f.arrival = sim::milliseconds(1);
+  f.src_host = hosts.front();
+  f.dst_host = hosts.back();
+  f.size_bytes = 1e5;
+  f.reserved_bps = 1e6;
+  dep->inject({f});
+  dep->run(sim::milliseconds(2));
+  ASSERT_EQ(completed_count(*dep), 0u);  // still waiting for its route
+
+  const auto path = topo.shortest_path(f.src_host, f.dst_host);
+  const auto on_path = [&](net::NodeIndex n) {
+    return std::find(path.begin(), path.end(), n) != path.end();
+  };
+  std::size_t off_path = topo.link_count();
+  for (std::size_t i = 0; i < topo.link_count() && off_path == topo.link_count(); ++i) {
+    const auto& l = topo.link(i);
+    if (topo.is_switch(l.a) && topo.is_switch(l.b) && !on_path(l.a) && !on_path(l.b)) off_path = i;
+  }
+  ASSERT_LT(off_path, topo.link_count());
+  dep->fail_link(topo.link(off_path).a, topo.link(off_path).b);
+  dep->run(sim::seconds(5));
+  EXPECT_EQ(completed_count(*dep), 1u);
 }
 
 TEST(LinkFailure, RepairIsConsistentAtEveryStep) {

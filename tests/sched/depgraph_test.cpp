@@ -158,28 +158,6 @@ TEST(DependencyTracker, UpdateAccessor) {
   EXPECT_EQ(t.update(7).switch_node, 7u);
 }
 
-TEST(DependencyTracker, DependentsExportsReverseEdges) {
-  // 1 deps on 2, 2 deps on 3: the rdep export of 3 is {2}, of 2 is {1}.
-  DependencyTracker t;
-  UpdateSchedule s;
-  s.updates = {make(1, {2}), make(2, {3}), make(3, {})};
-  t.add(s);
-  EXPECT_EQ(t.dependents(3), (std::vector<UpdateId>{2}));
-  EXPECT_EQ(t.dependents(2), (std::vector<UpdateId>{1}));
-  EXPECT_TRUE(t.dependents(1).empty());
-  EXPECT_TRUE(t.dependents(42).empty());  // unknown id
-}
-
-TEST(DependencyTracker, DependentsDiamond) {
-  DependencyTracker t;
-  UpdateSchedule s;
-  s.updates = {make(1, {2, 3}), make(2, {4}), make(3, {4}), make(4, {})};
-  t.add(s);
-  auto deps = t.dependents(4);
-  std::sort(deps.begin(), deps.end());
-  EXPECT_EQ(deps, (std::vector<UpdateId>{2, 3}));
-}
-
 TEST(DependencyTracker, AbandonRemovesTransitiveDependents) {
   // Giving up on 3 strands 2 and 1 (blocked behind it) — abandon must
   // retire all three so the tracker drains.

@@ -80,6 +80,22 @@ TEST(Serialize, RawFixedWidth) {
   EXPECT_EQ(r.raw(4), payload);
 }
 
+TEST(Serialize, CountMustFitWhatRemains) {
+  // Three 4-byte elements fit in 12 remaining bytes; a count of four
+  // does not, and is rejected before any caller reserves for it.
+  for (const std::uint32_t n : {3u, 4u}) {
+    Writer w;
+    w.u32(n);
+    for (int i = 0; i < 3; ++i) w.u32(0);
+    Reader r(w.data());
+    if (n == 3) {
+      EXPECT_EQ(r.count(4), 3u);
+    } else {
+      EXPECT_THROW(r.count(4), DeserializeError);
+    }
+  }
+}
+
 TEST(Serialize, LittleEndianLayout) {
   Writer w;
   w.u32(0x01020304);
