@@ -12,6 +12,13 @@ constexpr const char* kLog = "pbft";
 bool digests_equal(const crypto::Digest& a, const crypto::Digest& b) {
   return std::equal(a.begin(), a.end(), b.begin());
 }
+
+PbftConfig validated(PbftConfig c) {
+  if (c.group.empty() || c.id >= c.group.size()) {
+    throw std::invalid_argument("PbftReplica: bad id/group");
+  }
+  return c;
+}
 }  // namespace
 
 PbftReplica::ReqKey PbftReplica::request_key(const BftRequest& r) {
@@ -28,21 +35,10 @@ PbftReplica::PbftReplica(sim::Simulator& simulator, sim::NetworkSim& network,
                          PbftConfig config, PbftKeys keys, DeliverFn deliver)
     : sim_(simulator),
       net_(network),
-      config_(std::move(config)),
+      config_(validated(std::move(config))),
+      rec_(config_.obs, node_of(config_.id), 0, [&s = simulator] { return s.now(); }),
       keys_(std::move(keys)),
       deliver_(std::move(deliver)) {
-  if (config_.group.empty() || config_.id >= config_.group.size()) {
-    throw std::invalid_argument("PbftReplica: bad id/group");
-  }
-  if (config_.obs != nullptr) {
-    auto& m = config_.obs->metrics;
-    m_preprepares_ = m.counter("bft.preprepares");
-    m_prepares_ = m.counter("bft.prepares");
-    m_commits_ = m.counter("bft.commits");
-    m_delivered_ = m.counter("bft.delivered");
-    m_view_changes_ = m.counter("bft.view_changes");
-    order_latency_ms_ = m.histogram("bft.order_latency_ms", obs::latency_buckets_ms());
-  }
   arm_timer();
 }
 
@@ -59,19 +55,13 @@ util::Bytes PbftReplica::sign_and_encode(const BftMessage& m) const {
   return m.encode(crypto::schnorr_sign(keys_.own, body).to_bytes());
 }
 
-void PbftReplica::account_order_bytes(std::size_t bytes) {
-  if (config_.obs != nullptr) {
-    config_.obs->critpath.add_phase_bytes(obs::CritPhase::kOrder, bytes);
-  }
-}
-
 void PbftReplica::send_to(ReplicaId target, const BftMessage& m) {
   if (target == config_.id) {
     handle(m);
     return;
   }
   const util::Bytes wire = sign_and_encode(m);
-  account_order_bytes(wire.size());
+  rec_.phase_bytes(obs::CritPhase::kOrder, wire.size());
   net_.send(node_of(config_.id), node_of(target), wire);
 }
 
@@ -85,7 +75,7 @@ void PbftReplica::broadcast(const BftMessage& m) {
   if (equivocate_ && m.type == BftMsgType::kPrePrepare && m.request) {
     const ReplicaId lucky = static_cast<ReplicaId>((config_.id + 1) % n());
     const util::Bytes wire = sign_and_encode(m);
-    account_order_bytes(wire.size());
+    rec_.phase_bytes(obs::CritPhase::kOrder, wire.size());
     net_.send(node_of(config_.id), node_of(lucky), wire);
     handle(m);
     return;
@@ -93,7 +83,7 @@ void PbftReplica::broadcast(const BftMessage& m) {
   const util::Bytes wire = sign_and_encode(m);
   for (ReplicaId r = 0; r < n(); ++r) {
     if (r == config_.id) continue;
-    account_order_bytes(wire.size());
+    rec_.phase_bytes(obs::CritPhase::kOrder, wire.size());
     net_.send(node_of(config_.id), node_of(r), wire);
   }
   handle(m);  // loopback: our own vote counts immediately
@@ -312,10 +302,7 @@ void PbftReplica::start_view_change(ViewId target) {
   CICERO_LOG_INFO(kLog, "replica %u: view change -> %llu", config_.id,
                   static_cast<unsigned long long>(target));
   m_view_changes_.inc();
-  if (config_.obs != nullptr && config_.obs->trace.enabled()) {
-    config_.obs->trace.instant(node_of(config_.id), obs::kTidBft, "view_change",
-                               {{"target_view", static_cast<std::int64_t>(target)}});
-  }
+  rec_.view_change(target);
 
   BftMessage vc;
   vc.type = BftMsgType::kViewChange;

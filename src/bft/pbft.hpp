@@ -111,9 +111,6 @@ class PbftReplica {
   void send_to(ReplicaId target, const BftMessage& m);
   void broadcast(const BftMessage& m);  ///< to all others + loopback handling
   util::Bytes sign_and_encode(const BftMessage& m) const;
-  /// Charges `bytes` of replica-to-replica wire traffic to the ordering
-  /// phase of the critical-path byte ledger (no-op without an obs sink).
-  void account_order_bytes(std::size_t bytes);
 
   void handle(const BftMessage& m);
   void handle_request(const BftMessage& m);
@@ -140,6 +137,8 @@ class PbftReplica {
   sim::Simulator& sim_;
   sim::NetworkSim& net_;
   PbftConfig config_;
+  /// Replica-to-replica wire bytes (the order phase) and view changes.
+  obs::NodeHooks rec_;
   PbftKeys keys_;
   DeliverFn deliver_;
 
@@ -166,12 +165,12 @@ class PbftReplica {
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
   // Metrics (no-op handles when config_.obs is null or metrics disabled).
-  obs::Counter m_preprepares_;
-  obs::Counter m_prepares_;
-  obs::Counter m_commits_;
-  obs::Counter m_delivered_;
-  obs::Counter m_view_changes_;
-  obs::Histogram order_latency_ms_;
+  obs::Counter m_preprepares_{rec_.counter("bft.preprepares")};
+  obs::Counter m_prepares_{rec_.counter("bft.prepares")};
+  obs::Counter m_commits_{rec_.counter("bft.commits")};
+  obs::Counter m_delivered_{rec_.counter("bft.delivered")};
+  obs::Counter m_view_changes_{rec_.counter("bft.view_changes")};
+  obs::Histogram order_latency_ms_{rec_.latency_histogram("bft.order_latency_ms")};
   void observe_order_latency(const ReqKey& key);
 };
 

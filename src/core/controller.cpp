@@ -8,6 +8,8 @@ namespace cicero::core {
 
 namespace {
 constexpr const char* kLog = "controller";
+/// PBFT request timeout: a request unordered this long triggers a view change.
+constexpr sim::SimTime kBftTimeout = sim::milliseconds(400);
 
 bft::PbftConfig make_pbft_config(const Controller::Config& c, sim::CpuServer* cpu) {
   bft::PbftConfig pc;
@@ -16,7 +18,7 @@ bft::PbftConfig make_pbft_config(const Controller::Config& c, sim::CpuServer* cp
     if (c.members[i].id == c.id) pc.id = static_cast<bft::ReplicaId>(i);
     pc.group.push_back(c.members[i].node);
   }
-  pc.request_timeout = c.bft_timeout;
+  pc.request_timeout = kBftTimeout;
   pc.sign_messages = false;  // PbftConfig signs by default; no evaluated setup signs BFT traffic
   pc.msg_processing_cost = c.costs.bft_msg_cost;
   pc.cpu = cpu;
@@ -34,47 +36,27 @@ bft::PbftKeys make_pbft_keys(const Controller::Config& c) {
 
 Controller::Controller(sim::Simulator& simulator, sim::NetworkSim& network, Config config,
                        Environment env)
-    : obs::NodeHooks(config.obs, config.domain), sim_(simulator), net_(network),
-      config_(std::move(config)), env_(std::move(env)), cpu_(simulator) {
+    : sim_(simulator), net_(network), config_(std::move(config)), env_(std::move(env)),
+      rec_(config_.obs, config_.node, config_.domain, [&s = simulator] { return s.now(); }),
+      cpu_(simulator) {
   frost_ = env_.crypto->frost_party(config_.share, config_.group_pk, config_.nonce_seed);
-  if (config_.obs != nullptr) {
-    cpu_.set_obs(config_.obs, config_.node, obs::kTidMain);
-    auto& m = config_.obs->metrics;
-    m_events_seen_ = m.counter("ctrl.events_seen");
-    m_events_processed_ = m.counter("ctrl.events_processed");
-    m_events_forwarded_ = m.counter("ctrl.events_forwarded");
-    m_updates_sent_ = m.counter("ctrl.updates_sent");
-    m_acks_ = m.counter("ctrl.acks_received");
-    m_retransmits_ = m.counter("ctrl.update_retransmits");
-    m_manifests_sent_ = m.counter("ctrl.manifests_sent");
-    m_abandoned_ = m.counter("ctrl.updates_abandoned");
-    m_southbound_bytes_ = m.counter("ctrl.southbound_bytes");
-    m_agg_mismatch_ = m.counter("ctrl.agg_mismatch_reports");
-    m_deps_released_ = m.counter("sched.updates_released");
-    update_ack_ms_ = m.histogram("ctrl.update_ack_ms", obs::latency_buckets_ms());
-  }
+  if (config_.obs != nullptr) cpu_.set_obs(config_.obs, config_.node, obs::kTidMain);
   rebuild_replica();
 }
 
-// Exactly one member per control plane owns the deployment-wide async
-// lifecycle tracks; reuse the aggregator-selection rule (lowest id).
-bool Controller::trace_leader() const { return tracing() && is_aggregator(); }
-
-std::string Controller::event_track_id(const EventId& id) const {
-  return "e:" + std::to_string(id.origin) + ":" + std::to_string(id.seq);
-}
-
+// Also re-derives the recorder's leader role: the aggregator (lowest id)
+// records each event's and update's deployment-wide lifecycle.
 void Controller::rebuild_replica() {
   replica_ = std::make_unique<bft::PbftReplica>(
       sim_, net_, make_pbft_config(config_, &cpu_), make_pbft_keys(config_),
       [this](bft::SeqNum seq, const util::Bytes& payload) { on_deliver(seq, payload); });
+  rec_.set_leader(is_aggregator());
 }
 
 bool Controller::is_aggregator() const { return aggregator_member().id == config_.id; }
 
 void Controller::send_southbound(sim::NodeId to, const util::Bytes& wire) {
-  southbound_bytes_ += wire.size();
-  m_southbound_bytes_.inc(wire.size());
+  southbound_bytes_.inc(wire.size());
   net_.send(config_.node, to, wire);
 }
 
@@ -119,8 +101,7 @@ void Controller::handle(const util::Bytes& wire, sim::SimTime verify, std::strin
 // ---------------------------------------------------------------------------
 
 void Controller::on_event(const Event& e) {
-  ++events_seen_;
-  m_events_seen_.inc();
+  events_seen_.inc();
   if (events_submitted_.count(e.id) != 0 || events_processed_set_.count(e.id) != 0) return;
   if (!env_.crypto->verify_event(e)) {
     CICERO_LOG_WARN(kLog, "c%u: event with bad origin signature dropped", config_.id);
@@ -141,14 +122,7 @@ void Controller::on_event(const Event& e) {
   if (!ours) return;
 
   events_submitted_.insert(e.id);
-  if (crit_leader()) critpath()->event_submitted(e.id.origin, e.id.seq, sim_.now());
-  if (trace_leader()) {
-    // submit -> ordered: closes in process_event once the broadcast
-    // delivers the event back.
-    config_.obs->trace.async_begin("event", event_track_id(e.id), "order", config_.node,
-                                   obs::kTidBft,
-                                   {{"origin", static_cast<std::int64_t>(e.id.origin)}});
-  }
+  rec_.event_submitted(e.id.origin, e.id.seq);
   replica_->submit(e.encode());
 }
 
@@ -169,14 +143,11 @@ void Controller::forward_cross_domain(const Event& e, const std::set<net::Domain
     Event fwd = e;
     fwd.forwarded = true;  // never re-forwarded (§4.1)
     const util::Bytes wire = fwd.encode();
-    if (obs::CritPath* cp = critpath()) {
-      cp->add_phase_bytes(obs::CritPhase::kOrder, wire.size());
-    }
+    rec_.phase_bytes(obs::CritPhase::kOrder, wire.size());
     // The remote domain's lowest-id member (any valid recipient works;
     // lowest-id matches the aggregator-selection rule).
     net_.send(config_.node, it->second.front().node, wire);
-    ++events_forwarded_;
-    m_events_forwarded_.inc();
+    events_forwarded_.inc();
   }
 }
 
@@ -197,14 +168,8 @@ void Controller::on_deliver(bft::SeqNum seq, const util::Bytes& payload) {
 
 void Controller::process_event(const Event& e) {
   if (!events_processed_set_.insert(e.id).second) return;
-  const bool submitted_here = events_submitted_.count(e.id) != 0;
-  events_submitted_.erase(e.id);
-  ++events_processed_;
-  m_events_processed_.inc();
-  if (trace_leader() && submitted_here) {
-    config_.obs->trace.async_end("event", event_track_id(e.id), "order", config_.node,
-                                 obs::kTidBft);
-  }
+  if (events_submitted_.erase(e.id) != 0) rec_.event_ordered(e.id.origin, e.id.seq);
+  events_processed_.inc();
 
   switch (e.kind) {
     case EventKind::kFlowRequest:
@@ -221,8 +186,7 @@ void Controller::process_event(const Event& e) {
       // honest quorum's bucket still aggregates on its own; the alarm is
       // recorded so operators (and the Byzantine tests) can see the
       // attempted corruption.
-      ++agg_mismatch_reports_;
-      m_agg_mismatch_.inc();
+      agg_mismatch_reports_.inc();
       CICERO_LOG_WARN(kLog, "c%u: aggregator s%u reported conflicting update digests",
                       config_.id, e.id.origin);
       break;
@@ -277,21 +241,9 @@ void Controller::process_flow_event(const Event& e) {
     } catch (const std::invalid_argument&) {
       return;  // duplicate replay of an already-scheduled event
     }
-    if (trace_leader()) {
-      // Lifecycle track opens at schedule time (so dependency wait is
-      // visible) and closes on the switch ack in on_ack.
-      for (const auto& su : local.updates) {
-        config_.obs->trace.async_begin(
-            "update", update_track_id(su.update.id), "update", config_.node, obs::kTidMain,
-            {{"switch", static_cast<std::int64_t>(su.update.switch_node)},
-             {"deps", static_cast<std::int64_t>(su.deps.size())}});
-      }
-    }
-    if (obs::CritPath* cp = crit_leader() ? critpath() : nullptr) {
-      for (const auto& su : local.updates) {
-        const EventId& cause = update_cause_.at(su.update.id);
-        cp->update_scheduled(su.update.id, cause.origin, cause.seq, sim_.now());
-      }
+    for (const auto& su : local.updates) {
+      rec_.update_scheduled(su.update.id, eid.origin, eid.seq, su.update.switch_node,
+                            su.deps.size());
     }
     if (config_.delivery == Delivery::kDecentralized) {
       dispatch_decentralized(local, eid);
@@ -301,9 +253,9 @@ void Controller::process_flow_event(const Event& e) {
   });
 }
 
-void Controller::release_update(sched::UpdateId id) {
-  m_deps_released_.inc();
-  if (crit_leader()) critpath()->update_released(id, sim_.now());
+void Controller::release_update(sched::UpdateId id, std::optional<sched::UpdateId> parent) {
+  updates_released_.inc();
+  rec_.update_released(id, parent);
   send_update(tracker_.update(id), update_cause_.at(id));
 }
 
@@ -352,14 +304,8 @@ void Controller::arm_ack_timer(sched::UpdateId id, sim::SimTime delay) {
       return;
     }
     ++fl->second.attempt;
-    ++updates_retransmitted_;
-    m_retransmits_.inc();
-    if (tracing()) {
-      config_.obs->trace.instant(
-          config_.node, obs::kTidMain, "update.retransmit",
-          {{"update", static_cast<std::int64_t>(id)},
-           {"attempt", static_cast<std::int64_t>(fl->second.attempt)}});
-    }
+    updates_retransmitted_.inc();
+    rec_.update_retry(id, fl->second.attempt);
     const auto chain = dec_chains_.find(id);  // keyed by chain sinks only
     if (chain != dec_chains_.end()) {
       // Any hop of the chain may have lost its manifest or its in-band
@@ -402,13 +348,8 @@ void Controller::abandon_update(sched::UpdateId id) {
   if (std::find(removed.begin(), removed.end(), id) == removed.end()) shed(id);
   for (const sched::UpdateId r : removed) {
     shed(r);
-    ++updates_abandoned_;
-    m_abandoned_.inc();
-    if (tracing()) {
-      config_.obs->trace.instant(config_.node, obs::kTidMain, "update.abandoned",
-                                 {{"update", static_cast<std::int64_t>(r)}});
-    }
-    close_track(r, /*arrow=*/false);
+    updates_abandoned_.inc();
+    rec_.update_abandoned(r);
   }
 }
 
@@ -417,7 +358,6 @@ void Controller::shed(sched::UpdateId id) {
   disarm_ack_timer(id);
   update_sent_at_.erase(id);
   update_cause_.erase(id);
-  pending_dep_flow_.erase(id);
 }
 
 void Controller::disarm_ack_timer(sched::UpdateId id) {
@@ -443,27 +383,12 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
   const sim::SimTime sign_cost =
       threshold_signed(config_.framework) ? config_.costs.partial_sign : sim::SimTime{0};
 
-  if (trace_leader()) {
-    config_.obs->trace.async_begin("update", update_track_id(update.id), "sign",
-                                   config_.node, obs::kTidCrypto);
-  }
   const sched::UpdateId uid = update.id;
+  rec_.sign_begin(uid);
   cpu_.execute(sign_cost, "update.sign", [this, uid, retransmit,
                                           msg = std::move(msg)]() mutable {
-    if (trace_leader()) {
-      config_.obs->trace.async_end("update", update_track_id(uid), "sign", config_.node,
-                                   obs::kTidCrypto);
-      // Close the dependency-release arrow opened in on_ack: the edge
-      // runs from the predecessor's ack to this dependent leaving.
-      const auto dep = pending_dep_flow_.find(uid);
-      if (dep != pending_dep_flow_.end()) {
-        config_.obs->trace.flow_end(
-            "dep", "d:" + std::to_string(dep->second) + ":" + std::to_string(uid),
-            "dep.release", config_.node, obs::kTidMain);
-        pending_dep_flow_.erase(dep);
-      }
-    }
-    if (retransmit) stamp_resend(uid);
+    rec_.sign_end(uid);
+    if (retransmit) rec_.update_resent(uid);
     // Decision audit trail: record the exact update body we are about to
     // sign and emit (a mutating controller thereby signs evidence of its
     // own corruption; see core/audit.hpp).
@@ -481,8 +406,7 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
     }
     const bool innet = config_.delivery == Delivery::kInNetwork;
     if (innet && !retransmit && member_rank() >= config_.quorum) return;  // fast-path silence
-    ++updates_sent_;
-    m_updates_sent_.inc();
+    updates_sent_.inc();
     if (innet) {
       dispatch_innet(msg, retransmit);
     } else if (config_.delivery != Delivery::kControllerAgg) {
@@ -493,42 +417,22 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
       // Route through the aggregator (Fig. 7c).  The partial-carrying hop
       // is part of the signing phase's control-plane traffic.
       const util::Bytes wire = msg.encode();
-      if (obs::CritPath* cp = critpath()) {
-        cp->add_phase_bytes(retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kSign,
-                            wire.size());
-      }
+      rec_.phase_bytes(retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kSign,
+                       wire.size());
       net_.send(config_.node, aggregator_member().node, wire);
     }
   });
 }
 
-// Retransmission milestone: the critical path's resend stamp and the flow
-// arrow's resend step.
-void Controller::stamp_resend(sched::UpdateId id) {
-  if (crit_leader()) critpath()->update_retransmitted(id, sim_.now());
-  if (trace_leader()) {
-    config_.obs->trace.flow_step("flow", flow_track_id(id), "update.resend", config_.node,
-                                 obs::kTidNet);
-  }
-}
-
 // The one "signed message to its switch" tail — direct updates, manifests
-// and the aggregator's shipments and replays: the bytes count toward the
-// propagate (or retransmit) phase, and a first send stamps the
-// sign->propagate boundary and opens the flow arrow.
+// and the aggregator's shipments and replays, counted in the propagate (or
+// retransmit) phase.
 void Controller::ship(net::NodeIndex sw, sched::UpdateId id, const util::Bytes& wire,
                       bool retransmit) {
   const auto node = env_.switch_nodes->find(sw);
   if (node == env_.switch_nodes->end()) return;
-  if (obs::CritPath* cp = critpath()) {
-    cp->add_phase_bytes(retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kPropagate,
-                        wire.size());
-  }
-  if (!retransmit && crit_leader()) critpath()->update_signed(id, sim_.now());
-  if (!retransmit && trace_leader()) {
-    config_.obs->trace.flow_start("flow", flow_track_id(id), "update.send", config_.node,
-                                  obs::kTidNet);
-  }
+  rec_.update_sent(id, retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kPropagate,
+                   wire.size());
   send_southbound(node->second, wire);
 }
 
@@ -558,14 +462,8 @@ void Controller::dispatch_innet(const UpdateMsg& msg, bool retransmit) {
   // The partial-carrying hop to the aggregator switch is signing-phase
   // traffic (like controller aggregation's partial hop); the single fan-out send the
   // aggregator makes afterwards is the propagate phase.
-  if (obs::CritPath* cp = critpath()) {
-    cp->add_phase_bytes(retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kSign,
-                        wire.size());
-  }
-  if (!retransmit && trace_leader()) {
-    config_.obs->trace.flow_start("flow", flow_track_id(uid), "update.send", config_.node,
-                                  obs::kTidNet);
-  }
+  rec_.update_sent(uid, retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kSign,
+                   wire.size());
   send_southbound(config_.innet_aggregator, wire);
 }
 
@@ -586,8 +484,8 @@ void Controller::dispatch_decentralized(const sched::UpdateSchedule& local,
   // on another schedule's update.)  Only the sinks are tracked for acks:
   // a sink ack covers its whole ancestor closure.
   for (const SegmentManifest& m : chain->plan.manifests) {
-    m_deps_released_.inc();
-    if (crit_leader()) critpath()->update_released(m.update.id, sim_.now());
+    updates_released_.inc();
+    rec_.update_released(m.update.id);
   }
   for (const sched::UpdateId sink : chain->plan.sinks) {
     dec_chains_[sink] = chain;
@@ -617,14 +515,13 @@ void Controller::send_manifest(const SegmentManifest& manifest, const EventId& c
   const sched::UpdateId uid = manifest.update.id;
   cpu_.execute(sign_cost, "manifest.sign", [this, uid, retransmit, threshold,
                                             msg = std::move(msg)]() mutable {
-    if (retransmit) stamp_resend(uid);
+    if (retransmit) rec_.update_resent(uid);
     const util::Bytes signing = manifest_signing_bytes(msg.manifest, msg.epoch);
     // Decision audit trail, as for updates: the signed bytes pin the
     // segment's position in the chain, not just the rule.
     audit_.append(msg.cause, signing, config_.key);
     if (threshold) msg.partial = env_.crypto->partial_sign(config_.share, signing);
-    ++manifests_sent_;
-    m_manifests_sent_.inc();
+    manifests_sent_.inc();
     ship(msg.manifest.update.switch_node, uid, msg.encode(), retransmit);
   });
 }
@@ -638,8 +535,7 @@ void Controller::on_ack(const AckMsg& ack) {
     CICERO_LOG_WARN(kLog, "c%u: ack with bad signature dropped", config_.id);
     return;
   }
-  ++acks_received_;
-  m_acks_.inc();
+  acks_received_.inc();
   const sched::UpdateId acked = ack.update_id;
   const bool decentralized = config_.delivery == Delivery::kDecentralized;
   const auto chain = dec_chains_.find(acked);
@@ -652,7 +548,7 @@ void Controller::on_ack(const AckMsg& ack) {
   const auto sent = update_sent_at_.find(acked);
   const bool first = sent != update_sent_at_.end();
   if (first) {
-    if (config_.obs != nullptr) update_ack_ms_.observe(sim::to_ms(sim_.now() - sent->second));
+    update_ack_ms_.observe(sim::to_ms(sim_.now() - sent->second));
     update_sent_at_.erase(sent);
   }
 
@@ -668,42 +564,18 @@ void Controller::on_ack(const AckMsg& ack) {
       if (!ch->finalized.insert(id).second) continue;  // shared with another sink
       tracker_.complete(id);  // ready list unused: every segment already shipped
       update_cause_.erase(id);
-      if (crit_leader()) critpath()->update_acked(id, sim_.now());
-      close_track(id, /*arrow=*/id == acked);
+      rec_.update_acked(id, /*close=*/true, /*arrow_end=*/id == acked);
     }
     return;
   }
-  if (crit_leader()) critpath()->update_acked(acked, sim_.now());
-  if (first) close_track(acked, /*arrow=*/true);
+  rec_.update_acked(acked, /*close=*/first, /*arrow_end=*/first);
   // Retransmits use inflight_'s copy, so the cause can go — but only once
   // the tracker has scheduled the id.  An ack can outrun our own
   // route.compute (the switch answered a faster replica's copy while ours
   // is still queued); erasing then would strip the cause the pending
   // dispatch still reads.  The switch dedupes our late copy and re-acks.
   if (tracker_.knows(acked)) update_cause_.erase(acked);
-  for (const sched::UpdateId id : tracker_.complete(acked)) {
-    if (trace_leader()) {
-      // Dependency-release edge: arrow from this ack to the dependent's
-      // dispatch (closed in dispatch_update's sign callback).
-      config_.obs->trace.flow_start(
-          "dep", "d:" + std::to_string(acked) + ":" + std::to_string(id), "dep.release",
-          config_.node, obs::kTidMain);
-      pending_dep_flow_[id] = acked;
-    }
-    release_update(id);
-  }
-}
-
-// Closes `id`'s update lifecycle track on the trace leader, and its flow
-// arrow when `arrow` (the acked id itself).
-void Controller::close_track(sched::UpdateId id, bool arrow) {
-  if (!trace_leader()) return;
-  config_.obs->trace.async_end("update", update_track_id(id), "update", config_.node,
-                               obs::kTidMain);
-  if (arrow) {
-    config_.obs->trace.flow_end("flow", flow_track_id(id), "update.ack", config_.node,
-                                obs::kTidNet);
-  }
+  for (const sched::UpdateId id : tracker_.complete(acked)) release_update(id, acked);
 }
 
 // ---------------------------------------------------------------------------
@@ -717,7 +589,7 @@ void Controller::on_peer_update(const UpdateMsg& m) {
   // Replay the cached aggregate; the switch dedupes and re-acks.
   const auto done = agg_completed_.find(m.update.id);
   if (done != agg_completed_.end()) {
-    stamp_resend(m.update.id);
+    rec_.update_resent(m.update.id);
     ship(m.update.switch_node, m.update.id, done->second, /*retransmit=*/true);
     return;
   }
@@ -807,7 +679,7 @@ void Controller::send_frost_session(sched::UpdateId id, crypto::ShareIndex signe
       continue;
     }
     const util::Bytes wire = session.encode();
-    if (obs::CritPath* cp = critpath()) cp->add_phase_bytes(phase, wire.size());
+    rec_.phase_bytes(phase, wire.size());
     net_.send(config_.node, m.node, wire);
   }
 }
@@ -839,9 +711,7 @@ void Controller::on_frost_session(const FrostSessionMsg& m) {
       on_frost_partial(reply);
     } else {
       const util::Bytes wire = reply.encode();
-      if (obs::CritPath* cp = critpath()) {
-        cp->add_phase_bytes(obs::CritPhase::kSign, wire.size());
-      }
+      rec_.phase_bytes(obs::CritPhase::kSign, wire.size());
       net_.send(config_.node, aggregator_member().node, wire);
     }
   });

@@ -30,6 +30,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string_view>
 
@@ -57,7 +58,7 @@ enum class ControllerFault : std::uint8_t {
   kRogueUpdates,   ///< additionally fires unsolicited updates at switches
 };
 
-class Controller : private obs::NodeHooks {
+class Controller {
  public:
   struct MemberInfo {
     std::uint32_t id = 0;  ///< controller id; share index is id + 1
@@ -91,7 +92,6 @@ class Controller : private obs::NodeHooks {
     /// re-pointed by the Deployment when that switch crashes.
     sim::NodeId innet_aggregator = sim::kInvalidNode;
     std::uint64_t nonce_seed = 0;  ///< per-controller FROST nonce stream
-    sim::SimTime bft_timeout = sim::milliseconds(400);
     /// Transactional apply/ack recovery (§4.1): an update whose signed ack
     /// has not arrived within `ack_timeout` is re-signed and retransmitted
     /// with exponential backoff, up to `update_max_retries` resends.
@@ -173,20 +173,19 @@ class Controller : private obs::NodeHooks {
   const sched::DependencyTracker& tracker() const { return tracker_; }
 
   // --- stats ---
-  std::uint64_t events_seen() const { return events_seen_; }
-  std::uint64_t events_processed() const { return events_processed_; }
-  std::uint64_t updates_sent() const { return updates_sent_; }
-  std::uint64_t acks_received() const { return acks_received_; }
-  std::uint64_t events_forwarded() const { return events_forwarded_; }
-  std::uint64_t updates_retransmitted() const { return updates_retransmitted_; }
-  std::uint64_t manifests_sent() const { return manifests_sent_; }
-  std::uint64_t updates_abandoned() const { return updates_abandoned_; }
+  std::uint64_t events_processed() const { return events_processed_.value(); }
+  std::uint64_t updates_sent() const { return updates_sent_.value(); }
+  std::uint64_t acks_received() const { return acks_received_.value(); }
+  std::uint64_t events_forwarded() const { return events_forwarded_.value(); }
+  std::uint64_t updates_retransmitted() const { return updates_retransmitted_.value(); }
+  std::uint64_t manifests_sent() const { return manifests_sent_.value(); }
+  std::uint64_t updates_abandoned() const { return updates_abandoned_.value(); }
   /// Total bytes this controller sent southbound (controller -> switch,
   /// all message kinds, retransmissions included) — the fig12a metric the
   /// in-network offload is measured by.
-  std::uint64_t southbound_bytes() const { return southbound_bytes_; }
+  std::uint64_t southbound_bytes() const { return southbound_bytes_.value(); }
   /// kAggMismatch alarms delivered through the domain's broadcast.
-  std::uint64_t agg_mismatch_reports() const { return agg_mismatch_reports_; }
+  std::uint64_t agg_mismatch_reports() const { return agg_mismatch_reports_.value(); }
 
  private:
   void rebuild_replica();
@@ -197,7 +196,8 @@ class Controller : private obs::NodeHooks {
   void on_deliver(bft::SeqNum seq, const util::Bytes& payload);
   void process_event(const Event& e);
   void process_flow_event(const Event& e);
-  void release_update(sched::UpdateId id);
+  /// `parent`: the acked predecessor that released `id`, if any.
+  void release_update(sched::UpdateId id, std::optional<sched::UpdateId> parent = std::nullopt);
   void send_update(const sched::Update& update, const EventId& cause);
   void await_ack(sched::UpdateId id, const EventId& cause);
   void dispatch_update(const sched::Update& update, const EventId& cause,
@@ -205,7 +205,6 @@ class Controller : private obs::NodeHooks {
   /// In-network aggregation: rank-dependent send to the aggregator switch.
   void dispatch_innet(const UpdateMsg& msg, bool retransmit);
   void ship(net::NodeIndex sw, sched::UpdateId id, const util::Bytes& wire, bool retransmit);
-  void stamp_resend(sched::UpdateId id);
   /// This replica's rank: position of our id in the sorted member list.
   std::size_t member_rank() const;
   /// The lowest-id member: the aggregator under Delivery::kControllerAgg (§4.2).
@@ -218,7 +217,6 @@ class Controller : private obs::NodeHooks {
   /// arm sink timers.
   void dispatch_decentralized(const sched::UpdateSchedule& local, const EventId& cause);
   void send_manifest(const SegmentManifest& manifest, const EventId& cause, bool retransmit);
-  void close_track(sched::UpdateId id, bool arrow);
   /// Retry exhaustion: finalize `id` and every transitive dependent (or,
   /// in decentralized mode, the sink's whole ancestor closure) so no
   /// tracker entry, timer, trace track or counter is left stranded.
@@ -237,6 +235,9 @@ class Controller : private obs::NodeHooks {
   sim::NetworkSim& net_;
   Config config_;
   Environment env_;
+  /// Lifecycle recorder; its leader role is ours while we are the
+  /// aggregator.
+  obs::NodeHooks rec_;
   sim::CpuServer cpu_;
   std::unique_ptr<bft::PbftReplica> replica_;
   sched::DependencyTracker tracker_;
@@ -303,42 +304,20 @@ class Controller : private obs::NodeHooks {
   };
   std::map<sched::UpdateId, std::shared_ptr<DecChain>> dec_chains_;
 
-  std::uint64_t events_seen_ = 0;
-  std::uint64_t events_processed_ = 0;
-  std::uint64_t updates_sent_ = 0;
-  std::uint64_t acks_received_ = 0;
-  std::uint64_t events_forwarded_ = 0;
-  std::uint64_t updates_retransmitted_ = 0;
-  std::uint64_t manifests_sent_ = 0;
-  std::uint64_t updates_abandoned_ = 0;
-  std::uint64_t southbound_bytes_ = 0;
-  std::uint64_t agg_mismatch_reports_ = 0;
-
-  // Observability.  The async lifecycle tracks (event submit->order,
-  // update release->sign->apply->ack) are emitted by the aggregator
-  // (lowest-id member) only, so one deployment-wide track exists per
-  // event/update; per-node CPU spans are emitted by everyone.
-  bool trace_leader() const;
-  std::string event_track_id(const EventId& id) const;
-  /// Milestone records follow the trace-leader rule (aggregator only), so
-  /// each update gets exactly one deployment-wide record; phase *byte*
-  /// accounting is per-sender and recorded by every member.
-  bool crit_leader() const { return critpath() != nullptr && is_aggregator(); }
-  /// Parent (acked) update per released dependent, pending its dispatch
-  /// flow-arrow close; trace-leader only, erased at dispatch.
-  std::map<sched::UpdateId, sched::UpdateId> pending_dep_flow_;
-  obs::Counter m_events_seen_;
-  obs::Counter m_events_processed_;
-  obs::Counter m_events_forwarded_;
-  obs::Counter m_updates_sent_;
-  obs::Counter m_acks_;
-  obs::Counter m_deps_released_;
-  obs::Counter m_retransmits_;
-  obs::Counter m_manifests_sent_;
-  obs::Counter m_abandoned_;
-  obs::Counter m_southbound_bytes_;
-  obs::Counter m_agg_mismatch_;
-  obs::Histogram update_ack_ms_;
+  // Per-node counts: one increment answers the accessor and feeds the
+  // deployment-wide registry cell of the same name.
+  obs::NodeCounter events_processed_{rec_.counter("ctrl.events_processed")};
+  obs::NodeCounter updates_sent_{rec_.counter("ctrl.updates_sent")};
+  obs::NodeCounter acks_received_{rec_.counter("ctrl.acks_received")};
+  obs::NodeCounter events_forwarded_{rec_.counter("ctrl.events_forwarded")};
+  obs::NodeCounter updates_retransmitted_{rec_.counter("ctrl.update_retransmits")};
+  obs::NodeCounter manifests_sent_{rec_.counter("ctrl.manifests_sent")};
+  obs::NodeCounter updates_abandoned_{rec_.counter("ctrl.updates_abandoned")};
+  obs::NodeCounter southbound_bytes_{rec_.counter("ctrl.southbound_bytes")};
+  obs::NodeCounter agg_mismatch_reports_{rec_.counter("ctrl.agg_mismatch_reports")};
+  obs::Counter events_seen_{rec_.counter("ctrl.events_seen")};
+  obs::Counter updates_released_{rec_.counter("sched.updates_released")};
+  obs::Histogram update_ack_ms_{rec_.latency_histogram("ctrl.update_ack_ms")};
   /// First-send instant per un-acked update; populated unconditionally
   /// (the retransmission path relies on it), observed into metrics only
   /// when obs is attached.

@@ -8,7 +8,7 @@
 //
 // Wire tags (first byte) shared by all traffic arriving at a node:
 //   0xBF  BFT atomic broadcast       (bft/messages.hpp)
-//   0xB7  failure-detector heartbeat (bft/failure_detector.hpp)
+//   0xB7  retired (failure-detector heartbeat, never wired in); never reuse
 //   0x02  Event          switch -> control plane (or forwarded cross-domain)
 //   0x03  UpdateMsg      controller -> switch (or -> aggregator)
 //   0x04  AckMsg         switch -> control plane

@@ -12,18 +12,10 @@ constexpr const char* kLog = "switch";
 }
 
 SwitchRuntime::SwitchRuntime(sim::Simulator& simulator, sim::NetworkSim& network, Config config)
-    : obs::NodeHooks(config.obs, config.domain), sim_(simulator), net_(network),
-      config_(std::move(config)), cpu_(simulator) {
-  if (config_.obs != nullptr) {
-    cpu_.set_obs(config_.obs, config_.node, obs::kTidMain);
-    auto& m = config_.obs->metrics;
-    m_events_ = m.counter("switch.events_emitted");
-    m_applied_ = m.counter("switch.updates_applied");
-    m_rejected_ = m.counter("switch.updates_rejected");
-    m_agg_fanouts_ = m.counter("switch.agg_fanouts");
-    m_agg_mismatches_ = m.counter("switch.agg_mismatches");
-    update_apply_ms_ = m.histogram("switch.update_apply_ms", obs::latency_buckets_ms());
-  }
+    : sim_(simulator), net_(network), config_(std::move(config)),
+      rec_(config_.obs, config_.node, config_.domain, [&s = simulator] { return s.now(); }),
+      cpu_(simulator) {
+  if (config_.obs != nullptr) cpu_.set_obs(config_.obs, config_.node, obs::kTidMain);
 }
 
 bool SwitchRuntime::packet_in(const net::FlowMatch& match, double reserved_bps) {
@@ -156,8 +148,7 @@ void SwitchRuntime::emit_event(EventKind kind, const net::FlowMatch& match,
   e.kind = kind;
   e.match = match;
   e.reserved_bps = reserved_bps;
-  ++events_emitted_;
-  m_events_.inc();
+  events_emitted_.inc();
   config_.crypto->sign(config_.key, e);
   // Miss detection + event signing cost, then transmit (Fig. 6a).
   cpu_.execute(config_.costs.packet_in_cost + config_.costs.event_sign,
@@ -265,8 +256,7 @@ void SwitchRuntime::add_partial(Buckets<Key, Body>& pending, sched::UpdateId id,
       // one replica lied about this update.  Report through the signed-
       // event path so the control plane sees an authenticated, attributable
       // alarm; the honest quorum's bucket still aggregates on its own.
-      ++agg_mismatches_;
-      m_agg_mismatches_.inc();
+      agg_mismatches_.inc();
       net::FlowMatch match;
       for (const auto& [k, b] : buckets) {
         if (!b.body) continue;
@@ -299,8 +289,7 @@ void SwitchRuntime::add_partial(Buckets<Key, Body>& pending, sched::UpdateId id,
         config_.crypto->combine(config_.group_pk, b.signing_bytes, b.partials, config_.quorum);
     if (!agg_sig) {
       // Wait for more partials; a later arrival retries.
-      ++updates_rejected_;
-      m_rejected_.inc();
+      updates_rejected_.inc();
       CICERO_LOG_WARN(kLog, "s%u: %s aggregate verification failed for update %llu",
                       config_.topo_index, what, static_cast<unsigned long long>(id));
       return;
@@ -325,9 +314,7 @@ bool SwitchRuntime::replay_innet(sched::UpdateId id) {
   if (it->second.target_topo == config_.topo_index) return true;
   ++agg_replays_;
   const util::Bytes wire = it->second.wire;
-  if (obs::CritPath* cp = critpath()) {
-    cp->add_phase_bytes(obs::CritPhase::kRetransmit, wire.size());
-  }
+  rec_.phase_bytes(obs::CritPhase::kRetransmit, wire.size());
   net_.send(config_.node, it->second.target_node, wire);
   return true;
 }
@@ -364,19 +351,8 @@ void SwitchRuntime::fan_out(const AggregatedUpdateMsg& out) {
   remember(innet_completed_order_, id,
            [this](sched::UpdateId old) { innet_completed_.erase(old); });
 
-  ++agg_fanouts_;
-  m_agg_fanouts_.inc();
-  // The aggregate signature is born here, so the sign->propagate
-  // boundary of the update's critical path is stamped at this switch
-  // (the replicas deliberately do not stamp it in in-network mode).
-  if (obs::CritPath* cp = critpath()) {
-    cp->update_signed(id, sim_.now());
-    cp->add_phase_bytes(obs::CritPhase::kPropagate, wire.size());
-  }
-  if (tracing()) {
-    config_.obs->trace.flow_step("flow", flow_track_id(id), "update.agg_fanout", config_.node,
-                                 obs::kTidMain);
-  }
+  agg_fanouts_.inc();
+  rec_.update_aggregated(id, wire.size());
   if (out.update.switch_node == config_.topo_index) {
     // The aggregator is itself the target: skip the network hop (and
     // re-verifying a signature this switch just produced).
@@ -404,8 +380,7 @@ void SwitchRuntime::on_agg_update(sim::NodeId /*from*/, const AggUpdateMsg& m) {
     if (down_) return;
     if (applied_ids_.count(m.update.id) != 0) return;
     if (!config_.crypto->verify_update(config_.group_pk, m.update, m.agg_sig)) {
-      ++updates_rejected_;
-      m_rejected_.inc();
+      updates_rejected_.inc();
       CICERO_LOG_WARN(kLog, "s%u: bad aggregated signature for update %llu", config_.topo_index,
                       static_cast<unsigned long long>(m.update.id));
       return;
@@ -414,15 +389,11 @@ void SwitchRuntime::on_agg_update(sim::NodeId /*from*/, const AggUpdateMsg& m) {
   });
 }
 
-// First receipt of a fresh update or manifest: the apply-latency start,
-// the critical path's rx milestone and the flow arrow's step.
+// First receipt of a fresh update or manifest: the apply-latency start
+// and the lifecycle's rx fact.
 void SwitchRuntime::note_rx(sched::UpdateId id) {
   if (config_.obs != nullptr) first_rx_.emplace(id, sim_.now());
-  if (obs::CritPath* cp = critpath()) cp->update_rx(id, sim_.now());
-  if (tracing()) {
-    config_.obs->trace.flow_step("flow", flow_track_id(id), "update.rx", config_.node,
-                                 obs::kTidMain);
-  }
+  rec_.update_rx(id);
 }
 
 // Idempotent retransmission handling (§5.1): a copy of an applied id is
@@ -498,8 +469,7 @@ void SwitchRuntime::accept_manifest(const SegmentManifest& manifest) {
   // manifests that slipped past a first-copy baseline.
   if (manifest.update.op == sched::UpdateOp::kInstall &&
       manifest.update.rule.next_hop == config_.topo_index) {
-    ++updates_rejected_;
-    m_rejected_.inc();
+    updates_rejected_.inc();
     CICERO_LOG_WARN(kLog, "s%u: rejecting manifest %llu (self-loop next hop)",
                     config_.topo_index, static_cast<unsigned long long>(id));
     return;
@@ -523,7 +493,7 @@ void SwitchRuntime::maybe_apply_manifest(sched::UpdateId id) {
   }
   const SegmentManifest manifest = std::move(it->second.manifest);
   accepted_.erase(it);
-  if (obs::CritPath* cp = critpath()) cp->update_peer_ready(id, sim_.now());
+  rec_.update_peer_ready(id);
   apply_update(manifest.update);
   dec_applied_[id] = DecApplied{manifest.succs, manifest.sink};  // read once the apply lands
 }
@@ -541,8 +511,7 @@ void SwitchRuntime::on_segment_done(sim::NodeId /*from*/, const SegmentDoneMsg& 
   cpu_.execute(cost, "segdone.verify", [this, verify, d] {
     if (down_) return;
     if (verify && !config_.crypto->verify_segment_done(d)) {
-      ++updates_rejected_;
-      m_rejected_.inc();
+      updates_rejected_.inc();
       CICERO_LOG_WARN(kLog, "s%u: bad SegmentDone signature from s%u", config_.topo_index,
                       d.switch_node);
       return;
@@ -577,10 +546,7 @@ void SwitchRuntime::signal_successors(sched::UpdateId id,
 
 void SwitchRuntime::apply_update(const sched::Update& update) {
   note_applied(update.id);
-  if (tracing()) {
-    config_.obs->trace.async_begin("update", update_track_id(update.id), "apply",
-                                   config_.node, obs::kTidMain);
-  }
+  rec_.apply_begin(update.id);
   cpu_.execute(config_.costs.flow_table_update, "flow_table.update", [this, update] {
     if (down_) return;
     if (update.op == sched::UpdateOp::kInstall) {
@@ -589,20 +555,13 @@ void SwitchRuntime::apply_update(const sched::Update& update) {
     } else {
       table_.remove(update.rule.match);
     }
-    ++updates_applied_;
-    m_applied_.inc();
+    updates_applied_.inc();
     const auto rx = first_rx_.find(update.id);
     if (rx != first_rx_.end()) {
       update_apply_ms_.observe(sim::to_ms(sim_.now() - rx->second));
       first_rx_.erase(rx);
     }
-    if (obs::CritPath* cp = critpath()) cp->update_applied(update.id, sim_.now());
-    if (tracing()) {
-      config_.obs->trace.async_end("update", update_track_id(update.id), "apply",
-                                   config_.node, obs::kTidMain);
-      config_.obs->trace.flow_step("flow", flow_track_id(update.id), "update.applied",
-                                   config_.node, obs::kTidMain);
-    }
+    rec_.update_applied(update.id);
     for (const auto& observer : observers_) observer(update);
     const auto dec = dec_applied_.find(update.id);
     if (dec != dec_applied_.end()) {
@@ -634,9 +593,7 @@ void SwitchRuntime::send_signed(Msg msg, sim::NodeId to, obs::CritPhase phase,
     if constexpr (std::is_same_v<Msg, SegmentDoneMsg>) ++peer_signals_sent_;
     const util::Bytes wire = msg.encode();
     const bool everyone = to == sim::kInvalidNode;
-    if (obs::CritPath* cp = critpath()) {
-      cp->add_phase_bytes(phase, wire.size() * (everyone ? config_.controllers.size() : 1));
-    }
+    rec_.phase_bytes(phase, wire.size() * (everyone ? config_.controllers.size() : 1));
     if (everyone) {
       net_.multicast(config_.node, config_.controllers, wire);
     } else {

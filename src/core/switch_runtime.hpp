@@ -42,7 +42,7 @@
 
 namespace cicero::core {
 
-class SwitchRuntime : private obs::NodeHooks {
+class SwitchRuntime {
  public:
   struct Config {
     net::NodeIndex topo_index = net::kNoNode;  ///< identity in the topology
@@ -130,9 +130,9 @@ class SwitchRuntime : private obs::NodeHooks {
   const Config& config() const { return config_; }
 
   // --- stats ---
-  std::uint64_t events_emitted() const { return events_emitted_; }
-  std::uint64_t updates_applied() const { return updates_applied_; }
-  std::uint64_t updates_rejected() const { return updates_rejected_; }
+  std::uint64_t events_emitted() const { return events_emitted_.value(); }
+  std::uint64_t updates_applied() const { return updates_applied_.value(); }
+  std::uint64_t updates_rejected() const { return updates_rejected_.value(); }
   /// Acks re-sent for retransmitted already-applied updates (idempotent
   /// duplicate handling; the original ack was lost somewhere upstream).
   std::uint64_t acks_reissued() const { return acks_reissued_; }
@@ -142,13 +142,13 @@ class SwitchRuntime : private obs::NodeHooks {
   std::uint64_t peer_signals_received() const { return peer_signals_received_; }
   /// In-network aggregation: aggregated updates this switch fanned out as
   /// the designated aggregator (first sends; replays count separately).
-  std::uint64_t agg_fanouts() const { return agg_fanouts_; }
+  std::uint64_t agg_fanouts() const { return agg_fanouts_.value(); }
   /// In-network aggregation: cached fan-outs replayed for retransmitted
   /// replica traffic (idempotent duplicate handling at the aggregator).
   std::uint64_t agg_replays() const { return agg_replays_; }
   /// In-network aggregation: conflicting-digest groups reported via the
   /// signed-event path (one per update id, P4BFT response comparison).
-  std::uint64_t agg_mismatches() const { return agg_mismatches_; }
+  std::uint64_t agg_mismatches() const { return agg_mismatches_.value(); }
   /// Current size of the bounded duplicate-suppression set (tests).
   std::size_t applied_dedupe_size() const { return applied_ids_.size(); }
 
@@ -255,6 +255,9 @@ class SwitchRuntime : private obs::NodeHooks {
   sim::Simulator& sim_;
   sim::NetworkSim& net_;
   Config config_;
+  /// Lifecycle recorder (always the leader: exactly one switch applies a
+  /// given update).
+  obs::NodeHooks rec_;
   sim::CpuServer cpu_;
   net::FlowTable table_;
   std::vector<AppliedFn> observers_;
@@ -266,16 +269,17 @@ class SwitchRuntime : private obs::NodeHooks {
   std::set<sched::UpdateId> applied_ids_;
   std::deque<sched::UpdateId> applied_order_;
   std::set<std::pair<net::NodeIndex, net::NodeIndex>> outstanding_events_;
-  std::uint64_t events_emitted_ = 0;
-  std::uint64_t updates_applied_ = 0;
-  std::uint64_t updates_rejected_ = 0;
+  // Per-node counts (obs::NodeCounter: accessor + registry cell).
+  obs::NodeCounter events_emitted_{rec_.counter("switch.events_emitted")};
+  obs::NodeCounter updates_applied_{rec_.counter("switch.updates_applied")};
+  obs::NodeCounter updates_rejected_{rec_.counter("switch.updates_rejected")};
+  obs::NodeCounter agg_fanouts_{rec_.counter("switch.agg_fanouts")};
+  obs::NodeCounter agg_mismatches_{rec_.counter("switch.agg_mismatches")};
   std::uint64_t acks_reissued_ = 0;
   std::uint64_t crashes_ = 0;
   std::uint64_t peer_signals_sent_ = 0;
   std::uint64_t peer_signals_received_ = 0;
-  std::uint64_t agg_fanouts_ = 0;
   std::uint64_t agg_replays_ = 0;
-  std::uint64_t agg_mismatches_ = 0;
 
   // In-network aggregation state (aggregator role only).
   Buckets<std::uint64_t, UpdateMsg> innet_pending_;
@@ -302,15 +306,7 @@ class SwitchRuntime : private obs::NodeHooks {
   /// Packet misses swallowed while down: (src,dst) -> reserved bandwidth.
   std::map<std::pair<net::NodeIndex, net::NodeIndex>, double> missed_while_down_;
 
-  // Observability.  Exactly one switch applies a given update, so the
-  // "apply" phase of the update lifecycle track — and the rx/applied
-  // critical-path milestones — are emitted here (hooks: obs::NodeHooks).
-  obs::Counter m_events_;
-  obs::Counter m_applied_;
-  obs::Counter m_rejected_;
-  obs::Counter m_agg_fanouts_;
-  obs::Counter m_agg_mismatches_;
-  obs::Histogram update_apply_ms_;
+  obs::Histogram update_apply_ms_{rec_.latency_histogram("switch.update_apply_ms")};
   /// update id -> first receipt time (metrics runs only).
   std::map<sched::UpdateId, sim::SimTime> first_rx_;
 };

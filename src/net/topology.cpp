@@ -111,14 +111,6 @@ sim::SimTime Topology::path_latency(const std::vector<NodeIndex>& path) const {
   return total;
 }
 
-double Topology::path_bandwidth(const std::vector<NodeIndex>& path) const {
-  double bw = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    bw = std::min(bw, links_[link_between(path[i - 1], path[i])].bandwidth_bps);
-  }
-  return bw;
-}
-
 std::size_t Topology::link_between(NodeIndex a, NodeIndex b) const {
   for (const auto& [n, link_id] : adjacency_.at(a)) {
     if (n == b) return link_id;

@@ -83,9 +83,6 @@ class Topology {
   /// Sum of link latencies along a path.
   sim::SimTime path_latency(const std::vector<NodeIndex>& path) const;
 
-  /// Minimum link bandwidth along a path.
-  double path_bandwidth(const std::vector<NodeIndex>& path) const;
-
   /// Link index between adjacent nodes; throws if not adjacent.
   std::size_t link_between(NodeIndex a, NodeIndex b) const;
 

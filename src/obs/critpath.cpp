@@ -60,16 +60,10 @@ void CritPath::update_scheduled(std::uint64_t id, std::uint32_t origin, std::uin
   }
 }
 
-void CritPath::update_released(std::uint64_t id, std::int64_t ts_ns) {
+void CritPath::first(std::int64_t Record::*milestone, std::uint64_t id, std::int64_t ts_ns) {
   if (!enabled_) return;
-  Record& r = updates_[id];
-  if (r.released < 0) r.released = ts_ns;
-}
-
-void CritPath::update_signed(std::uint64_t id, std::int64_t ts_ns) {
-  if (!enabled_) return;
-  Record& r = updates_[id];
-  if (r.signed_at < 0) r.signed_at = ts_ns;
+  std::int64_t& at = updates_[id].*milestone;
+  if (at < 0) at = ts_ns;
 }
 
 void CritPath::update_retransmitted(std::uint64_t id, std::int64_t ts_ns) {
@@ -77,30 +71,6 @@ void CritPath::update_retransmitted(std::uint64_t id, std::int64_t ts_ns) {
   Record& r = updates_[id];
   r.last_retransmit = std::max(r.last_retransmit, ts_ns);
   ++r.retransmits;
-}
-
-void CritPath::update_rx(std::uint64_t id, std::int64_t ts_ns) {
-  if (!enabled_) return;
-  Record& r = updates_[id];
-  if (r.rx < 0) r.rx = ts_ns;
-}
-
-void CritPath::update_peer_ready(std::uint64_t id, std::int64_t ts_ns) {
-  if (!enabled_) return;
-  Record& r = updates_[id];
-  if (r.peer_ready < 0) r.peer_ready = ts_ns;
-}
-
-void CritPath::update_applied(std::uint64_t id, std::int64_t ts_ns) {
-  if (!enabled_) return;
-  Record& r = updates_[id];
-  if (r.applied < 0) r.applied = ts_ns;
-}
-
-void CritPath::update_acked(std::uint64_t id, std::int64_t ts_ns) {
-  if (!enabled_) return;
-  Record& r = updates_[id];
-  if (r.acked < 0) r.acked = ts_ns;
 }
 
 void CritPath::add_phase_bytes(CritPhase p, std::uint64_t bytes) {

@@ -132,15 +132,16 @@ class CritPath {
   /// time into the update's record.
   void update_scheduled(std::uint64_t id, std::uint32_t origin, std::uint64_t seq,
                         std::int64_t ts_ns);
-  void update_released(std::uint64_t id, std::int64_t ts_ns);
-  void update_signed(std::uint64_t id, std::int64_t ts_ns);
+  // One-shot milestones: the first observation wins.
+  void update_released(std::uint64_t id, std::int64_t ts) { first(&Record::released, id, ts); }
+  void update_signed(std::uint64_t id, std::int64_t ts) { first(&Record::signed_at, id, ts); }
   void update_retransmitted(std::uint64_t id, std::int64_t ts_ns);
-  void update_rx(std::uint64_t id, std::int64_t ts_ns);
+  void update_rx(std::uint64_t id, std::int64_t ts) { first(&Record::rx, id, ts); }
   /// Decentralized execution: the last unmet upstream SegmentDone signal
   /// was accepted, unblocking the local apply.
-  void update_peer_ready(std::uint64_t id, std::int64_t ts_ns);
-  void update_applied(std::uint64_t id, std::int64_t ts_ns);
-  void update_acked(std::uint64_t id, std::int64_t ts_ns);
+  void update_peer_ready(std::uint64_t id, std::int64_t ts) { first(&Record::peer_ready, id, ts); }
+  void update_applied(std::uint64_t id, std::int64_t ts) { first(&Record::applied, id, ts); }
+  void update_acked(std::uint64_t id, std::int64_t ts) { first(&Record::acked, id, ts); }
   void add_phase_bytes(CritPhase p, std::uint64_t bytes);
 
   // --- read side ---
@@ -164,6 +165,8 @@ class CritPath {
   void merge_from(const CritPath& other);
 
  private:
+  void first(std::int64_t Record::*milestone, std::uint64_t id, std::int64_t ts_ns);
+
   bool enabled_ = false;
   std::map<std::uint64_t, Record> updates_;
   std::map<std::pair<std::uint32_t, std::uint64_t>, std::int64_t> event_submits_;

@@ -99,11 +99,11 @@ void Tracer::instant(TracePid pid, TraceTid tid, const char* name, TraceArgs arg
   push(std::move(e));
 }
 
-void Tracer::async_begin(const char* cat, const std::string& id, const char* name,
-                         TracePid pid, TraceTid tid, TraceArgs args, std::int64_t ts_ns) {
+void Tracer::keyed(char phase, const char* cat, const std::string& id, const char* name,
+                   TracePid pid, TraceTid tid, std::int64_t ts_ns, TraceArgs args) {
   if (!enabled_) return;
   Event e;
-  e.phase = 'b';
+  e.phase = phase;
   e.pid = pid;
   e.tid = tid;
   e.ts_ns = ts_ns >= 0 ? ts_ns : now();
@@ -114,47 +114,29 @@ void Tracer::async_begin(const char* cat, const std::string& id, const char* nam
   push(std::move(e));
 }
 
-void Tracer::async_end(const char* cat, const std::string& id, const char* name, TracePid pid,
-                       TraceTid tid, std::int64_t ts_ns) {
-  if (!enabled_) return;
-  Event e;
-  e.phase = 'e';
-  e.pid = pid;
-  e.tid = tid;
-  e.ts_ns = ts_ns >= 0 ? ts_ns : now();
-  e.name = name;
-  e.cat = cat;
-  e.id = id;
-  push(std::move(e));
+void Tracer::async_begin(const char* cat, const std::string& id, const char* name,
+                         TracePid pid, TraceTid tid, TraceArgs args, std::int64_t ts_ns) {
+  keyed('b', cat, id, name, pid, tid, ts_ns, std::move(args));
 }
 
-void Tracer::flow(char phase, const char* cat, const std::string& id, const char* name,
-                  TracePid pid, TraceTid tid, std::int64_t ts_ns) {
-  if (!enabled_) return;
-  Event e;
-  e.phase = phase;
-  e.pid = pid;
-  e.tid = tid;
-  e.ts_ns = ts_ns >= 0 ? ts_ns : now();
-  e.name = name;
-  e.cat = cat;
-  e.id = id;
-  push(std::move(e));
+void Tracer::async_end(const char* cat, const std::string& id, const char* name, TracePid pid,
+                       TraceTid tid, std::int64_t ts_ns) {
+  keyed('e', cat, id, name, pid, tid, ts_ns);
 }
 
 void Tracer::flow_start(const char* cat, const std::string& id, const char* name, TracePid pid,
                         TraceTid tid, std::int64_t ts_ns) {
-  flow('s', cat, id, name, pid, tid, ts_ns);
+  keyed('s', cat, id, name, pid, tid, ts_ns);
 }
 
 void Tracer::flow_step(const char* cat, const std::string& id, const char* name, TracePid pid,
                        TraceTid tid, std::int64_t ts_ns) {
-  flow('t', cat, id, name, pid, tid, ts_ns);
+  keyed('t', cat, id, name, pid, tid, ts_ns);
 }
 
 void Tracer::flow_end(const char* cat, const std::string& id, const char* name, TracePid pid,
                       TraceTid tid, std::int64_t ts_ns) {
-  flow('f', cat, id, name, pid, tid, ts_ns);
+  keyed('f', cat, id, name, pid, tid, ts_ns);
 }
 
 void Tracer::write_chrome_trace(std::ostream& out) const {

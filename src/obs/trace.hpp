@@ -111,8 +111,9 @@ class Tracer {
   static constexpr std::size_t kDefaultEventCap = 1u << 20;
 
   void push(Event e);
-  void flow(char phase, const char* cat, const std::string& id, const char* name, TracePid pid,
-            TraceTid tid, std::int64_t ts_ns);
+  /// Async ("b"/"e") and flow ("s"/"t"/"f") events, keyed by (cat, id).
+  void keyed(char phase, const char* cat, const std::string& id, const char* name, TracePid pid,
+             TraceTid tid, std::int64_t ts_ns, TraceArgs args = {});
 
   bool enabled_ = false;
   Clock clock_;

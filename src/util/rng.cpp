@@ -83,28 +83,7 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * mag * std::cos(2.0 * M_PI * u2);
 }
 
-double Rng::pareto(double scale, double shape) {
-  if (scale <= 0.0 || shape <= 0.0) throw std::invalid_argument("Rng::pareto: bad params");
-  double u;
-  do {
-    u = next_double();
-  } while (u <= 0.0);
-  return scale / std::pow(u, 1.0 / shape);
-}
-
 bool Rng::chance(double p) { return next_double() < p; }
-
-std::size_t Rng::weighted_pick(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) total += w;
-  if (total <= 0.0) throw std::invalid_argument("Rng::weighted_pick: non-positive total weight");
-  double x = next_double() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    x -= weights[i];
-    if (x < 0.0) return i;
-  }
-  return weights.size() - 1;
-}
 
 Rng Rng::fork() { return Rng(next_u64() ^ 0xA5A5A5A5DEADBEEFULL); }
 

@@ -40,15 +40,8 @@ class Rng {
   /// Standard normal via Box–Muller.
   double normal(double mean = 0.0, double stddev = 1.0);
 
-  /// Pareto-distributed value with scale x_m and shape α (heavy-tailed flow
-  /// sizes).
-  double pareto(double scale, double shape);
-
   /// Bernoulli trial with probability p of returning true.
   bool chance(double p);
-
-  /// Picks an index in [0, weights.size()) proportionally to weights.
-  std::size_t weighted_pick(const std::vector<double>& weights);
 
   /// Fisher–Yates shuffle.
   template <typename T>

@@ -1,47 +1,8 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <stdexcept>
 
 namespace cicero::util {
-
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n = static_cast<double>(n_), m = static_cast<double>(other.n_);
-  m2_ += other.m2_ + delta * delta * n * m / (n + m);
-  mean_ = (n * mean_ + m * other.mean_) / (n + m);
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
 
 void CdfCollector::add(double x) {
   samples_.push_back(x);
@@ -97,46 +58,6 @@ std::vector<std::pair<double, double>> CdfCollector::cdf_series(std::size_t poin
   for (std::size_t i = 0; i < points; ++i) {
     const double q = static_cast<double>(i) / static_cast<double>(points - 1);
     out.emplace_back(quantile(q), q);
-  }
-  return out;
-}
-
-double CdfCollector::fraction_below(double x) const {
-  if (samples_.empty()) return 0.0;
-  ensure_sorted();
-  const auto it = std::upper_bound(samples_.begin(), samples_.end(), x);
-  return static_cast<double>(it - samples_.begin()) / static_cast<double>(samples_.size());
-}
-
-TimeSeries::TimeSeries(double window_width) : width_(window_width) {
-  if (window_width <= 0.0) throw std::invalid_argument("TimeSeries: window width must be > 0");
-}
-
-void TimeSeries::add(double time, double value) { samples_.emplace_back(time, value); }
-
-std::vector<TimeSeries::Window> TimeSeries::windows() const {
-  std::vector<Window> out;
-  if (samples_.empty()) return out;
-  double max_t = 0.0;
-  for (const auto& [t, v] : samples_) max_t = std::max(max_t, t);
-  const auto n = static_cast<std::size_t>(max_t / width_) + 1;
-  out.resize(n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = Window{static_cast<double>(i) * width_, 0.0, 0};
-  for (const auto& [t, v] : samples_) {
-    auto idx = static_cast<std::size_t>(t / width_);
-    if (idx >= n) idx = n - 1;
-    out[idx].sum += v;
-    out[idx].count += 1;
-  }
-  return out;
-}
-
-std::string format_cdf(const CdfCollector& c, const std::string& label, std::size_t points) {
-  std::string out = "# CDF " + label + " (n=" + std::to_string(c.count()) + ")\n";
-  char buf[96];
-  for (const auto& [x, q] : c.cdf_series(points)) {
-    std::snprintf(buf, sizeof(buf), "%12.4f %8.4f\n", x, q);
-    out += buf;
   }
   return out;
 }

@@ -1,38 +1,13 @@
-// Statistics collectors used by the benchmark harness and the simulator.
-//
-// `RunningStats` keeps O(1) summary statistics (Welford).  `CdfCollector`
-// stores raw samples to report quantiles and CDF series, which is how every
-// flow-completion figure in the paper is rendered.  `TimeSeries` buckets
-// samples by timestamp window and is used for the CPU-utilisation figure.
+// Sample statistics used by the benchmark harness and the simulator:
+// `CdfCollector` stores raw samples to report quantiles and CDF series,
+// which is how every flow-completion figure in the paper is rendered.
 #pragma once
 
-#include <cstdint>
-#include <string>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace cicero::util {
-
-/// Constant-memory running mean/variance/min/max (Welford's algorithm).
-class RunningStats {
- public:
-  void add(double x);
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;  ///< Sample variance (n-1 denominator).
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return sum_; }
-  void merge(const RunningStats& other);
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 /// Sample-retaining collector for quantiles and CDF output.
 class CdfCollector {
@@ -55,9 +30,6 @@ class CdfCollector {
   /// suitable for plotting a CDF like the paper's Figs. 11 and 12.
   std::vector<std::pair<double, double>> cdf_series(std::size_t points = 50) const;
 
-  /// Fraction of samples <= x.
-  double fraction_below(double x) const;
-
   const std::vector<double>& samples() const { return samples_; }
 
  private:
@@ -65,30 +37,5 @@ class CdfCollector {
   std::vector<double> samples_;
   mutable bool sorted_ = true;
 };
-
-/// Windowed time series: samples are (time, value) pairs accumulated into
-/// fixed-width windows; each window reports the sum (or mean) of its values.
-class TimeSeries {
- public:
-  explicit TimeSeries(double window_width);
-  void add(double time, double value);
-
-  struct Window {
-    double start;  ///< Window start time.
-    double sum;    ///< Sum of values in the window.
-    std::size_t count;
-  };
-  /// Windows from time 0 through the last sample (empty windows included).
-  std::vector<Window> windows() const;
-  double window_width() const { return width_; }
-
- private:
-  double width_;
-  std::vector<std::pair<double, double>> samples_;
-};
-
-/// Formats a CDF table as aligned text columns; benches use this to print
-/// paper-style series.
-std::string format_cdf(const CdfCollector& c, const std::string& label, std::size_t points = 20);
 
 }  // namespace cicero::util

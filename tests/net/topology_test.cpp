@@ -88,7 +88,9 @@ TEST(Topology, PathLatencyAndBandwidth) {
   const auto hosts = t.hosts();
   const auto path = t.shortest_path(hosts[0], hosts[1]);
   EXPECT_GT(t.path_latency(path), 0);
-  EXPECT_GT(t.path_bandwidth(path), 0.0);
+  for (std::size_t i = 1; i < path.size(); ++i) {
+    EXPECT_GT(t.link(t.link_between(path[i - 1], path[i])).bandwidth_bps, 0.0);
+  }
 }
 
 TEST(Topology, LinkBetweenValidatesAdjacency) {

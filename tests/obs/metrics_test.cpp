@@ -1,4 +1,5 @@
 #include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,22 @@ TEST(MetricsRegistry, CountersShareCellsByName) {
   EXPECT_EQ(a.value(), 5u);
   EXPECT_EQ(reg.counter_value("x"), 5u);
   EXPECT_EQ(reg.counters().size(), 1u);
+}
+
+// Two nodes' counts of one fact: each answers its own tally, the shared
+// registry cell holds their sum, and a node without metrics still counts.
+TEST(MetricsRegistry, NodeCountersKeepOwnTallyAndFeedSharedCell) {
+  MetricsRegistry reg;
+  NodeCounter a(reg.counter("x"));
+  NodeCounter b(reg.counter("x"));
+  NodeCounter detached{Counter{}};
+  a.inc();
+  b.inc(4);
+  detached.inc(2);
+  EXPECT_EQ(a.value(), 1u);
+  EXPECT_EQ(b.value(), 4u);
+  EXPECT_EQ(detached.value(), 2u);
+  EXPECT_EQ(reg.counter_value("x"), 5u);
 }
 
 TEST(MetricsRegistry, HandlesSurviveRegistryGrowth) {

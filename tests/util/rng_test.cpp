@@ -75,30 +75,12 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(std::sqrt(var), 3.0, 0.15);
 }
 
-TEST(Rng, ParetoAboveScale) {
-  Rng r(17);
-  for (int i = 0; i < 1000; ++i) EXPECT_GE(r.pareto(2.0, 1.5), 2.0);
-}
-
 TEST(Rng, ChanceExtremes) {
   Rng r(19);
   for (int i = 0; i < 100; ++i) {
     EXPECT_FALSE(r.chance(0.0));
     EXPECT_TRUE(r.chance(1.0));
   }
-}
-
-TEST(Rng, WeightedPickRespectsWeights) {
-  Rng r(21);
-  int counts[3] = {0, 0, 0};
-  for (int i = 0; i < 30000; ++i) ++counts[r.weighted_pick({1.0, 2.0, 7.0})];
-  EXPECT_NEAR(counts[0] / 30000.0, 0.1, 0.02);
-  EXPECT_NEAR(counts[2] / 30000.0, 0.7, 0.02);
-}
-
-TEST(Rng, WeightedPickRejectsZeroTotal) {
-  Rng r(23);
-  EXPECT_THROW(r.weighted_pick({0.0, 0.0}), std::invalid_argument);
 }
 
 TEST(Rng, ShufflePreservesElements) {

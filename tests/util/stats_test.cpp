@@ -7,66 +7,6 @@
 namespace cicero::util {
 namespace {
 
-TEST(RunningStats, Moments) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, MergeMatchesCombined) {
-  RunningStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.37;
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
-TEST(RunningStats, MergeWithEmptyOnEitherSide) {
-  RunningStats filled;
-  for (double x : {1.0, 2.0, 3.0}) filled.add(x);
-
-  RunningStats lhs = filled, empty;
-  lhs.merge(empty);
-  EXPECT_EQ(lhs.count(), 3u);
-  EXPECT_DOUBLE_EQ(lhs.mean(), 2.0);
-
-  RunningStats fresh;
-  fresh.merge(filled);
-  EXPECT_EQ(fresh.count(), 3u);
-  EXPECT_DOUBLE_EQ(fresh.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(fresh.min(), 1.0);
-  EXPECT_DOUBLE_EQ(fresh.max(), 3.0);
-  EXPECT_DOUBLE_EQ(fresh.sum(), 6.0);
-}
-
-TEST(RunningStats, MergePreservesMinMaxAcrossDisjointRanges) {
-  RunningStats lo, hi;
-  for (double x : {-5.0, -1.0}) lo.add(x);
-  for (double x : {10.0, 20.0}) hi.add(x);
-  lo.merge(hi);
-  EXPECT_DOUBLE_EQ(lo.min(), -5.0);
-  EXPECT_DOUBLE_EQ(lo.max(), 20.0);
-  EXPECT_EQ(lo.count(), 4u);
-  EXPECT_DOUBLE_EQ(lo.mean(), 6.0);
-}
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
 TEST(CdfCollector, Quantiles) {
   CdfCollector c;
   for (int i = 1; i <= 100; ++i) c.add(i);
@@ -98,14 +38,6 @@ TEST(CdfCollector, SingleSampleIsEveryQuantile) {
   EXPECT_DOUBLE_EQ(c.quantile(1.0), 42.0);
 }
 
-TEST(CdfCollector, FractionBelow) {
-  CdfCollector c;
-  for (int i = 1; i <= 10; ++i) c.add(i);
-  EXPECT_DOUBLE_EQ(c.fraction_below(5.0), 0.5);
-  EXPECT_DOUBLE_EQ(c.fraction_below(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(c.fraction_below(100.0), 1.0);
-}
-
 TEST(CdfCollector, SeriesMonotone) {
   CdfCollector c;
   for (int i = 0; i < 57; ++i) c.add((i * 31) % 100);
@@ -117,55 +49,6 @@ TEST(CdfCollector, SeriesMonotone) {
   }
   EXPECT_DOUBLE_EQ(series.front().second, 0.0);
   EXPECT_DOUBLE_EQ(series.back().second, 1.0);
-}
-
-TEST(TimeSeries, WindowsAccumulate) {
-  TimeSeries ts(1.0);
-  ts.add(0.5, 2.0);
-  ts.add(0.9, 3.0);
-  ts.add(2.5, 7.0);
-  const auto w = ts.windows();
-  ASSERT_EQ(w.size(), 3u);
-  EXPECT_DOUBLE_EQ(w[0].sum, 5.0);
-  EXPECT_EQ(w[0].count, 2u);
-  EXPECT_DOUBLE_EQ(w[1].sum, 0.0);
-  EXPECT_DOUBLE_EQ(w[2].sum, 7.0);
-}
-
-TEST(TimeSeries, ExactWindowBoundaryFallsInUpperWindow) {
-  TimeSeries ts(1.0);
-  ts.add(0.0, 1.0);  // start of window 0
-  ts.add(1.0, 2.0);  // exactly on the 0/1 boundary -> window 1
-  ts.add(2.0, 4.0);  // exactly on the 1/2 boundary -> window 2
-  const auto w = ts.windows();
-  ASSERT_EQ(w.size(), 3u);
-  EXPECT_DOUBLE_EQ(w[0].sum, 1.0);
-  EXPECT_DOUBLE_EQ(w[1].sum, 2.0);
-  EXPECT_DOUBLE_EQ(w[2].sum, 4.0);
-  EXPECT_DOUBLE_EQ(w[2].start, 2.0);
-}
-
-TEST(TimeSeries, LastSampleAtHorizonStaysInFinalWindow) {
-  TimeSeries ts(2.0);
-  ts.add(3.999, 1.0);
-  ts.add(4.0, 1.0);  // defines a new window [4,6)
-  const auto w = ts.windows();
-  ASSERT_EQ(w.size(), 3u);
-  EXPECT_EQ(w[1].count, 1u);
-  EXPECT_EQ(w[2].count, 1u);
-}
-
-TEST(TimeSeries, RejectsBadWidth) {
-  EXPECT_THROW(TimeSeries(0.0), std::invalid_argument);
-}
-
-TEST(FormatCdf, ContainsLabelAndCount) {
-  CdfCollector c;
-  c.add(1.0);
-  c.add(2.0);
-  const std::string out = format_cdf(c, "demo", 5);
-  EXPECT_NE(out.find("demo"), std::string::npos);
-  EXPECT_NE(out.find("n=2"), std::string::npos);
 }
 
 }  // namespace
