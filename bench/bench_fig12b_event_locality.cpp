@@ -25,12 +25,8 @@ net::Topology split_pod(std::size_t d) {
   net::Topology topo = net::build_pod(bench_pod());
   std::size_t tor = 0, edge = 0;
   for (const auto sw : topo.switches()) {
-    auto& node = topo.node(sw);
-    if (node.name.find("tor") != std::string::npos) {
-      node.domain = static_cast<net::DomainId>(tor++ % d);
-    } else {
-      node.domain = static_cast<net::DomainId>(edge++ % d);
-    }
+    const bool is_tor = topo.node(sw).name.find("tor") != std::string::npos;
+    topo.set_domain(sw, static_cast<net::DomainId>(is_tor ? tor++ % d : edge++ % d));
   }
   return topo;
 }

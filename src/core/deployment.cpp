@@ -357,8 +357,6 @@ void Deployment::set_controller_fault(std::uint32_t id, ControllerFault fault) {
 
 void Deployment::fail_link(net::NodeIndex a, net::NodeIndex b) {
   topo_.set_link_up(topo_.link_between(a, b), false);
-  // Routes may change under every cached path: recompute lazily.
-  for (auto& fs : flow_shards_) fs.path_cache.clear();
   for (const net::NodeIndex side : {a, b}) {
     const auto it = switches_.find(side);
     if (it != switches_.end()) {
@@ -369,7 +367,6 @@ void Deployment::fail_link(net::NodeIndex a, net::NodeIndex b) {
 
 void Deployment::restore_link(net::NodeIndex a, net::NodeIndex b) {
   topo_.set_link_up(topo_.link_between(a, b), true);
-  for (auto& fs : flow_shards_) fs.path_cache.clear();
 }
 
 void Deployment::crash_switch(net::NodeIndex sw) {
@@ -432,15 +429,6 @@ std::size_t Deployment::pending_updates() const {
 // Flow driver
 // ---------------------------------------------------------------------------
 
-const std::vector<net::NodeIndex>& Deployment::flow_path(
-    FlowShard& fs, const std::pair<net::NodeIndex, net::NodeIndex>& key) {
-  auto it = fs.path_cache.find(key);
-  if (it == fs.path_cache.end()) {
-    it = fs.path_cache.emplace(key, topo_.shortest_path(key.first, key.second)).first;
-  }
-  return it->second;
-}
-
 void Deployment::inject(const std::vector<workload::Flow>& flows) {
   const std::size_t base = records_.size();
   // Arrival times are relative to the injection instant, so workloads can
@@ -465,7 +453,7 @@ void Deployment::inject(const std::vector<workload::Flow>& flows) {
       const net::NodeIndex ingress = topo_.host_tor(r.flow.src_host);
       FlowShard& fs = flow_shards_[ss];
 
-      const auto& path = flow_path(fs, {match.src_host, match.dst_host});
+      const auto path = topo_.shortest_path(match.src_host, match.dst_host);
       if (path.size() < 3) return;  // unroutable
 
       // Is the route already installed?  Sequential mode checks the whole
@@ -507,18 +495,18 @@ void Deployment::on_switch_applied(net::NodeIndex sw, const sched::Update& updat
     for (auto it = begin; it != end; ++it) ready.push_back(it->second);
     if (ready.empty()) return;
     fs.waiting.erase(key);
-    const auto& path = flow_path(fs, key);
+    const auto path = topo_.shortest_path(key.first, key.second);
     for (const std::size_t idx : ready) complete_flow(ssim, records_[idx], path);
     return;
   }
 
   (void)sw;
   // Sequential mode: the flows waiting on this match are ready once every
-  // switch of the route holds its rule.  The route is read through
-  // flow_path because a link change may have dropped the cached one.
+  // switch of the route holds its rule.  The route is asked for afresh
+  // because a link change may have moved it since the flow arrived.
   FlowShard& fs = flow_shards_[0];
   if (fs.waiting.count(key) == 0) return;
-  const auto& path = flow_path(fs, key);
+  const auto path = topo_.shortest_path(key.first, key.second);
   if (!route_installed(path, update.rule.match)) return;
   auto [begin, end] = fs.waiting.equal_range(key);
   std::vector<std::size_t> ready;
@@ -553,9 +541,13 @@ void Deployment::run(sim::SimTime horizon) {
   if (psim_ != nullptr) {
     psim_->run_until(horizon);
     merge_shard_metrics();
-    return;
+  } else {
+    sim_.run_until(horizon);
   }
-  sim_.run_until(horizon);
+  // Host-side route work (net::Topology's memo): gauges, not counters, so
+  // the record fingerprints that hash every counter stay put.
+  obs_.metrics.gauge("net.route.dijkstra_runs").set(static_cast<double>(topo_.dijkstra_runs()));
+  obs_.metrics.gauge("net.route.memo_entries").set(static_cast<double>(topo_.route_memo_size()));
 }
 
 void Deployment::merge_shard_metrics() {

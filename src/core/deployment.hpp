@@ -305,14 +305,12 @@ class Deployment {
   std::uint32_t next_ctrl_id_ = 0;
 
   // flow driver state: records_ is shared (disjoint elements per shard);
-  // the waiting set and path cache are striped by the ingress switch's
-  // shard so the driver never locks.  Sequential mode is stripe 0 only.
+  // the waiting set is striped by the ingress switch's shard so the driver
+  // never locks.  Sequential mode is stripe 0 only.  Routes come from the
+  // topology's own memo (net::Topology::shortest_path).
   struct FlowShard {
     std::multimap<std::pair<net::NodeIndex, net::NodeIndex>, std::size_t> waiting;
-    std::map<std::pair<net::NodeIndex, net::NodeIndex>, std::vector<net::NodeIndex>> path_cache;
   };
-  const std::vector<net::NodeIndex>& flow_path(FlowShard& fs,
-                                               const std::pair<net::NodeIndex, net::NodeIndex>& key);
   /// Whether `path` routes and every switch on it holds the rule for `match`.
   bool route_installed(const std::vector<net::NodeIndex>& path, const net::FlowMatch& match) const;
   /// Marks `r` routed now and done after its transfer along `path`;

@@ -8,6 +8,35 @@
 
 namespace cicero::net {
 
+Topology::Topology(const Topology& other)
+    : nodes_(other.nodes_), links_(other.links_), adjacency_(other.adjacency_) {}
+
+Topology::Topology(Topology&& other) noexcept
+    : nodes_(std::move(other.nodes_)),
+      links_(std::move(other.links_)),
+      adjacency_(std::move(other.adjacency_)) {
+  other.clear_route_memo();
+}
+
+Topology& Topology::operator=(const Topology& other) {
+  if (this == &other) return *this;
+  nodes_ = other.nodes_;
+  links_ = other.links_;
+  adjacency_ = other.adjacency_;
+  clear_route_memo();
+  return *this;
+}
+
+Topology& Topology::operator=(Topology&& other) noexcept {
+  if (this == &other) return *this;
+  nodes_ = std::move(other.nodes_);
+  links_ = std::move(other.links_);
+  adjacency_ = std::move(other.adjacency_);
+  other.clear_route_memo();
+  clear_route_memo();
+  return *this;
+}
+
 NodeIndex Topology::add_node(TopoNode node) {
   const NodeIndex id = static_cast<NodeIndex>(nodes_.size());
   nodes_.push_back(std::move(node));
@@ -32,6 +61,7 @@ std::size_t Topology::add_link(NodeIndex a, NodeIndex b, double bandwidth_bps,
   links_.push_back(TopoLink{a, b, bandwidth_bps, latency});
   adjacency_[a].emplace_back(b, id);
   adjacency_[b].emplace_back(a, id);
+  clear_route_memo();  // a new link may be a shortcut
   return id;
 }
 
@@ -72,6 +102,29 @@ std::vector<NodeIndex> Topology::shortest_path(NodeIndex src, NodeIndex dst) con
     throw std::invalid_argument("Topology::shortest_path: bad endpoints");
   }
   if (src == dst) return {src};
+  const std::uint64_t key = util::ordered_pair_key(src, dst);
+  util::MutexLock lock(memo_mu_);
+  if (const auto* path = memo_.find(key)) return *path;
+  ++dijkstra_runs_;
+  return *memo_.try_emplace(key, dijkstra(src, dst)).first;
+}
+
+std::uint64_t Topology::dijkstra_runs() const {
+  util::MutexLock lock(memo_mu_);
+  return dijkstra_runs_;
+}
+
+std::size_t Topology::route_memo_size() const {
+  util::MutexLock lock(memo_mu_);
+  return memo_.size();
+}
+
+void Topology::clear_route_memo() {
+  util::MutexLock lock(memo_mu_);
+  memo_.clear();
+}
+
+std::vector<NodeIndex> Topology::dijkstra(NodeIndex src, NodeIndex dst) const {
   constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
   std::vector<std::int64_t> dist(nodes_.size(), kInf);
   std::vector<NodeIndex> prev(nodes_.size(), kNoNode);
@@ -120,6 +173,7 @@ std::size_t Topology::link_between(NodeIndex a, NodeIndex b) const {
 
 void Topology::set_link_up(std::size_t link_index, bool up) {
   links_.at(link_index).up = up;
+  clear_route_memo();
 }
 
 bool Topology::link_up(NodeIndex a, NodeIndex b) const {

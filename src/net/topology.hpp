@@ -11,6 +11,11 @@
 // Every switch carries a `domain` label — Cicero's unit of control-plane
 // isolation (§3.3) — assigned by the builders (one domain per pod, plus an
 // interconnect domain) or manually.
+//
+// Routing is memoized: every controller replica of every domain on a
+// flow's path asks for the same route, so `shortest_path` runs Dijkstra
+// once per (src, dst) pair and answers repeats from a memo that the two
+// route-changing mutators (`add_link`, `set_link_up`) clear.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +25,8 @@
 
 #include "sim/time.hpp"
 #include "util/bytes.hpp"
+#include "util/flat_hash.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace cicero::net {
 
@@ -53,13 +60,26 @@ struct TopoLink {
 
 class Topology {
  public:
+  Topology() = default;
+  /// Copies and moves carry the graph but never the route memo, whose
+  /// mutex can be neither copied nor moved: a constructed copy starts
+  /// with an empty memo and a zero miss count, and an assignment clears
+  /// the memo as any other graph change does.
+  Topology(const Topology& other);
+  Topology(Topology&& other) noexcept;
+  Topology& operator=(const Topology& other);
+  Topology& operator=(Topology&& other) noexcept;
+
   NodeIndex add_switch(std::string name, Placement placement, DomainId domain);
   NodeIndex add_host(std::string name, Placement placement, DomainId domain);
   /// Adds a bidirectional link; returns its index.
   std::size_t add_link(NodeIndex a, NodeIndex b, double bandwidth_bps, sim::SimTime latency);
 
   const TopoNode& node(NodeIndex i) const { return nodes_.at(i); }
-  TopoNode& node(NodeIndex i) { return nodes_.at(i); }
+  /// Relabels a node's control domain.  The domain is the only node field
+  /// writable after construction: `kind` is a routing input (paths never
+  /// transit a host), so a writable node would bypass the route memo.
+  void set_domain(NodeIndex i, DomainId domain) { nodes_.at(i).domain = domain; }
   const TopoLink& link(std::size_t i) const { return links_.at(i); }
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t link_count() const { return links_.size(); }
@@ -77,8 +97,16 @@ class Topology {
 
   /// Latency-weighted shortest path (Dijkstra, deterministic tie-break on
   /// node index).  Returns the node sequence src..dst inclusive, or empty
-  /// if unreachable.
+  /// if unreachable.  Memoized per (src, dst) and safe to call from
+  /// several threads at once; the path is returned by value because the
+  /// memo's slots move when it grows.
   std::vector<NodeIndex> shortest_path(NodeIndex src, NodeIndex dst) const;
+
+  /// Dijkstra runs (memo misses) since construction, and the number of
+  /// routes memoized now.  Host-side bookkeeping only: neither feeds any
+  /// simulated quantity.
+  std::uint64_t dijkstra_runs() const;
+  std::size_t route_memo_size() const;
 
   /// Sum of link latencies along a path.
   sim::SimTime path_latency(const std::vector<NodeIndex>& path) const;
@@ -97,9 +125,21 @@ class Topology {
 
  private:
   NodeIndex add_node(TopoNode node);
+  std::vector<NodeIndex> dijkstra(NodeIndex src, NodeIndex dst) const;
+  void clear_route_memo();
+
   std::vector<TopoNode> nodes_;
   std::vector<TopoLink> links_;
   std::vector<std::vector<std::pair<NodeIndex, std::size_t>>> adjacency_;
+
+  // Route memo, keyed by util::ordered_pair_key(src, dst).  The parallel
+  // engine's shards share one Topology, so the memo is locked, and a miss
+  // runs Dijkstra under the lock: each key misses exactly once between
+  // invalidations.
+  mutable util::Mutex memo_mu_;
+  mutable util::FlatHashMap<std::uint64_t, std::vector<NodeIndex>> memo_
+      CICERO_GUARDED_BY(memo_mu_);
+  mutable std::uint64_t dijkstra_runs_ CICERO_GUARDED_BY(memo_mu_) = 0;
 };
 
 /// Scale parameters for the evaluation fabrics (paper defaults are large;

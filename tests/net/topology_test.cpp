@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <set>
+#include <utility>
+
+#include "workload/topo_gen.hpp"
 
 namespace cicero::net {
 namespace {
@@ -229,6 +234,149 @@ TEST(Topology, AddLinkValidation) {
   const NodeIndex a = t.add_switch("a", {}, 0);
   EXPECT_THROW(t.add_link(a, a, 1e9, 1), std::invalid_argument);
   EXPECT_THROW(t.add_link(a, 42, 1e9, 1), std::invalid_argument);
+}
+
+// --- route memo -------------------------------------------------------------
+
+using Pairs = std::vector<std::pair<NodeIndex, NodeIndex>>;
+
+Pairs all_host_pairs(const Topology& t) {
+  Pairs out;
+  for (const NodeIndex a : t.hosts()) {
+    for (const NodeIndex b : t.hosts()) {
+      if (a != b) out.emplace_back(a, b);
+    }
+  }
+  return out;
+}
+
+/// Every ordered host pair is asked twice, in a shuffled order, of one
+/// memoizing topology; each answer must equal Dijkstra's on a fresh copy,
+/// whose empty memo makes every one of its answers a miss.
+void expect_memo_matches_fresh_copy(const Topology& t) {
+  const Pairs pairs = all_host_pairs(t);
+  const Topology fresh(t);
+  std::vector<std::vector<NodeIndex>> expected;
+  for (const auto& [a, b] : pairs) expected.push_back(fresh.shortest_path(a, b));
+  ASSERT_EQ(fresh.dijkstra_runs(), pairs.size());
+
+  std::vector<std::size_t> order;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < pairs.size(); ++i) order.push_back(i);
+  }
+  std::shuffle(order.begin(), order.end(), std::mt19937_64(7));
+  for (const std::size_t i : order) {
+    ASSERT_EQ(t.shortest_path(pairs[i].first, pairs[i].second), expected[i])
+        << "pair " << pairs[i].first << "->" << pairs[i].second;
+  }
+  EXPECT_EQ(t.dijkstra_runs(), pairs.size());
+  EXPECT_EQ(t.route_memo_size(), pairs.size());
+}
+
+TEST(TopologyRouteMemo, WanAnswersMatchFreshCopy) {
+  expect_memo_matches_fresh_copy(workload::wan(100));
+}
+
+TEST(TopologyRouteMemo, FatTreeAnswersMatchFreshCopy) {
+  expect_memo_matches_fresh_copy(workload::fat_tree(4));
+}
+
+TEST(TopologyRouteMemo, LinkFailureReroutesAndRestoreReturns) {
+  Topology t = workload::fat_tree(4);
+  const auto hosts = t.hosts();
+  const NodeIndex src = hosts.front();
+  const NodeIndex dst = hosts.back();
+  const auto before = t.shortest_path(src, dst);
+  ASSERT_GE(before.size(), 5u);
+  EXPECT_EQ(t.shortest_path(src, dst), before);  // a memo hit
+  EXPECT_EQ(t.dijkstra_runs(), 1u);
+
+  const std::size_t cut = t.link_between(before[1], before[2]);
+  t.set_link_up(cut, false);
+  EXPECT_EQ(t.route_memo_size(), 0u);
+  const auto detour = t.shortest_path(src, dst);
+  ASSERT_FALSE(detour.empty());
+  EXPECT_NE(detour, before);
+  for (std::size_t k = 1; k < detour.size(); ++k) {
+    EXPECT_TRUE(t.link_up(detour[k - 1], detour[k]));
+  }
+
+  t.set_link_up(cut, true);
+  EXPECT_EQ(t.shortest_path(src, dst), before);
+  EXPECT_EQ(t.dijkstra_runs(), 3u);
+}
+
+TEST(TopologyRouteMemo, AddedShortcutReroutes) {
+  // h0 - s0 - s1 - s2 - s3 - h1, then a direct s0 - s3 shortcut.
+  Topology t;
+  std::vector<NodeIndex> s;
+  for (const char* name : {"s0", "s1", "s2", "s3"}) s.push_back(t.add_switch(name, {}, 0));
+  const NodeIndex h0 = t.add_host("h0", {}, 0);
+  const NodeIndex h1 = t.add_host("h1", {}, 0);
+  t.add_link(h0, s[0], 1e9, 10);
+  for (int i = 0; i + 1 < 4; ++i) t.add_link(s[i], s[i + 1], 1e9, 10);
+  t.add_link(s[3], h1, 1e9, 10);
+  EXPECT_EQ(t.shortest_path(h0, h1), (std::vector<NodeIndex>{h0, s[0], s[1], s[2], s[3], h1}));
+
+  t.add_link(s[0], s[3], 1e9, 10);
+  EXPECT_EQ(t.shortest_path(h0, h1), (std::vector<NodeIndex>{h0, s[0], s[3], h1}));
+}
+
+TEST(TopologyRouteMemo, DijkstraRunsCountDistinctPairsPerEpoch) {
+  Topology t = workload::fat_tree(4);
+  const auto hosts = t.hosts();
+  // Epoch 1: 6 distinct pairs, each asked three times.
+  for (int rep = 0; rep < 3; ++rep) {
+    for (std::size_t i = 0; i < 6; ++i) t.shortest_path(hosts[i], hosts[i + 1]);
+  }
+  EXPECT_EQ(t.dijkstra_runs(), 6u);
+  EXPECT_EQ(t.route_memo_size(), 6u);
+  // A trivial self-route is no Dijkstra run and takes no memo slot.
+  t.shortest_path(hosts[0], hosts[0]);
+  EXPECT_EQ(t.dijkstra_runs(), 6u);
+
+  // Epoch 2 (after a link change): 4 distinct pairs, two of them repeats
+  // of epoch 1, each asked twice.
+  t.set_link_up(0, false);
+  for (int rep = 0; rep < 2; ++rep) {
+    for (std::size_t i = 4; i < 8; ++i) t.shortest_path(hosts[i], hosts[i + 1]);
+  }
+  EXPECT_EQ(t.dijkstra_runs(), 6u + 4u);
+  EXPECT_EQ(t.route_memo_size(), 4u);
+}
+
+TEST(TopologyRouteMemo, CopyAndMoveAnswerAlike) {
+  const Topology original = workload::wan(40);
+  const Pairs pairs = all_host_pairs(original);
+  std::vector<std::vector<NodeIndex>> expected;
+  for (const auto& [a, b] : pairs) expected.push_back(original.shortest_path(a, b));
+
+  Topology copied(original);
+  EXPECT_EQ(copied.dijkstra_runs(), 0u);
+  EXPECT_EQ(copied.route_memo_size(), 0u);
+  Topology moved(std::move(copied));
+  Topology copy_assigned;
+  copy_assigned = original;
+  EXPECT_EQ(copy_assigned.route_memo_size(), 0u);
+  Topology move_assigned;
+  move_assigned = Topology(original);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const auto [a, b] = pairs[i];
+    ASSERT_EQ(moved.shortest_path(a, b), expected[i]);
+    ASSERT_EQ(copy_assigned.shortest_path(a, b), expected[i]);
+    ASSERT_EQ(move_assigned.shortest_path(a, b), expected[i]);
+  }
+  EXPECT_EQ(moved.dijkstra_runs(), pairs.size());
+}
+
+TEST(TopologyRouteMemo, SetDomainRelabelsWithoutRerouting) {
+  Topology t = workload::fat_tree(4);
+  const auto hosts = t.hosts();
+  const auto path = t.shortest_path(hosts.front(), hosts.back());
+  t.set_domain(path[2], 7);
+  EXPECT_EQ(t.node(path[2]).domain, 7u);
+  EXPECT_EQ(t.switches_in_domain(7), std::vector<NodeIndex>{path[2]});
+  EXPECT_EQ(t.shortest_path(hosts.front(), hosts.back()), path);
 }
 
 }  // namespace
