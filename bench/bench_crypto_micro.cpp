@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "crypto/dkg.hpp"
+#include "crypto/fp.hpp"
 #include "crypto/frost.hpp"
 #include "crypto/schnorr.hpp"
 #include "crypto/sha256.hpp"
@@ -24,7 +25,7 @@ void BM_Sha256_1k(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256_1k);
 
-void BM_FieldMul(benchmark::State& state) {
+void BM_ScalarMul(benchmark::State& state) {
   Drbg d(1);
   const Scalar a = d.next_scalar(), b = d.next_scalar();
   Scalar acc = a;
@@ -33,7 +34,38 @@ void BM_FieldMul(benchmark::State& state) {
     benchmark::DoNotOptimize(acc);
   }
 }
-BENCHMARK(BM_FieldMul);
+BENCHMARK(BM_ScalarMul);
+
+void BM_ScalarFromWide(benchmark::State& state) {
+  Drbg d(4);
+  std::uint8_t wide[64];
+  d.generate(wide, sizeof(wide));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Scalar::from_wide_bytes(wide));
+  }
+}
+BENCHMARK(BM_ScalarFromWide);
+
+void BM_FpMul(benchmark::State& state) {
+  Drbg d(3);
+  const U256 b = d.next_scalar().raw();  // < n < p
+  U256 acc = d.next_scalar().raw();
+  for (auto _ : state) {
+    acc = Fp::mul(acc, b);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_FpMul);
+
+void BM_FpInv(benchmark::State& state) {
+  Drbg d(3);
+  U256 acc = d.next_scalar().raw();
+  for (auto _ : state) {
+    acc = Fp::inv(acc);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_FpInv);
 
 void BM_ScalarInverse(benchmark::State& state) {
   Drbg d(2);

@@ -3,199 +3,83 @@
 #include <stdexcept>
 #include <vector>
 
-#include "crypto/ct.hpp"
-
 namespace cicero::crypto {
 
-using u128 = unsigned __int128;
-
 namespace {
-// Computes m^{-1} mod 2^64 by Newton iteration (m odd), then negates.
-std::uint64_t neg_inv64(std::uint64_t m) {
-  std::uint64_t inv = m;  // correct mod 2^3
-  for (int i = 0; i < 5; ++i) inv *= 2 - m * inv;  // doubles precision each step
-  return ~inv + 1;  // -inv mod 2^64
-}
-}  // namespace
 
-MontgomeryCtx::MontgomeryCtx(const U256& modulus) : m_(modulus) {
-  if (!modulus.is_odd() || modulus <= U256::one()) {
-    throw std::invalid_argument("MontgomeryCtx: modulus must be odd and > 1");
-  }
-  n0inv_ = neg_inv64(m_.w[0]);
-
-  // one_mont_ = 2^256 mod m: start from the reduction of 2^255 doubled once,
-  // computed by repeated modular doubling of 1.
-  U256 x = U256::one();
-  // Reduce 1 (already < m unless m == 1, excluded above).
-  for (int i = 0; i < 256; ++i) {
-    const std::uint64_t carry = x.add_assign(x);
-    if (carry != 0 || x >= m_) x.sub_assign(m_);
-  }
-  one_mont_ = x;
-
-  // r2_ = 2^512 mod m: double one_mont_ another 256 times.
-  for (int i = 0; i < 256; ++i) {
-    const std::uint64_t carry = x.add_assign(x);
-    if (carry != 0 || x >= m_) x.sub_assign(m_);
-  }
-  r2_ = x;
+/// a^(2^k): k squarings.
+U256 sqr_n(U256 a, int k) {
+  for (int i = 0; i < k; ++i) a = Fp::sqr(a);
+  return a;
 }
 
-U256 MontgomeryCtx::redc(const U512& t) const {
-  // Standard word-by-word Montgomery reduction (CIOS-style on a materialized
-  // 512-bit input).
-  std::uint64_t tw[9];
-  for (int i = 0; i < 8; ++i) tw[i] = t.w[i];
-  tw[8] = 0;
-
-  for (int i = 0; i < 4; ++i) {
-    const std::uint64_t u = tw[i] * n0inv_;
-    u128 carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      u128 cur = static_cast<u128>(u) * m_.w[j] + tw[i + j] + carry;
-      tw[i + j] = static_cast<std::uint64_t>(cur);
-      carry = cur >> 64;
-    }
-    for (int j = i + 4; j < 9 && carry != 0; ++j) {
-      u128 cur = static_cast<u128>(tw[j]) + carry;
-      tw[j] = static_cast<std::uint64_t>(cur);
-      carry = cur >> 64;
-    }
-  }
-
-  // value = tw[8]*2^256 + tw[7..4] < 2m for every caller (all feed t < m*R),
-  // so at most one subtraction of m is needed.  Do it branch-free: compute
-  // r - m unconditionally and select on (hi | r >= m).  A second conditional
-  // round is kept as defense in depth; with value < 2m it is always a no-op.
-  const std::uint64_t hi = tw[8];
-  U256 r{tw[4], tw[5], tw[6], tw[7]};
-  U256 s = r;
-  const std::uint64_t borrow = s.sub_assign(m_);
-  U256::cmov(r, s, ct::mask_nonzero(hi | (borrow ^ 1)));
-  s = r;
-  const std::uint64_t borrow2 = s.sub_assign(m_);
-  U256::cmov(r, s, ct::mask_zero(borrow2));
-  return r;
-}
-
-U256 MontgomeryCtx::to_mont(const U256& a) const { return redc(mul_wide(a, r2_)); }
-
-U256 MontgomeryCtx::from_mont(const U256& a) const {
-  U512 t;
-  for (int i = 0; i < 4; ++i) t.w[i] = a.w[i];
-  return redc(t);
-}
-
-U256 MontgomeryCtx::add(const U256& a, const U256& b) const {
-  // Branch-free correction: with a, b < m the sum is < 2m, so subtract m
-  // exactly when the add carried out or the wrapped sum is still >= m.
-  U256 r = a;
-  const std::uint64_t carry = r.add_assign(b);
-  U256 t = r;
-  const std::uint64_t borrow = t.sub_assign(m_);
-  U256::cmov(r, t, ct::mask_nonzero(carry | (borrow ^ 1)));
-  return r;
-}
-
-U256 MontgomeryCtx::sub(const U256& a, const U256& b) const {
-  U256 r = a;
-  const std::uint64_t borrow = r.sub_assign(b);
-  U256 t = r;
-  t.add_assign(m_);
-  U256::cmov(r, t, ct::mask_bit(borrow));
-  return r;
-}
-
-U256 MontgomeryCtx::neg(const U256& a) const {
-  // m - a, with the a == 0 case folded back to 0 by cmov instead of an
-  // early return (negation of a secret residue must not branch on it).
-  U256 r = m_;
-  r.sub_assign(a);
-  U256::cmov(r, U256::zero(), a.zero_mask());
-  return r;
-}
-
-U256 MontgomeryCtx::mul(const U256& a, const U256& b) const { return redc(mul_wide(a, b)); }
-
-U256 MontgomeryCtx::pow(const U256& a, const U256& e) const {
-  // Square-and-multiply with a branch per exponent bit.  Only safe for
-  // PUBLIC exponents; the sole in-repo callers use e = m - 2 (inversion),
-  // which is a curve constant.  ct-lint bans new secret-exponent uses.
-  U256 result = one_mont_;
-  U256 base = a;
-  const unsigned bits = e.bit_length();
-  for (unsigned i = 0; i < bits; ++i) {
-    if (e.bit(i)) result = mul(result, base);
-    base = sqr(base);
-  }
-  return result;
-}
-
-U256 MontgomeryCtx::inv(const U256& a) const {
-  if (a.is_zero()) throw std::domain_error("MontgomeryCtx::inv: zero has no inverse");
-  U256 e = m_;
-  e.sub_assign(U256(2));  // m - 2
-  return pow(a, e);
-}
-
-void MontgomeryCtx::batch_inv(U256* xs, std::size_t n) const {
+template <typename F>
+void batch_inv_impl(U256* xs, std::size_t n, const char* what) {
   if (n == 0) return;
   // Prefix products: prefix[i] = xs[0] * ... * xs[i].
   std::vector<U256> prefix(n);
   prefix[0] = xs[0];
-  for (std::size_t i = 1; i < n; ++i) prefix[i] = mul(prefix[i - 1], xs[i]);
+  for (std::size_t i = 1; i < n; ++i) prefix[i] = F::mul(prefix[i - 1], xs[i]);
   if (prefix[n - 1].is_zero()) {
     // Some element is zero; report without clobbering the inputs.
-    throw std::domain_error("MontgomeryCtx::batch_inv: zero element");
+    throw std::domain_error(what);
   }
   // acc = (xs[0] * ... * xs[n-1])^-1, peeled back one element at a time:
   // xs[i]^-1 = acc * prefix[i-1], then acc *= xs[i] (pre-update value).
-  U256 acc = inv(prefix[n - 1]);
+  U256 acc = F::inv(prefix[n - 1]);
   for (std::size_t i = n; i-- > 1;) {
     const U256 x = xs[i];
-    xs[i] = mul(acc, prefix[i - 1]);
-    acc = mul(acc, x);
+    xs[i] = F::mul(acc, prefix[i - 1]);
+    acc = F::mul(acc, x);
   }
   xs[0] = acc;
 }
 
-U256 MontgomeryCtx::reduce(const U256& a) const {
-  // For 256-bit inputs at most one conditional subtraction loop is bounded;
-  // handle the general case by repeated subtraction of shifted modulus.
-  if (a < m_) return a;
-  U256 r = a;
-  const unsigned shift_max = 256 - m_.bit_length();
-  for (int s = static_cast<int>(shift_max); s >= 0; --s) {
-    const U256 shifted = m_.shl(static_cast<unsigned>(s));
-    // m.shl(s) may have dropped high bits only if s too large; bounded by
-    // construction since m.bit_length() + s <= 256.
-    while (r >= shifted) r.sub_assign(shifted);
+}  // namespace
+
+U256 Fp::inv(const U256& a) {
+  if (a.is_zero()) throw std::domain_error("Fp::inv: zero has no inverse");
+  // p - 2 is, from the top: 223 ones, a zero, 22 ones, then 0000101101.
+  // xk = a^(2^k - 1) for the block lengths chained below:
+  // [1], [2], 3, 6, 9, 11, [22], 44, 88, 176, 220, [223].
+  const U256 x2 = Fp::mul(Fp::sqr(a), a);
+  const U256 x3 = Fp::mul(Fp::sqr(x2), a);
+  const U256 x6 = Fp::mul(sqr_n(x3, 3), x3);
+  const U256 x9 = Fp::mul(sqr_n(x6, 3), x3);
+  const U256 x11 = Fp::mul(sqr_n(x9, 2), x2);
+  const U256 x22 = Fp::mul(sqr_n(x11, 11), x11);
+  const U256 x44 = Fp::mul(sqr_n(x22, 22), x22);
+  const U256 x88 = Fp::mul(sqr_n(x44, 44), x44);
+  const U256 x176 = Fp::mul(sqr_n(x88, 88), x88);
+  const U256 x220 = Fp::mul(sqr_n(x176, 44), x44);
+  const U256 x223 = Fp::mul(sqr_n(x220, 3), x3);
+  // Slide the assembled blocks over the low 33 bits of p - 2.
+  U256 r = Fp::mul(sqr_n(x223, 23), x22);
+  r = Fp::mul(sqr_n(r, 5), a);
+  r = Fp::mul(sqr_n(r, 3), x2);
+  return Fp::mul(sqr_n(r, 2), a);
+}
+
+void Fp::batch_inv(U256* xs, std::size_t n) {
+  batch_inv_impl<Fp>(xs, n, "Fp::batch_inv: zero element");
+}
+
+U256 Fn::inv(const U256& a) {
+  if (a.is_zero()) throw std::domain_error("Fn::inv: zero has no inverse");
+  // Left-to-right square-and-multiply.  The branch reads bits of the
+  // constant n - 2, never of `a`, so the schedule is the same every call.
+  static constexpr U256 kExp{Fn::kModulus.w[0] - 2, Fn::kModulus.w[1], Fn::kModulus.w[2],
+                             Fn::kModulus.w[3]};
+  U256 r = a;  // bit 255 of n - 2 is set
+  for (int i = 254; i >= 0; --i) {
+    r = Fn::sqr(r);
+    if (kExp.bit(static_cast<unsigned>(i))) r = Fn::mul(r, a);
   }
   return r;
 }
 
-U256 MontgomeryCtx::reduce_wide(const U512& a) const {
-  // Binary (shift-and-subtract) reduction, correct for any odd modulus.
-  // 512 iterations of limb ops; used on cold paths (hash-to-field) but also
-  // on secret inputs (wide nonce/key derivation), so every per-bit decision
-  // is branch-free: the bit is *added* (0 or 1) rather than tested, and
-  // residue corrections go through cond_sub-style cmovs.
-  U256 r;
-  for (int i = 511; i >= 0; --i) {
-    const std::uint64_t carry = r.add_assign(r);  // r <<= 1
-    // After doubling, true value is carry*2^256 + r < 2m, so at most one
-    // subtraction is needed and the wrapped subtraction is exact.
-    U256 t = r;
-    std::uint64_t borrow = t.sub_assign(m_);
-    U256::cmov(r, t, ct::mask_nonzero(carry | (borrow ^ 1)));
-    const std::uint64_t bit = (a.w[i / 64] >> (i % 64)) & 1;
-    const std::uint64_t c2 = r.add_assign(U256(bit));
-    t = r;
-    borrow = t.sub_assign(m_);
-    U256::cmov(r, t, ct::mask_nonzero(c2 | (borrow ^ 1)));
-  }
-  return r;
+void Fn::batch_inv(U256* xs, std::size_t n) {
+  batch_inv_impl<Fn>(xs, n, "Fn::batch_inv: zero element");
 }
 
 }  // namespace cicero::crypto

@@ -4,30 +4,20 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "crypto/fp.hpp"
+
 namespace cicero::crypto {
 
 namespace {
 
-// secp256k1 parameters.
-const U256 kFieldP =
-    U256::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f");
-const U256 kOrderN =
-    U256::from_hex("fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141");
-const U256 kGenX = U256::from_hex("79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798");
-const U256 kGenY = U256::from_hex("483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8");
-
-/// Singleton holding the two Montgomery contexts.
-struct GroupParams {
-  MontgomeryCtx fp;   // base field
-  MontgomeryCtx fn;   // scalar field (group order)
-  U256 b_mont;        // curve b = 7 in Montgomery form
-  GroupParams() : fp(kFieldP), fn(kOrderN), b_mont(fp.to_mont(U256(7))) {}
-};
-
-const GroupParams& params() {
-  static const GroupParams p;
-  return p;
-}
+// secp256k1 generator and curve constant b (y^2 = x^3 + b); the field
+// moduli live in fp.hpp.
+constexpr U256 kGenX{0x59F2815B16F81798ULL, 0x029BFCDB2DCE28D9ULL, 0x55A06295CE870B07ULL,
+                     0x79BE667EF9DCBBACULL};
+constexpr U256 kGenY{0x9C47D08FFB10D4B8ULL, 0xFD17B448A6855419ULL, 0x5DA4FBFC0E1108A8ULL,
+                     0x483ADA7726A3C465ULL};
+constexpr U256 kCurveB{7};
+constexpr U256 kOne{1};
 
 }  // namespace
 
@@ -37,7 +27,7 @@ const GroupParams& params() {
 
 Scalar Scalar::from_u64(std::uint64_t v) { return Scalar(U256(v)); }
 
-Scalar Scalar::from_u256(const U256& v) { return Scalar(params().fn.reduce(v)); }
+Scalar Scalar::from_u256(const U256& v) { return Scalar(Fn::reduce(v)); }
 
 Scalar Scalar::hash_to_scalar(const util::Bytes& msg) {
   // Widen to 64 bytes with two tagged hashes to make the mod-n bias
@@ -59,56 +49,27 @@ Scalar Scalar::from_wide_bytes(const std::uint8_t* data64) {
     const int bit_pos = (63 - i) * 8;
     wide.w[bit_pos / 64] |= static_cast<std::uint64_t>(data64[i]) << (bit_pos % 64);
   }
-  return Scalar(params().fn.reduce_wide(wide));
+  return Scalar(Fn::reduce_wide(wide));
 }
 
-Scalar Scalar::operator+(const Scalar& o) const {
-  // Plain-form add: both < n, so Montgomery form is unnecessary.  The
-  // modular correction is a branch-free cmov — scalar sums routinely mix
-  // secret shares and nonces, so overflow must not reach a branch.
-  U256 r = v_;
-  const std::uint64_t carry = r.add_assign(o.v_);
-  U256 t = r;
-  const std::uint64_t borrow = t.sub_assign(params().fn.modulus());
-  U256::cmov(r, t, ct::mask_nonzero(carry | (borrow ^ 1)));
-  return Scalar(r);
-}
+// Scalar sums routinely mix secret shares and nonces, so every modular
+// correction below is a branch-free cmov inside Fn (fp.hpp).
+Scalar Scalar::operator+(const Scalar& o) const { return Scalar(Fn::add(v_, o.v_)); }
 
-Scalar Scalar::operator-(const Scalar& o) const {
-  U256 r = v_;
-  const std::uint64_t borrow = r.sub_assign(o.v_);
-  U256 t = r;
-  t.add_assign(params().fn.modulus());
-  U256::cmov(r, t, ct::mask_bit(borrow));
-  return Scalar(r);
-}
+Scalar Scalar::operator-(const Scalar& o) const { return Scalar(Fn::sub(v_, o.v_)); }
 
-Scalar Scalar::operator*(const Scalar& o) const {
-  const auto& fn = params().fn;
-  return Scalar(fn.from_mont(fn.mul(fn.to_mont(v_), fn.to_mont(o.v_))));
-}
+Scalar Scalar::operator*(const Scalar& o) const { return Scalar(Fn::mul(v_, o.v_)); }
 
-Scalar Scalar::operator-() const {
-  // n - v, folding the v == 0 case back to 0 with a cmov rather than an
-  // early return (negating a secret must not branch on its value).
-  U256 r = params().fn.modulus();
-  r.sub_assign(v_);
-  U256::cmov(r, U256::zero(), v_.zero_mask());
-  return Scalar(r);
-}
+Scalar Scalar::operator-() const { return Scalar(Fn::neg(v_)); }
 
-Scalar Scalar::inverse() const {
-  const auto& fn = params().fn;
-  return Scalar(fn.from_mont(fn.inv(fn.to_mont(v_))));
-}
+Scalar Scalar::inverse() const { return Scalar(Fn::inv(v_)); }
 
 void Scalar::batch_inverse(std::vector<Scalar>& xs) {
-  const auto& fn = params().fn;
-  std::vector<U256> mont;
-  mont.reserve(xs.size());
-  for (const auto& x : xs) mont.push_back(fn.to_mont(x.v_));
-  fn.batch_inv(mont.data(), mont.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) xs[i].v_ = fn.from_mont(mont[i]);
+  std::vector<U256> vs;
+  vs.reserve(xs.size());
+  for (const auto& x : xs) vs.push_back(x.v_);
+  Fn::batch_inv(vs.data(), vs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) xs[i].v_ = vs[i];
 }
 
 util::Bytes Scalar::to_bytes() const {
@@ -119,7 +80,7 @@ util::Bytes Scalar::to_bytes() const {
 std::optional<Scalar> Scalar::from_bytes(const util::Bytes& b) {
   if (b.size() != 32) return std::nullopt;
   const U256 v = U256::from_bytes_be(b.data(), b.size());
-  if (v >= params().fn.modulus()) return std::nullopt;
+  if (v >= Fn::kModulus) return std::nullopt;
   return Scalar(v);
 }
 
@@ -131,11 +92,10 @@ Point::Point() = default;
 
 const Point& Point::generator() {
   static const Point g = [] {
-    const auto& fp = params().fp;
     Point p;
-    p.x_ = fp.to_mont(kGenX);
-    p.y_ = fp.to_mont(kGenY);
-    p.z_ = fp.one_mont();
+    p.x_ = kGenX;
+    p.y_ = kGenY;
+    p.z_ = kOne;
     p.inf_ = false;
     return p;
   }();
@@ -148,8 +108,8 @@ namespace {
 Point jac_double(const Point& p);
 Point jac_add(const Point& p, const Point& q);
 
-/// Affine point in Montgomery form (never infinity); table entry type for
-/// the precomputed fixed-base comb and odd-multiple tables.
+/// Affine point (never infinity); table entry type for the precomputed
+/// fixed-base comb and odd-multiple tables.
 struct AffinePoint {
   U256 x, y;
 };
@@ -172,28 +132,27 @@ class GroupCtx {
   static const U256& y(const Point& p) { return p.y_; }
   static const U256& z(const Point& p) { return p.z_; }
   static void negate_y(Point& p) {
-    if (!p.inf_) p.y_ = params().fp.neg(p.y_);
+    if (!p.inf_) p.y_ = Fp::neg(p.y_);
   }
 
   static Point dbl(const Point& p) {
     if (p.inf_) return p;
-    const auto& f = params().fp;
     if (p.y_.is_zero()) return Point::infinity();
     // A = X^2; B = Y^2; C = B^2; D = 2*((X+B)^2 - A - C); E = 3*A; F = E^2
-    const U256 a = f.sqr(p.x_);
-    const U256 b = f.sqr(p.y_);
-    const U256 c = f.sqr(b);
-    U256 d = f.sqr(f.add(p.x_, b));
-    d = f.sub(f.sub(d, a), c);
-    d = f.add(d, d);
-    const U256 e = f.add(f.add(a, a), a);
-    const U256 ff = f.sqr(e);
-    const U256 x3 = f.sub(ff, f.add(d, d));
-    U256 c8 = f.add(c, c);
-    c8 = f.add(c8, c8);
-    c8 = f.add(c8, c8);
-    const U256 y3 = f.sub(f.mul(e, f.sub(d, x3)), c8);
-    const U256 z3 = f.mul(f.add(p.y_, p.y_), p.z_);
+    const U256 a = Fp::sqr(p.x_);
+    const U256 b = Fp::sqr(p.y_);
+    const U256 c = Fp::sqr(b);
+    U256 d = Fp::sqr(Fp::add(p.x_, b));
+    d = Fp::sub(Fp::sub(d, a), c);
+    d = Fp::add(d, d);
+    const U256 e = Fp::add(Fp::add(a, a), a);
+    const U256 ff = Fp::sqr(e);
+    const U256 x3 = Fp::sub(ff, Fp::add(d, d));
+    U256 c8 = Fp::add(c, c);
+    c8 = Fp::add(c8, c8);
+    c8 = Fp::add(c8, c8);
+    const U256 y3 = Fp::sub(Fp::mul(e, Fp::sub(d, x3)), c8);
+    const U256 z3 = Fp::mul(Fp::add(p.y_, p.y_), p.z_);
     if (z3.is_zero()) return Point::infinity();
     return make(x3, y3, z3);
   }
@@ -202,11 +161,10 @@ class GroupCtx {
   /// (Z2 = 1): madd-2007-bl, 7M + 4S vs. 11M + 5S for the general add.
   /// All table-driven kernels (comb, wNAF, Strauss–Shamir) land here.
   static Point madd(const Point& p, const AffinePoint& a) {
-    const auto& f = params().fp;
-    if (p.inf_) return make(a.x, a.y, f.one_mont());
-    const U256 z1z1 = f.sqr(p.z_);
-    const U256 u2 = f.mul(a.x, z1z1);
-    const U256 s2 = f.mul(f.mul(a.y, p.z_), z1z1);
+    if (p.inf_) return make(a.x, a.y, kOne);
+    const U256 z1z1 = Fp::sqr(p.z_);
+    const U256 u2 = Fp::mul(a.x, z1z1);
+    const U256 s2 = Fp::mul(Fp::mul(a.y, p.z_), z1z1);
     // Uniform-time comparisons (eq_mask scans all limbs); the exceptional
     // doubling/cancellation branches fire with negligible probability for
     // honest inputs and never as a function of individual secret bits.
@@ -214,21 +172,21 @@ class GroupCtx {
       if (p.y_.eq_mask(s2) != 0) return dbl(p);
       return Point::infinity();
     }
-    const U256 h = f.sub(u2, p.x_);
-    const U256 hh = f.sqr(h);
-    U256 i = f.add(hh, hh);
-    i = f.add(i, i);
-    const U256 j = f.mul(h, i);
-    U256 r = f.sub(s2, p.y_);
-    r = f.add(r, r);
-    const U256 v = f.mul(p.x_, i);
-    U256 x3 = f.sqr(r);
-    x3 = f.sub(f.sub(x3, j), f.add(v, v));
-    const U256 y1j = f.mul(p.y_, j);
-    U256 y3 = f.mul(r, f.sub(v, x3));
-    y3 = f.sub(y3, f.add(y1j, y1j));
-    U256 z3 = f.sqr(f.add(p.z_, h));
-    z3 = f.sub(f.sub(z3, z1z1), hh);
+    const U256 h = Fp::sub(u2, p.x_);
+    const U256 hh = Fp::sqr(h);
+    U256 i = Fp::add(hh, hh);
+    i = Fp::add(i, i);
+    const U256 j = Fp::mul(h, i);
+    U256 r = Fp::sub(s2, p.y_);
+    r = Fp::add(r, r);
+    const U256 v = Fp::mul(p.x_, i);
+    U256 x3 = Fp::sqr(r);
+    x3 = Fp::sub(Fp::sub(x3, j), Fp::add(v, v));
+    const U256 y1j = Fp::mul(p.y_, j);
+    U256 y3 = Fp::mul(r, Fp::sub(v, x3));
+    y3 = Fp::sub(y3, Fp::add(y1j, y1j));
+    U256 z3 = Fp::sqr(Fp::add(p.z_, h));
+    z3 = Fp::sub(Fp::sub(z3, z1z1), hh);
     if (z3.is_zero()) return Point::infinity();
     return make(x3, y3, z3);
   }
@@ -238,7 +196,7 @@ class GroupCtx {
     if (q.inf_) return p;
     // Normalized right-hand sides (Z2 = 1, e.g. after batch_normalize or
     // from_bytes) take the cheaper mixed-addition path.
-    if (q.z_ == params().fp.one_mont()) return madd(p, AffinePoint{q.x_, q.y_});
+    if (q.z_ == kOne) return madd(p, AffinePoint{q.x_, q.y_});
     return add_general(p, q);
   }
 
@@ -249,72 +207,69 @@ class GroupCtx {
   static Point add_general(const Point& p, const Point& q) {
     if (p.inf_) return q;
     if (q.inf_) return p;
-    const auto& f = params().fp;
     // add-2007-bl
-    const U256 z1z1 = f.sqr(p.z_);
-    const U256 z2z2 = f.sqr(q.z_);
-    const U256 u1 = f.mul(p.x_, z2z2);
-    const U256 u2 = f.mul(q.x_, z1z1);
-    const U256 s1 = f.mul(f.mul(p.y_, q.z_), z2z2);
-    const U256 s2 = f.mul(f.mul(q.y_, p.z_), z1z1);
+    const U256 z1z1 = Fp::sqr(p.z_);
+    const U256 z2z2 = Fp::sqr(q.z_);
+    const U256 u1 = Fp::mul(p.x_, z2z2);
+    const U256 u2 = Fp::mul(q.x_, z1z1);
+    const U256 s1 = Fp::mul(Fp::mul(p.y_, q.z_), z2z2);
+    const U256 s2 = Fp::mul(Fp::mul(q.y_, p.z_), z1z1);
     if (u1.eq_mask(u2) != 0) {
       if (s1.eq_mask(s2) != 0) return dbl(p);
       return Point::infinity();
     }
-    const U256 h = f.sub(u2, u1);
-    U256 i = f.add(h, h);
-    i = f.sqr(i);
-    const U256 j = f.mul(h, i);
-    U256 r = f.sub(s2, s1);
-    r = f.add(r, r);
-    const U256 v = f.mul(u1, i);
-    U256 x3 = f.sqr(r);
-    x3 = f.sub(f.sub(x3, j), f.add(v, v));
-    U256 s1j = f.mul(s1, j);
-    U256 y3 = f.mul(r, f.sub(v, x3));
-    y3 = f.sub(y3, f.add(s1j, s1j));
-    U256 z3 = f.sqr(f.add(p.z_, q.z_));
-    z3 = f.sub(f.sub(z3, z1z1), z2z2);
-    z3 = f.mul(z3, h);
+    const U256 h = Fp::sub(u2, u1);
+    U256 i = Fp::add(h, h);
+    i = Fp::sqr(i);
+    const U256 j = Fp::mul(h, i);
+    U256 r = Fp::sub(s2, s1);
+    r = Fp::add(r, r);
+    const U256 v = Fp::mul(u1, i);
+    U256 x3 = Fp::sqr(r);
+    x3 = Fp::sub(Fp::sub(x3, j), Fp::add(v, v));
+    U256 s1j = Fp::mul(s1, j);
+    U256 y3 = Fp::mul(r, Fp::sub(v, x3));
+    y3 = Fp::sub(y3, Fp::add(s1j, s1j));
+    U256 z3 = Fp::sqr(Fp::add(p.z_, q.z_));
+    z3 = Fp::sub(Fp::sub(z3, z1z1), z2z2);
+    z3 = Fp::mul(z3, h);
     if (z3.is_zero()) return Point::infinity();
     return make(x3, y3, z3);
   }
 
-  /// Converts to affine (Montgomery-form) coordinates; p must be finite.
+  /// Converts to affine coordinates; p must be finite.
   static void to_affine(const Point& p, U256& ax, U256& ay) {
-    const auto& f = params().fp;
-    if (p.z_ == f.one_mont()) {  // already normalized: inversion-free
+    if (p.z_ == kOne) {  // already normalized: inversion-free
       ax = p.x_;
       ay = p.y_;
       return;
     }
-    const U256 zinv = f.inv(p.z_);
-    const U256 zinv2 = f.sqr(zinv);
-    ax = f.mul(p.x_, zinv2);
-    ay = f.mul(p.y_, f.mul(zinv2, zinv));
+    const U256 zinv = Fp::inv(p.z_);
+    const U256 zinv2 = Fp::sqr(zinv);
+    ax = Fp::mul(p.x_, zinv2);
+    ay = Fp::mul(p.y_, Fp::mul(zinv2, zinv));
   }
 
   /// Normalizes all finite points to Z = 1 with one shared inversion.
   static void batch_normalize(Point* pts, std::size_t n) {
-    const auto& f = params().fp;
     std::vector<U256> zs;
     std::vector<std::size_t> idx;
     zs.reserve(n);
     idx.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      if (!pts[i].inf_ && !(pts[i].z_ == f.one_mont())) {
+      if (!pts[i].inf_ && !(pts[i].z_ == kOne)) {
         zs.push_back(pts[i].z_);
         idx.push_back(i);
       }
     }
     if (zs.empty()) return;
-    f.batch_inv(zs.data(), zs.size());
+    Fp::batch_inv(zs.data(), zs.size());
     for (std::size_t k = 0; k < idx.size(); ++k) {
       Point& p = pts[idx[k]];
-      const U256 zinv2 = f.sqr(zs[k]);
-      p.x_ = f.mul(p.x_, zinv2);
-      p.y_ = f.mul(p.y_, f.mul(zinv2, zs[k]));
-      p.z_ = f.one_mont();
+      const U256 zinv2 = Fp::sqr(zs[k]);
+      p.x_ = Fp::mul(p.x_, zinv2);
+      p.y_ = Fp::mul(p.y_, Fp::mul(zinv2, zs[k]));
+      p.z_ = kOne;
     }
   }
 };
@@ -336,9 +291,8 @@ constexpr unsigned kCombRow = 1u << kCombWindow;  // 16 entries per window
 constexpr int kWnafWidth = 5;      // variable-base wNAF width
 constexpr int kGenWnafWidth = 7;   // generator-side width in Strauss–Shamir
 
-/// Precomputed generator tables, built once on first use (outside
-/// GroupParams so the builder can use the Point kernels, which themselves
-/// call params()).  All entries affine => every table hit is a mixed add.
+/// Precomputed generator tables, built once on first use.  All entries
+/// affine => every table hit is a mixed add.
 struct GenTables {
   // comb[w * kCombRow + (d-1)] = d * 2^(4w) * G for digit d in 1..16:
   // mul_gen is then one mixed addition per nonzero window, no doublings.
@@ -415,7 +369,7 @@ void build_odd_table(const Point& p, Point* table, unsigned entries) {
 
 Point madd_signed(const Point& acc, const AffinePoint& a, bool negate) {
   if (!negate) return GroupCtx::madd(acc, a);
-  return GroupCtx::madd(acc, AffinePoint{a.x, params().fp.neg(a.y)});
+  return GroupCtx::madd(acc, AffinePoint{a.x, Fp::neg(a.y)});
 }
 
 Point add_signed(const Point& acc, const Point& p, bool negate) {
@@ -433,8 +387,8 @@ Point add_signed(const Point& acc, const Point& p, bool negate) {
 /// needs no "skip this window" branch.  The represented integer k' + C may
 /// exceed 2^256 but the point sum is taken mod n, where it equals k.
 const Scalar& comb_offset() {
-  static const Scalar c = Scalar::from_u256(
-      U256::from_hex("1111111111111111111111111111111111111111111111111111111111111111"));
+  static const Scalar c = Scalar::from_u256(U256(0x1111111111111111ULL, 0x1111111111111111ULL,
+                                                 0x1111111111111111ULL, 0x1111111111111111ULL));
   return c;
 }
 
@@ -471,7 +425,7 @@ Point Point::operator+(const Point& o) const { return jac_add(*this, o); }
 Point Point::operator-() const {
   if (inf_) return *this;
   Point p = *this;
-  p.y_ = params().fp.neg(y_);
+  p.y_ = Fp::neg(y_);
   return p;
 }
 
@@ -649,30 +603,27 @@ std::vector<util::Bytes> Point::batch_to_bytes(std::vector<Point> pts) {
 bool Point::operator==(const Point& o) const {
   if (inf_ || o.inf_) return inf_ == o.inf_;
   // Cross-multiplied Jacobian comparison: X1*Z2^2 == X2*Z1^2 etc.
-  const auto& f = params().fp;
-  const U256 z1z1 = f.sqr(z_);
-  const U256 z2z2 = f.sqr(o.z_);
-  if (!(f.mul(x_, z2z2) == f.mul(o.x_, z1z1))) return false;
-  return f.mul(y_, f.mul(z2z2, o.z_)) == f.mul(o.y_, f.mul(z1z1, z_));
+  const U256 z1z1 = Fp::sqr(z_);
+  const U256 z2z2 = Fp::sqr(o.z_);
+  if (!(Fp::mul(x_, z2z2) == Fp::mul(o.x_, z1z1))) return false;
+  return Fp::mul(y_, Fp::mul(z2z2, o.z_)) == Fp::mul(o.y_, Fp::mul(z1z1, z_));
 }
 
 bool Point::on_curve() const {
   if (inf_) return true;
-  const auto& f = params().fp;
   U256 ax, ay;
   GroupCtx::to_affine(*this, ax, ay);
-  const U256 lhs = f.sqr(ay);
-  const U256 rhs = f.add(f.mul(f.sqr(ax), ax), params().b_mont);
+  const U256 lhs = Fp::sqr(ay);
+  const U256 rhs = Fp::add(Fp::mul(Fp::sqr(ax), ax), kCurveB);
   return lhs == rhs;
 }
 
 util::Bytes Point::to_bytes() const {
   if (inf_) return util::Bytes{0x00};
-  const auto& f = params().fp;
   U256 ax, ay;
   GroupCtx::to_affine(*this, ax, ay);
-  const auto xb = f.from_mont(ax).to_bytes_be();
-  const auto yb = f.from_mont(ay).to_bytes_be();
+  const auto xb = ax.to_bytes_be();
+  const auto yb = ay.to_bytes_be();
   util::Bytes out;
   out.reserve(65);
   out.push_back(0x04);
@@ -684,11 +635,10 @@ util::Bytes Point::to_bytes() const {
 std::optional<Point> Point::from_bytes(const util::Bytes& b) {
   if (b.size() == 1 && b[0] == 0x00) return Point::infinity();
   if (b.size() != 65 || b[0] != 0x04) return std::nullopt;
-  const auto& f = params().fp;
   const U256 x = U256::from_bytes_be(b.data() + 1, 32);
   const U256 y = U256::from_bytes_be(b.data() + 33, 32);
-  if (x >= f.modulus() || y >= f.modulus()) return std::nullopt;
-  Point p = GroupCtx::make(f.to_mont(x), f.to_mont(y), f.one_mont());
+  if (x >= Fp::kModulus || y >= Fp::kModulus) return std::nullopt;
+  Point p = GroupCtx::make(x, y, kOne);
   if (!p.on_curve()) return std::nullopt;
   return p;
 }

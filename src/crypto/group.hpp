@@ -2,9 +2,10 @@
 //
 // Everything above this layer (Schnorr signatures, Shamir sharing, DKG,
 // FROST, SimBLS) is written against `Scalar` and `Point`.  `Scalar` is an
-// element of Z_n (n = group order) kept in plain (non-Montgomery) form;
-// `Point` is a curve point kept internally in Jacobian coordinates with
-// base-field coordinates in Montgomery form.  Both are cheap value types.
+// element of Z_n (n = group order); `Point` is a curve point kept
+// internally in Jacobian coordinates over F_p.  Both fields (fp.hpp) hold
+// plain residues, so no value is converted on the way in or out.  Both
+// are cheap value types.
 //
 // Curve: y^2 = x^3 + 7 over F_p,
 //   p = 2^256 - 2^32 - 977,
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "crypto/ct.hpp"
-#include "crypto/fp.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/u256.hpp"
 #include "util/bytes.hpp"
@@ -137,7 +137,7 @@ class Point {
 
  private:
   friend class GroupCtx;
-  // Jacobian coordinates in Montgomery form over F_p; (X/Z^2, Y/Z^3).
+  // Jacobian coordinates over F_p, plain residues < p; (X/Z^2, Y/Z^3).
   U256 x_, y_, z_;
   bool inf_ = true;
 };

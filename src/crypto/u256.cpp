@@ -4,8 +4,6 @@
 
 namespace cicero::crypto {
 
-using u128 = unsigned __int128;
-
 unsigned U256::bit_length() const {
   for (int i = 3; i >= 0; --i) {
     if (w[i] != 0) return static_cast<unsigned>(i * 64 + 64 - __builtin_clzll(w[i]));
@@ -19,30 +17,6 @@ int U256::cmp(const U256& o) const {
     if (w[i] > o.w[i]) return 1;
   }
   return 0;
-}
-
-std::uint64_t U256::add_assign(const U256& o) {
-  u128 carry = 0;
-  for (int i = 0; i < 4; ++i) {
-    u128 s = static_cast<u128>(w[i]) + o.w[i] + carry;
-    w[i] = static_cast<std::uint64_t>(s);
-    carry = s >> 64;
-  }
-  return static_cast<std::uint64_t>(carry);
-}
-
-std::uint64_t U256::sub_assign(const U256& o) {
-  u128 borrow = 0;
-  for (int i = 0; i < 4; ++i) {
-    u128 d = static_cast<u128>(w[i]) - o.w[i] - borrow;
-    w[i] = static_cast<std::uint64_t>(d);
-    borrow = (d >> 64) & 1;
-  }
-  return static_cast<std::uint64_t>(borrow);
-}
-
-void U256::cmov(U256& dst, const U256& src, std::uint64_t mask) {
-  for (int i = 0; i < 4; ++i) ct::ct_cmov(dst.w[i], src.w[i], mask);
 }
 
 U256 U256::ct_select(std::uint64_t mask, const U256& a, const U256& b) {
@@ -127,20 +101,6 @@ U256 U256::from_hex(std::string_view hex) {
   padded.append(hex);
   const auto bytes = util::from_hex(padded);
   return from_bytes_be(bytes.data(), bytes.size());
-}
-
-U512 mul_wide(const U256& a, const U256& b) {
-  U512 r;
-  for (int i = 0; i < 4; ++i) {
-    u128 carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      u128 cur = static_cast<u128>(a.w[i]) * b.w[j] + r.w[i + j] + carry;
-      r.w[i + j] = static_cast<std::uint64_t>(cur);
-      carry = cur >> 64;
-    }
-    r.w[i + 4] = static_cast<std::uint64_t>(carry);
-  }
-  return r;
 }
 
 U256 add_wrap(const U256& a, const U256& b) {

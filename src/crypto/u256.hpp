@@ -2,9 +2,11 @@
 //
 // This is the bottom layer of the from-scratch cryptography stack: four
 // 64-bit limbs, little-endian limb order, with the carry-propagating
-// primitives the Montgomery field layer needs (add/sub with carry, 256x256
-// -> 512 multiply, shifts, comparisons) plus big-endian byte/hex I/O used
-// by serialization and hashing.
+// primitives the secp256k1 field layer (fp.hpp) needs (add/sub with carry,
+// 256x256 -> 512 multiply, shifts, comparisons) plus big-endian byte/hex
+// I/O used by serialization and hashing.  The limb kernels every field
+// operation runs (add/sub with carry, cmov, mul_wide) are defined inline
+// here so they inline into the field and group code.
 #pragma once
 
 #include <array>
@@ -16,6 +18,9 @@
 #include "util/bytes.hpp"
 
 namespace cicero::crypto {
+
+/// Double-limb accumulator for carry chains and 64x64 -> 128 products.
+using u128 = unsigned __int128;
 
 /// 256-bit unsigned integer; limbs little-endian (w[0] least significant).
 struct U256 {
@@ -57,7 +62,9 @@ struct U256 {
   // values: no data-dependent branches, no data-dependent addressing.
 
   /// dst = src where `mask` is all-ones, unchanged where 0.
-  static void cmov(U256& dst, const U256& src, std::uint64_t mask);
+  static void cmov(U256& dst, const U256& src, std::uint64_t mask) {
+    for (int i = 0; i < 4; ++i) ct::ct_cmov(dst.w[i], src.w[i], mask);
+  }
   /// Branch-free select: `a` where mask is all-ones, else `b`.
   static U256 ct_select(std::uint64_t mask, const U256& a, const U256& b);
   /// Conditional swap under an all-ones/zero mask.
@@ -86,8 +93,40 @@ struct U512 {
   std::uint64_t w[8] = {0, 0, 0, 0, 0, 0, 0, 0};
 };
 
+inline std::uint64_t U256::add_assign(const U256& o) {
+  u128 carry = 0;
+  for (int i = 0; i < 4; ++i) {
+    carry += static_cast<u128>(w[i]) + o.w[i];
+    w[i] = static_cast<std::uint64_t>(carry);
+    carry >>= 64;
+  }
+  return static_cast<std::uint64_t>(carry);
+}
+
+inline std::uint64_t U256::sub_assign(const U256& o) {
+  u128 borrow = 0;
+  for (int i = 0; i < 4; ++i) {
+    const u128 d = static_cast<u128>(w[i]) - o.w[i] - borrow;
+    w[i] = static_cast<std::uint64_t>(d);
+    borrow = (d >> 64) & 1;
+  }
+  return static_cast<std::uint64_t>(borrow);
+}
+
 /// Schoolbook 256x256 -> 512 multiply.
-U512 mul_wide(const U256& a, const U256& b);
+inline U512 mul_wide(const U256& a, const U256& b) {
+  U512 r;
+  for (int i = 0; i < 4; ++i) {
+    u128 carry = 0;
+    for (int j = 0; j < 4; ++j) {
+      carry += static_cast<u128>(a.w[i]) * b.w[j] + r.w[i + j];
+      r.w[i + j] = static_cast<std::uint64_t>(carry);
+      carry >>= 64;
+    }
+    r.w[i + 4] = static_cast<std::uint64_t>(carry);
+  }
+  return r;
+}
 
 /// a + b mod 2^256 (carry discarded).
 U256 add_wrap(const U256& a, const U256& b);
