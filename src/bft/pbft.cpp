@@ -90,7 +90,6 @@ void PbftReplica::broadcast(const BftMessage& m) {
 }
 
 void PbftReplica::on_message(sim::NodeId from, const util::Bytes& wire) {
-  (void)from;
   if (crashed_) return;
   auto decoded = BftMessage::decode(wire);
   if (!decoded) {
@@ -98,7 +97,10 @@ void PbftReplica::on_message(sim::NodeId from, const util::Bytes& wire) {
     return;
   }
   auto& [msg, sig] = *decoded;
-  if (msg.sender >= n()) return;
+  // Authenticated channels: a member speaks only for itself, so a vote
+  // cast in another replica's name is dropped even when messages are not
+  // signed.
+  if (msg.sender >= n() || config_.group[msg.sender] != from) return;
   if (config_.sign_messages) {
     const auto s = crypto::SchnorrSignature::from_bytes(sig);
     if (!s || !crypto::schnorr_verify(keys_.replica_pks.at(msg.sender), msg.encode_body(), *s)) {

@@ -70,7 +70,8 @@ class PbftReplica {
 
   /// Entry point for network messages addressed to this replica; the owner
   /// wires this into its NetworkSim handler (possibly demuxed with other
-  /// traffic).
+  /// traffic).  `from` authenticates the channel: a message is dropped
+  /// unless `group[msg.sender] == from`, so a member speaks only for itself.
   void on_message(sim::NodeId from, const util::Bytes& wire);
 
   ReplicaId id() const { return config_.id; }

@@ -1,7 +1,5 @@
 #include "core/controller.hpp"
 
-#include <algorithm>
-
 #include "util/logging.hpp"
 
 namespace cicero::core {
@@ -19,7 +17,9 @@ bft::PbftConfig make_pbft_config(const Controller::Config& c, sim::CpuServer* cp
     pc.group.push_back(c.members[i].node);
   }
   pc.request_timeout = kBftTimeout;
-  pc.sign_messages = false;  // PbftConfig signs by default; no evaluated setup signs BFT traffic
+  // PbftConfig signs by default; no evaluated setup signs BFT traffic, so
+  // the replica's authenticated channels alone pin each vote to its sender.
+  pc.sign_messages = false;
   pc.msg_processing_cost = c.costs.bft_msg_cost;
   pc.cpu = cpu;
   pc.obs = c.obs;
@@ -231,8 +231,6 @@ void Controller::process_flow_event(const Event& e) {
   }
   if (local.updates.empty()) return;
 
-  for (const auto& su : local.updates) update_cause_[su.update.id] = e.id;
-
   cpu_.execute(config_.costs.route_compute, "route.compute",
                [this, eid = e.id, local = std::move(local)] {
     std::vector<sched::UpdateId> ready;
@@ -246,7 +244,7 @@ void Controller::process_flow_event(const Event& e) {
                             su.deps.size());
     }
     if (config_.delivery == Delivery::kDecentralized) {
-      dispatch_decentralized(local, eid);
+      dispatch_decentralized(local);
     } else {
       for (const sched::UpdateId id : ready) release_update(id);
     }
@@ -256,25 +254,31 @@ void Controller::process_flow_event(const Event& e) {
 void Controller::release_update(sched::UpdateId id, std::optional<sched::UpdateId> parent) {
   updates_released_.inc();
   rec_.update_released(id, parent);
-  send_update(tracker_.update(id), update_cause_.at(id));
-}
-
-void Controller::send_update(const sched::Update& update, const EventId& cause) {
   if (fault_ == ControllerFault::kSilent) return;
-  await_ack(update.id, cause);
-  dispatch_update(update, cause);
+  await_ack(id);
+  dispatch_update(tracker_.update(id));
 }
 
 // The one ack-wait entry, for controller-driven updates and chain sinks
 // alike: stamp the first send and arm the retransmission timer.
-void Controller::await_ack(sched::UpdateId id, const EventId& cause) {
-  update_sent_at_.emplace(id, sim_.now());
+void Controller::await_ack(sched::UpdateId id, std::shared_ptr<DecChain> chain) {
+  const auto [it, fresh] = waits_.try_emplace(id);
+  AckWait& w = it->second;
+  if (fresh) w.sent_at = sim_.now();
+  w.chain = std::move(chain);
+  w.attempt = 0;
+  ++w.epoch;
   if (config_.ack_timeout <= 0 || config_.update_max_retries == 0) return;
-  Inflight& fl = inflight_[id];
-  fl.cause = cause;
-  fl.attempt = 0;
-  ++fl.epoch;
   arm_ack_timer(id, config_.ack_timeout);
+}
+
+// The one exit of an ack wait: the first ack, abandonment, or a timer
+// that finds nothing left to retry.
+std::optional<Controller::AckWait> Controller::end_wait(sched::UpdateId id) {
+  auto node = waits_.extract(id);
+  if (node.empty()) return std::nullopt;
+  sim_.cancel(node.mapped().timer);
+  return std::move(node.mapped());
 }
 
 // One ack-timeout round: if the update is still un-acked when the timer
@@ -286,36 +290,34 @@ void Controller::await_ack(sched::UpdateId id, const EventId& cause) {
 // finalized — the switch-side event retry eventually restarts the whole
 // pipeline with a fresh event if connectivity returns.
 void Controller::arm_ack_timer(sched::UpdateId id, sim::SimTime delay) {
-  const auto it = inflight_.find(id);
-  if (it == inflight_.end()) return;
-  sim_.cancel(it->second.timer);  // re-arm: at most one pending timer per id
-  const std::uint64_t epoch = it->second.epoch;
-  it->second.timer = sim_.after_cancellable(delay, [this, id, epoch, delay] {
-    const auto fl = inflight_.find(id);
-    if (fl == inflight_.end() || fl->second.epoch != epoch) return;  // acked or re-armed
+  AckWait& w = waits_.at(id);
+  sim_.cancel(w.timer);  // re-arm: at most one pending timer per id
+  w.timer = sim_.after_cancellable(delay, [this, id, epoch = w.epoch, delay] {
+    const auto it = waits_.find(id);
+    if (it == waits_.end() || it->second.epoch != epoch) return;  // acked or re-armed
+    AckWait& wait = it->second;
     if (fault_ == ControllerFault::kSilent || !tracker_.knows(id)) {
-      inflight_.erase(fl);
+      end_wait(id);
       return;
     }
-    if (fl->second.attempt >= config_.update_max_retries) {
+    if (wait.attempt >= config_.update_max_retries) {
       CICERO_LOG_WARN(kLog, "c%u: update %llu unacked after %u retransmits; giving up",
-                      config_.id, static_cast<unsigned long long>(id), fl->second.attempt);
+                      config_.id, static_cast<unsigned long long>(id), wait.attempt);
       abandon_update(id);
       return;
     }
-    ++fl->second.attempt;
+    ++wait.attempt;
     updates_retransmitted_.inc();
-    rec_.update_retry(id, fl->second.attempt);
-    const auto chain = dec_chains_.find(id);  // keyed by chain sinks only
-    if (chain != dec_chains_.end()) {
+    rec_.update_retry(id, wait.attempt);
+    if (wait.chain) {
       // Any hop of the chain may have lost its manifest or its in-band
       // SegmentDone; resending every manifest re-triggers both (switches
       // dedupe applied segments and re-signal their successors).
-      for (const SegmentManifest& m : chain->second->plan.manifests) {
-        send_manifest(m, chain->second->cause, /*retransmit=*/true);
+      for (const SegmentManifest& m : wait.chain->plan.manifests) {
+        send_manifest(m, /*retransmit=*/true);
       }
     } else {
-      dispatch_update(tracker_.update(id), fl->second.cause, /*retransmit=*/true);
+      dispatch_update(tracker_.update(id), /*retransmit=*/true);
     }
     arm_ack_timer(id, delay * 2);
   });
@@ -324,56 +326,34 @@ void Controller::arm_ack_timer(sched::UpdateId id, sim::SimTime delay) {
 // Retry exhaustion (both execution modes): finalize every update that can
 // no longer make progress.  The tracker abandons `id` plus its transitive
 // dependents (none of them can ever be released once `id` will never
-// complete); each abandoned id sheds its timer, latency bookkeeping and
-// open trace track, so pending() drains to zero and a late ack is the
-// usual already-completed no-op.  Abandoned updates keep their CritPath
-// record incomplete — attribution summaries only cover completed records,
-// so the 95 % floor is unaffected.
+// complete); each abandoned id closes its ack wait and its open trace
+// track, so pending() drains to zero and a late ack is the usual
+// already-completed no-op.  Abandoned updates keep their CritPath record
+// incomplete — attribution summaries only cover completed records, so
+// the 95 % floor is unaffected.
 void Controller::abandon_update(sched::UpdateId id) {
+  const std::optional<AckWait> wait = end_wait(id);
   std::vector<sched::UpdateId> removed;
-  const auto chain = dec_chains_.find(id);
-  if (chain != dec_chains_.end()) {
+  if (wait && wait->chain) {
     // A sink gave up: its whole ancestor closure is unreachable (only the
     // sink's ack would have completed it).
-    for (const sched::UpdateId a : chain->second->plan.ancestors(id)) {
+    for (const sched::UpdateId a : wait->chain->plan.ancestors(id)) {
       for (const sched::UpdateId r : tracker_.abandon(a)) removed.push_back(r);
     }
-    dec_chains_.erase(chain);
   } else {
     removed = tracker_.abandon(id);
   }
-  // The tracker already saw `id` complete (shouldn't happen with a live
-  // inflight entry, but stay defensive): shed the local state without
-  // double-closing its already-closed trace track.
-  if (std::find(removed.begin(), removed.end(), id) == removed.end()) shed(id);
   for (const sched::UpdateId r : removed) {
-    shed(r);
+    end_wait(r);
     updates_abandoned_.inc();
     rec_.update_abandoned(r);
   }
 }
 
-// Every per-id record of an update that will never be acked.
-void Controller::shed(sched::UpdateId id) {
-  disarm_ack_timer(id);
-  update_sent_at_.erase(id);
-  update_cause_.erase(id);
-}
-
-void Controller::disarm_ack_timer(sched::UpdateId id) {
-  const auto it = inflight_.find(id);
-  if (it == inflight_.end()) return;
-  sim_.cancel(it->second.timer);
-  inflight_.erase(it);
-}
-
-void Controller::dispatch_update(const sched::Update& update, const EventId& cause,
-                                 bool retransmit) {
-  if (fault_ == ControllerFault::kSilent) return;
-
+void Controller::dispatch_update(const sched::Update& update, bool retransmit) {
   UpdateMsg msg;
   msg.update = update;
-  msg.cause = cause;
+  msg.cause = cause_of(update.id);
   if (fault_ == ControllerFault::kMutateUpdates || fault_ == ControllerFault::kRogueUpdates) {
     // Corrupt the rule: point the flow at the wrong neighbor (a loop- or
     // blackhole-inducing change a compromised controller would make).
@@ -471,11 +451,9 @@ void Controller::dispatch_innet(const UpdateMsg& msg, bool retransmit) {
 // Decentralized execution (ez-Segway mode; DESIGN.md §15)
 // ---------------------------------------------------------------------------
 
-void Controller::dispatch_decentralized(const sched::UpdateSchedule& local,
-                                        const EventId& cause) {
+void Controller::dispatch_decentralized(const sched::UpdateSchedule& local) {
   if (fault_ == ControllerFault::kSilent) return;
   auto chain = std::make_shared<DecChain>();
-  chain->cause = cause;
   chain->plan = plan_decentralized(local, *env_.switch_nodes);
   // Every segment leaves the controller immediately — there is no
   // controller-side dependency wait past this point, the switches
@@ -487,22 +465,16 @@ void Controller::dispatch_decentralized(const sched::UpdateSchedule& local,
     updates_released_.inc();
     rec_.update_released(m.update.id);
   }
-  for (const sched::UpdateId sink : chain->plan.sinks) {
-    dec_chains_[sink] = chain;
-    await_ack(sink, chain->cause);
-  }
+  for (const sched::UpdateId sink : chain->plan.sinks) await_ack(sink, chain);
   for (const SegmentManifest& m : chain->plan.manifests) {
-    send_manifest(m, chain->cause, /*retransmit=*/false);
+    send_manifest(m, /*retransmit=*/false);
   }
 }
 
-void Controller::send_manifest(const SegmentManifest& manifest, const EventId& cause,
-                               bool retransmit) {
-  if (fault_ == ControllerFault::kSilent) return;
-
+void Controller::send_manifest(const SegmentManifest& manifest, bool retransmit) {
   ManifestMsg msg;
   msg.manifest = manifest;
-  msg.cause = cause;
+  msg.cause = cause_of(manifest.update.id);
   msg.epoch = membership_phase_;
   if (fault_ == ControllerFault::kMutateUpdates || fault_ == ControllerFault::kRogueUpdates) {
     // Same corruption as dispatch_update: a loop-inducing next hop.  The
@@ -537,44 +509,29 @@ void Controller::on_ack(const AckMsg& ack) {
   }
   acks_received_.inc();
   const sched::UpdateId acked = ack.update_id;
-  const bool decentralized = config_.delivery == Delivery::kDecentralized;
-  const auto chain = dec_chains_.find(acked);
-  if (decentralized && chain == dec_chains_.end()) return;  // duplicate sink ack, or not a sink
 
   // The first ack ends the wait: no more retransmissions, and one
   // round-trip sample (first send -> ack; per chain sink when
   // decentralized).
-  disarm_ack_timer(acked);
-  const auto sent = update_sent_at_.find(acked);
-  const bool first = sent != update_sent_at_.end();
-  if (first) {
-    update_ack_ms_.observe(sim::to_ms(sim_.now() - sent->second));
-    update_sent_at_.erase(sent);
-  }
+  const std::optional<AckWait> wait = end_wait(acked);
+  if (wait) update_ack_ms_.observe(sim::to_ms(sim_.now() - wait->sent_at));
 
-  if (decentralized) {
+  if (config_.delivery == Delivery::kDecentralized) {
+    if (!wait) return;  // duplicate sink ack, or not a sink
     // A sink acked: its whole ancestor closure is installed (the sink's
     // local preconditions required every upstream SegmentDone,
     // transitively).  Complete the closure in the tracker, stamp the acked
     // milestone on every segment (records stay complete, keeping the
     // attribution floor intact) and close the lifecycle traces.
-    const std::shared_ptr<DecChain> ch = chain->second;
-    dec_chains_.erase(chain);
-    for (const sched::UpdateId id : ch->plan.ancestors(acked)) {
-      if (!ch->finalized.insert(id).second) continue;  // shared with another sink
+    DecChain& ch = *wait->chain;
+    for (const sched::UpdateId id : ch.plan.ancestors(acked)) {
+      if (!ch.finalized.insert(id).second) continue;  // shared with another sink
       tracker_.complete(id);  // ready list unused: every segment already shipped
-      update_cause_.erase(id);
       rec_.update_acked(id, /*close=*/true, /*arrow_end=*/id == acked);
     }
     return;
   }
-  rec_.update_acked(acked, /*close=*/first, /*arrow_end=*/first);
-  // Retransmits use inflight_'s copy, so the cause can go — but only once
-  // the tracker has scheduled the id.  An ack can outrun our own
-  // route.compute (the switch answered a faster replica's copy while ours
-  // is still queued); erasing then would strip the cause the pending
-  // dispatch still reads.  The switch dedupes our late copy and re-acks.
-  if (tracker_.knows(acked)) update_cause_.erase(acked);
+  rec_.update_acked(acked, /*close=*/wait.has_value(), /*arrow_end=*/wait.has_value());
   for (const sched::UpdateId id : tracker_.complete(acked)) release_update(id, acked);
 }
 
@@ -597,7 +554,6 @@ void Controller::on_peer_update(const UpdateMsg& m) {
   if (p.done) return;
   if (p.partials.empty() && p.frost_commitments.empty()) {
     p.update = m.update;
-    p.cause = m.cause;
     p.signing_bytes = update_signing_bytes(m.update);
   } else if (!(p.update == m.update)) {
     return;  // conflicting body: not counted with the first
@@ -753,7 +709,8 @@ void Controller::aggregate_and_ship(sched::UpdateId id) {
                                                         config_.group_pk, p.frost_partials)
                          : env_.crypto->aggregate(p.signing_bytes, p.partials, config_.quorum);
     if (!sig) return;
-    const util::Bytes& wire = agg_completed_[id] = AggUpdateMsg{p.update, p.cause, *sig}.encode();
+    const util::Bytes& wire = agg_completed_[id] =
+        AggUpdateMsg{p.update, cause_of(id), *sig}.encode();
     ship(p.update.switch_node, id, wire, /*retransmit=*/false);
     agg_pending_.erase(it);
   });

@@ -16,10 +16,12 @@
 //     per update to the switch.
 //
 // The apply/ack transaction is written once for every delivery shape:
-// one ack wait (`await_ack`, for updates and decentralized chain sinks),
-// one first-ack path (`on_ack`), one per-id shed on abandonment, and one
-// ship tail (`ship`) that sends direct updates, manifests and the
-// aggregator's shipments and replays to their switch.
+// one ack-wait record per awaited update (opened by `await_ack`, for
+// updates and decentralized chain sinks; closed by `end_wait` on the first
+// ack or on abandonment), one first-ack path (`on_ack`), and one ship tail
+// (`ship`) that sends direct updates, manifests and the aggregator's
+// shipments and replays to their switch.  No cause is stored anywhere: an
+// update id encodes its causing event (`cause_of`, core/messages.hpp).
 //
 // Byzantine behaviours for the security tests are injected with
 // `set_fault`: a faulty controller can mutate updates before signing,
@@ -198,10 +200,13 @@ class Controller {
   void process_flow_event(const Event& e);
   /// `parent`: the acked predecessor that released `id`, if any.
   void release_update(sched::UpdateId id, std::optional<sched::UpdateId> parent = std::nullopt);
-  void send_update(const sched::Update& update, const EventId& cause);
-  void await_ack(sched::UpdateId id, const EventId& cause);
-  void dispatch_update(const sched::Update& update, const EventId& cause,
-                       bool retransmit = false);
+  struct DecChain;
+  struct AckWait;
+  /// `chain`: the planned chain when `id` is a decentralized chain sink.
+  void await_ack(sched::UpdateId id, std::shared_ptr<DecChain> chain = nullptr);
+  /// Closes `id`'s ack wait, if open: cancels its timer, returns the record.
+  std::optional<AckWait> end_wait(sched::UpdateId id);
+  void dispatch_update(const sched::Update& update, bool retransmit = false);
   /// In-network aggregation: rank-dependent send to the aggregator switch.
   void dispatch_innet(const UpdateMsg& msg, bool retransmit);
   void ship(net::NodeIndex sw, sched::UpdateId id, const util::Bytes& wire, bool retransmit);
@@ -215,13 +220,12 @@ class Controller {
   void on_ack(const AckMsg& ack);
   /// Decentralized execution: plan + ship every manifest of one schedule,
   /// arm sink timers.
-  void dispatch_decentralized(const sched::UpdateSchedule& local, const EventId& cause);
-  void send_manifest(const SegmentManifest& manifest, const EventId& cause, bool retransmit);
+  void dispatch_decentralized(const sched::UpdateSchedule& local);
+  void send_manifest(const SegmentManifest& manifest, bool retransmit);
   /// Retry exhaustion: finalize `id` and every transitive dependent (or,
   /// in decentralized mode, the sink's whole ancestor closure) so no
   /// tracker entry, timer, trace track or counter is left stranded.
   void abandon_update(sched::UpdateId id);
-  void shed(sched::UpdateId id);
   void on_peer_update(const UpdateMsg& m);  ///< aggregator role
   void on_frost_session(const FrostSessionMsg& m);   ///< signer role (kFrost)
   void on_frost_partial(const FrostPartialMsg& m);   ///< aggregator role (kFrost)
@@ -241,7 +245,6 @@ class Controller {
   sim::CpuServer cpu_;
   std::unique_ptr<bft::PbftReplica> replica_;
   sched::DependencyTracker tracker_;
-  std::map<sched::UpdateId, EventId> update_cause_;
   std::set<EventId> events_submitted_;
   std::set<EventId> events_processed_set_;
   std::vector<Event> queued_events_;  ///< arrivals during membership change
@@ -254,7 +257,6 @@ class Controller {
 
   struct AggPending {
     sched::Update update;
-    EventId cause;
     util::Bytes signing_bytes;
     std::map<crypto::ShareIndex, crypto::PartialSignature> partials;
     // kFrost: piggybacked nonce commitments, the chosen session, and the
@@ -276,33 +278,30 @@ class Controller {
   /// (same z, so no nonce reuse — covers a lost FrostPartialMsg).
   std::map<sched::UpdateId, FrostPartialMsg> frost_sent_partials_;
 
-  /// Released updates awaiting a verified switch ack; drives the ack
-  /// timeout/retransmission loop.  `timer` is the pending wakeup,
-  /// cancelled outright when the ack lands (O(1) in the simulator's
-  /// indexed heap) so the common all-acks-arrive path leaves no deferred
-  /// no-op events behind; `epoch` additionally orphans stale timers when
-  /// an entry is re-armed (e.g. the id re-enters after a membership
-  /// change).
-  struct Inflight {
-    EventId cause;
-    std::uint32_t attempt = 0;  ///< retransmissions so far
-    std::uint64_t epoch = 0;
-    sim::Simulator::TimerId timer;
-  };
-  void disarm_ack_timer(sched::UpdateId id);
-  std::map<sched::UpdateId, Inflight> inflight_;
-
-  /// Decentralized execution: one planned chain per schedule, indexed by
-  /// each of its sink ids (shared — a schedule can have several sinks per
+  /// Decentralized execution: one planned chain per schedule, shared by
+  /// the ack waits of its sinks (a schedule can have several sinks per
   /// domain after filtering).  `finalized` guards the per-update
-  /// completion bookkeeping against overlapping sink closures and
-  /// duplicate sink acks.
+  /// completion bookkeeping against overlapping sink closures.
   struct DecChain {
-    EventId cause;
     DecentralizedPlan plan;
     std::set<sched::UpdateId> finalized;
   };
-  std::map<sched::UpdateId, std::shared_ptr<DecChain>> dec_chains_;
+
+  /// One record per released update (decentralized: per chain sink) that
+  /// awaits its verified switch ack; drives the ack timeout/retransmission
+  /// loop and the ack-latency sample.  `timer` is the pending wakeup,
+  /// cancelled outright when the ack lands (O(1) in the simulator's
+  /// indexed heap) so the common all-acks-arrive path leaves no deferred
+  /// no-op events behind; `epoch` additionally orphans stale timers when
+  /// a wait is re-armed (e.g. the id re-enters after a membership change).
+  struct AckWait {
+    sim::SimTime sent_at = 0;   ///< first send, kept across retransmissions
+    std::uint32_t attempt = 0;  ///< retransmissions so far
+    std::uint64_t epoch = 0;
+    sim::Simulator::TimerId timer;
+    std::shared_ptr<DecChain> chain;  ///< set for decentralized chain sinks
+  };
+  std::map<sched::UpdateId, AckWait> waits_;
 
   // Per-node counts: one increment answers the accessor and feeds the
   // deployment-wide registry cell of the same name.
@@ -318,10 +317,6 @@ class Controller {
   obs::Counter events_seen_{rec_.counter("ctrl.events_seen")};
   obs::Counter updates_released_{rec_.counter("sched.updates_released")};
   obs::Histogram update_ack_ms_{rec_.latency_histogram("ctrl.update_ack_ms")};
-  /// First-send instant per un-acked update; populated unconditionally
-  /// (the retransmission path relies on it), observed into metrics only
-  /// when obs is attached.
-  std::map<sched::UpdateId, sim::SimTime> update_sent_at_;
 
  public:
   /// Originates a membership event (bootstrap controller proposes adds;

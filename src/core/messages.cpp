@@ -93,6 +93,10 @@ sched::UpdateId update_id_base(const EventId& cause) {
          ((cause.seq & 0xFFFFFFFFULL) << 8);
 }
 
+EventId cause_of(sched::UpdateId id) {
+  return EventId{static_cast<std::uint32_t>(id >> 40), (id >> 8) & 0xFFFFFFFFULL};
+}
+
 std::uint64_t signing_digest64(const util::Bytes& signing_bytes) {
   const crypto::Digest d = crypto::Sha256::hash(signing_bytes);
   std::uint64_t dig = 0;

@@ -98,8 +98,17 @@ struct Event {
 
 /// Update identifiers must be equal across all correct controllers for the
 /// same event (switches count partial signatures per update id), so they
-/// are derived deterministically from the causing event.
+/// are derived deterministically from the causing event: the schedule of
+/// event `e` numbers its updates update_id_base(e) + k, k < 256.
+///
+/// The id keeps 24 bits of origin and 32 of sequence, which is the whole
+/// domain that occurs: only switch-originated flow events produce updates
+/// (origin < kControllerOriginBase = 2^24), and membership events, whose
+/// origins start at kControllerOriginBase, never do.
 sched::UpdateId update_id_base(const EventId& cause);
+/// The event that caused update `id` — the inverse of update_id_base, so
+/// an update id is the only record of its cause anyone needs to keep.
+EventId cause_of(sched::UpdateId id);
 
 /// Canonical signed bytes of an update (what threshold partials cover).
 util::Bytes update_signing_bytes(const sched::Update& update);

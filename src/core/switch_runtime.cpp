@@ -309,9 +309,8 @@ bool SwitchRuntime::replay_innet(sched::UpdateId id) {
   if (it == innet_completed_.end()) return false;
   // The replica retransmitted because it never saw the target's ack —
   // resend the cached fan-out; the target's own dedupe then re-acks the
-  // whole control plane.  When the target is this switch, the apply-side
-  // dedupe in add_innet_partial already re-acked.
-  if (it->second.target_topo == config_.topo_index) return true;
+  // whole control plane.  (Only fan-outs to other switches are cached: a
+  // copy of a self-targeted update falls through to answer_duplicate.)
   ++agg_replays_;
   const util::Bytes wire = it->second.wire;
   rec_.phase_bytes(obs::CritPhase::kRetransmit, wire.size());
@@ -328,8 +327,8 @@ void SwitchRuntime::add_innet_partial(sim::NodeId from, sched::UpdateId id,
                                       std::uint64_t digest, std::optional<UpdateMsg> body,
                                       util::Bytes signing_bytes,
                                       const crypto::PartialSignature& partial) {
-  // Self-targeted update already applied (and evicted from the fan-out
-  // cache, or applied via an escalated duplicate): plain re-ack.
+  // Completed fan-out to another switch: replay it.  Update applied here
+  // (self-targeted, or via an escalated duplicate): plain re-ack.
   if (replay_innet(id) || answer_duplicate(id, from)) return;
   if (partial.signer == 0) return;  // in-network updates must carry a partial
   add_partial(innet_pending_, id, digest, std::move(body), std::move(signing_bytes), partial,
@@ -341,24 +340,24 @@ void SwitchRuntime::add_innet_partial(sim::NodeId from, sched::UpdateId id,
 void SwitchRuntime::fan_out(const AggregatedUpdateMsg& out) {
   const sched::UpdateId id = out.update.id;
   const util::Bytes wire = out.encode();
+  agg_fanouts_.inc();
+  rec_.update_aggregated(id, wire.size());
+  if (out.update.switch_node == config_.topo_index) {
+    // The aggregator is itself the target: skip the network hop (and
+    // re-verifying a signature this switch just produced).  Not cached:
+    // the applied id is what dedupes (and re-acks) a retransmission.
+    apply_update(out.update);
+    return;
+  }
   // Cache the fan-out for idempotent replay; bounded like the apply-side
   // dedupe window (retransmission windows are short).
   const auto dir = config_.switch_directory;
   const sim::NodeId target = dir != nullptr && dir->count(out.update.switch_node) != 0
                                  ? dir->at(out.update.switch_node)
                                  : sim::kInvalidNode;
-  innet_completed_[id] = InnetCompleted{wire, out.update.switch_node, target};
+  innet_completed_[id] = InnetCompleted{wire, target};
   remember(innet_completed_order_, id,
            [this](sched::UpdateId old) { innet_completed_.erase(old); });
-
-  agg_fanouts_.inc();
-  rec_.update_aggregated(id, wire.size());
-  if (out.update.switch_node == config_.topo_index) {
-    // The aggregator is itself the target: skip the network hop (and
-    // re-verifying a signature this switch just produced).
-    apply_update(out.update);
-    return;
-  }
   if (target == sim::kInvalidNode) return;  // no directory: nothing to fan out to
   net_.send(config_.node, target, wire);
 }

@@ -185,12 +185,12 @@ class SwitchRuntime {
     bool sink = false;
   };
 
-  /// Completed aggregation, cached for idempotent replay while the id
-  /// stays inside the dedupe window (a replica retransmitting means the
-  /// target's ack got lost — resend the fan-out, not a fresh aggregate).
+  /// Completed aggregation for another switch, cached for idempotent
+  /// replay while the id stays inside the dedupe window (a replica
+  /// retransmitting means the target's ack got lost — resend the fan-out,
+  /// not a fresh aggregate).
   struct InnetCompleted {
     util::Bytes wire;  ///< encoded AggregatedUpdateMsg
-    net::NodeIndex target_topo = net::kNoNode;
     sim::NodeId target_node = sim::kInvalidNode;
   };
 

@@ -152,6 +152,40 @@ TEST(Pbft, TamperedMessagesRejected) {
   }
 }
 
+TEST(Pbft, ForgedVotesDroppedWithoutSignatures) {
+  // Unsigned deployments rest on authenticated channels.  Replica 3
+  // forges the primary's pre-prepare and replicas 0's and 1's prepares
+  // and commits for a request no honest replica proposed; replica 2 must
+  // drop every message that names a sender other than the member it came
+  // from, and deliver nothing.
+  Cluster c(4, /*sign=*/false);
+  BftRequest forged;
+  forged.submitter = 0;
+  forged.local_seq = 1;
+  forged.payload = {0x66};
+  const auto forge = [&](BftMsgType type, ReplicaId as) {
+    BftMessage m;
+    m.type = type;
+    m.sender = as;
+    m.seq = 1;
+    m.digest = forged.digest();
+    if (type == BftMsgType::kPrePrepare) m.request = forged;
+    c.net_.send(c.nodes_[3], c.nodes_[2], m.encode({}));
+  };
+  forge(BftMsgType::kPrePrepare, 0);
+  for (const ReplicaId as : {0u, 1u}) {
+    forge(BftMsgType::kPrepare, as);
+    forge(BftMsgType::kCommit, as);
+  }
+  c.run(sim::seconds(2));
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(c.delivered_[static_cast<std::size_t>(i)].empty());
+  // The group stays live for honest traffic.
+  c.submit(1, 0x01);
+  c.run(sim::seconds(4));
+  const std::vector<util::Bytes> honest = {util::Bytes{0x01}};
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(c.delivered_[static_cast<std::size_t>(i)], honest);
+}
+
 TEST(Pbft, LateSubmissionsAfterViewChange) {
   Cluster c(4);
   c.replicas_[0]->crash();

@@ -220,6 +220,22 @@ std::optional<util::Bytes> decode_reencode(const util::Bytes& wire) {
   return std::nullopt;
 }
 
+TEST(MessagesProperty, CauseOfInvertsUpdateIdBase) {
+  // Over the domain of events that produce updates — switch origins
+  // (< kControllerOriginBase), 32-bit sequence numbers — every update of
+  // a schedule (index < 256) names its causing event.
+  for (const std::uint64_t seed : kSeeds) {
+    util::Rng rng(seed);
+    for (int i = 0; i < kCasesPerSeed; ++i) {
+      const EventId e{static_cast<std::uint32_t>(rng.next_below(kControllerOriginBase)),
+                      rng.next_below(1ULL << 32)};
+      const sched::UpdateId k = rng.next_below(256);
+      EXPECT_EQ(cause_of(update_id_base(e) + k), e)
+          << "origin " << e.origin << " seq " << e.seq << " k " << k;
+    }
+  }
+}
+
 TEST(MessagesProperty, AllTagsCovered) {
   // Every tag appears exactly once per random_encodings() batch; if a
   // message type is added without extending this suite, this count

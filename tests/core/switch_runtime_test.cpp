@@ -350,6 +350,26 @@ TEST_F(SwitchRuntimeTest, InNetworkReplayCacheBoundedByWindow) {
   EXPECT_EQ(to_target, 4u);
 }
 
+TEST_F(SwitchRuntimeTest, InNetworkSelfTargetedRetransmissionReacked) {
+  // The designated aggregator is itself the update's target, so it
+  // applies in place.  A replica that missed the ack then retransmits the
+  // full body: the switch must re-ack that replica rather than treat the
+  // copy as a replayed fan-out.
+  rebuild([](SwitchRuntime::Config& cfg) { cfg.delivery = Delivery::kInNetwork; });
+  const auto u = make_update(1);  // targets switch 7: this one
+  send_partial(u, 0);
+  send_partial(u, 1);
+  ASSERT_EQ(rt_->updates_applied(), 1u);
+  std::size_t acks_to_replica = 0;
+  net_->set_handler(ctrl_nodes_[2], [&acks_to_replica](sim::NodeId, const util::Bytes& wire) {
+    if (AckMsg::decode(wire)) ++acks_to_replica;
+  });
+  send_partial(u, 2);  // escalated retransmission
+  EXPECT_EQ(rt_->updates_applied(), 1u);
+  EXPECT_EQ(rt_->acks_reissued(), 1u);
+  EXPECT_EQ(acks_to_replica, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Decentralized execution (manifest + SegmentDone handling)
 // ---------------------------------------------------------------------------

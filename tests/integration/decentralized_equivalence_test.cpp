@@ -21,6 +21,7 @@ namespace {
 
 using core::ExecutionMode;
 using core::FrameworkKind;
+using testing::abandoned_count;
 using testing::completed_count;
 
 std::unique_ptr<core::Deployment> make_dep(ExecutionMode mode, std::uint64_t seed,
@@ -58,6 +59,7 @@ TEST(DecentralizedEquivalence, SameCompletionSetsUnderLossAcrossSeeds) {
       dep->run(sim::seconds(120));
       EXPECT_EQ(completed_count(*dep), flows.size()) << "seed " << seed;
       EXPECT_EQ(dep->pending_updates(), 0u) << "seed " << seed;
+      EXPECT_EQ(abandoned_count(*dep), 0u) << "seed " << seed;
       return completed_set(*dep);
     };
     const auto driven = run_mode(ExecutionMode::kControllerDriven);

@@ -46,4 +46,11 @@ inline std::size_t completed_count(const core::Deployment& d) {
   return done;
 }
 
+/// Updates given up after retry exhaustion, summed over every controller.
+inline std::uint64_t abandoned_count(core::Deployment& d) {
+  std::uint64_t abandoned = 0;
+  for (const auto id : d.controller_ids()) abandoned += d.controller(id).updates_abandoned();
+  return abandoned;
+}
+
 }  // namespace cicero::testing
