@@ -43,9 +43,9 @@ PbftReplica::PbftReplica(sim::Simulator& simulator, sim::NetworkSim& network,
 }
 
 void PbftReplica::observe_order_latency(const ReqKey& key) {
-  const auto it = pending_since_.find(key);
-  if (it != pending_since_.end()) {
-    order_latency_ms_.observe(sim::to_ms(sim_.now() - it->second));
+  const auto it = pending_.find(key);
+  if (it != pending_.end()) {
+    order_latency_ms_.observe(sim::to_ms(sim_.now() - it->second.since));
   }
 }
 
@@ -156,8 +156,7 @@ void PbftReplica::submit(util::Bytes payload) {
   req.local_seq = ++local_req_seq_;
   req.payload = std::move(payload);
   const ReqKey key = request_key(req);
-  pending_[key] = req;
-  pending_since_[key] = sim_.now();
+  pending_[key] = Pending{req, sim_.now()};
 
   BftMessage m;
   m.type = BftMsgType::kRequest;
@@ -174,10 +173,7 @@ void PbftReplica::handle_request(const BftMessage& m) {
   if (!m.request) return;
   const ReqKey key = request_key(*m.request);
   if (delivered_reqs_.count(key) != 0) return;
-  if (pending_.count(key) == 0) {
-    pending_[key] = *m.request;
-    pending_since_[key] = sim_.now();
-  }
+  pending_.try_emplace(key, Pending{*m.request, sim_.now()});
   if (is_primary() && !in_view_change_) order_request(*m.request);
 }
 
@@ -286,7 +282,6 @@ void PbftReplica::try_deliver() {
         observe_order_latency(key);
         m_delivered_.inc();
         pending_.erase(key);
-        pending_since_.erase(key);
         if (deliver_) deliver_(last_delivered_, e.request->payload);
       }
     }
@@ -416,15 +411,15 @@ void PbftReplica::adopt_new_view(const BftMessage& m) {
 }
 
 void PbftReplica::resubmit_pending() {
-  for (auto& [key, req] : pending_) {
-    pending_since_[key] = sim_.now();
+  for (auto& [key, p] : pending_) {
+    p.since = sim_.now();
     BftMessage m;
     m.type = BftMsgType::kRequest;
     m.sender = config_.id;
     m.view = view_;
-    m.request = req;
+    m.request = p.request;
     if (is_primary()) {
-      order_request(req);
+      order_request(p.request);
     } else {
       send_to(primary_of(view_), m);
     }
@@ -484,7 +479,6 @@ void PbftReplica::try_deliver_fetched() {
         observe_order_latency(key);
         m_delivered_.inc();
         pending_.erase(key);
-        pending_since_.erase(key);
         if (deliver_) deliver_(last_delivered_, confirmed->payload);
       }
     }
@@ -509,8 +503,8 @@ void PbftReplica::arm_timer() {
 void PbftReplica::on_timer() {
   if (crashed_) return;
   bool stuck = false;
-  for (const auto& [key, since] : pending_since_) {
-    if (sim_.now() - since >= config_.request_timeout) {
+  for (const auto& [key, p] : pending_) {
+    if (sim_.now() - p.since >= config_.request_timeout) {
       stuck = true;
       break;
     }

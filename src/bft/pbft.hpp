@@ -149,8 +149,12 @@ class PbftReplica {
   SeqNum next_seq_ = 1;  ///< primary's next assignment
   SeqNum last_delivered_ = 0;
   std::map<SeqNum, LogEntry> log_;
-  std::map<ReqKey, BftRequest> pending_;       ///< undelivered requests we know
-  std::map<ReqKey, sim::SimTime> pending_since_;
+  /// An undelivered request we know, and when we last (re)heard of it.
+  struct Pending {
+    BftRequest request;
+    sim::SimTime since = 0;
+  };
+  std::map<ReqKey, Pending> pending_;
   std::set<ReqKey> delivered_reqs_;
   std::set<ReqKey> ordered_reqs_;              ///< primary-side: already assigned a seq
   std::map<ViewId, std::map<ReplicaId, BftMessage>> view_changes_;

@@ -1,6 +1,5 @@
 #include "core/switch_runtime.hpp"
 
-#include <algorithm>
 #include <type_traits>
 
 #include "util/logging.hpp"
@@ -63,16 +62,12 @@ void SwitchRuntime::crash() {
   ++crashes_;
   CICERO_LOG_INFO(kLog, "s%u: crash (losing %zu rules)", config_.topo_index, table_.size());
   // Volatile state is gone: forwarding rules, partial-signature buffers,
-  // dedup sets and in-flight event markers.  Losing applied_ids_ is
+  // id records and in-flight event markers.  Forgetting applied ids is
   // deliberate — after recovery a retransmitted update is genuinely new
   // to this switch and re-applying it re-installs the lost rule.
   lost_rules_ = table_.rules();
   table_ = net::FlowTable{};
-  pending_.clear();
-  applied_ids_.clear();
-  applied_order_.clear();
   outstanding_events_.clear();
-  first_rx_.clear();
   missed_while_down_.clear();
   // Crash-during-handoff (decentralized): manifests received but not yet
   // applied die with the switch, and the controller's retransmissions may
@@ -85,24 +80,22 @@ void SwitchRuntime::crash() {
     missed_while_down_.emplace(std::make_pair(u.rule.match.src_host, u.rule.match.dst_host),
                                u.rule.reserved_bps);
   };
-  for (const auto& [id, am] : accepted_) miss(am.manifest.update);
+  for (const auto& [id, k] : known_) {
+    if (k.stage == Stage::kAccepted) miss(k.chain->manifest->update);
+  }
   for (const auto& [id, buckets] : pending_manifests_) {
     for (const auto& [digest, bucket] : buckets) {
       if (bucket.body) miss(bucket.body->update);
     }
   }
-  pending_manifests_.clear();
-  accepted_.clear();
-  early_done_.clear();
-  early_done_order_.clear();
-  dec_applied_.clear();
-  // Aggregator role (in-network mode): buffered replica traffic and the
-  // fan-out cache die with the switch.  Liveness comes from the replicas'
-  // ack timers — their retransmissions escalate to full bodies and are
-  // routed to the domain's re-designated aggregator by the Deployment.
+  // The fan-out cache and buffered replica traffic die too; liveness comes
+  // from the replicas' ack timers, whose retransmissions escalate to full
+  // bodies routed to the domain's re-designated aggregator.
+  known_.clear();
+  order_.clear();
+  pending_.clear();
   innet_pending_.clear();
-  innet_completed_.clear();
-  innet_completed_order_.clear();
+  pending_manifests_.clear();
 }
 
 void SwitchRuntime::recover() {
@@ -238,6 +231,7 @@ void SwitchRuntime::add_partial(Buckets<Key, Body>& pending, sched::UpdateId id,
                                 std::optional<Body> body, util::Bytes signing_bytes,
                                 const crypto::PartialSignature& partial, const char* what,
                                 Accept accept) {
+  known(id);
   auto& buckets = pending[id];
   const auto [slot, opened] = buckets.try_emplace(key);
   Bucket<Body>& bucket = slot->second;
@@ -281,10 +275,7 @@ void SwitchRuntime::add_partial(Buckets<Key, Body>& pending, sched::UpdateId id,
     if (bit == it->second.end()) return;
     Bucket<Body>& b = bit->second;
     b.aggregating = false;
-    if (applied_ids_.count(id) != 0 || accepted_.count(id) != 0 ||
-        innet_completed_.count(id) != 0) {
-      return;
-    }
+    if (find(id)->stage != Stage::kOpen) return;  // a bucket's id always has a record
     auto agg_sig =
         config_.crypto->combine(config_.group_pk, b.signing_bytes, b.partials, config_.quorum);
     if (!agg_sig) {
@@ -304,20 +295,6 @@ void SwitchRuntime::add_partial(Buckets<Key, Body>& pending, sched::UpdateId id,
 // In-network aggregation (P4BFT-style offload; DESIGN.md §16)
 // ---------------------------------------------------------------------------
 
-bool SwitchRuntime::replay_innet(sched::UpdateId id) {
-  const auto it = innet_completed_.find(id);
-  if (it == innet_completed_.end()) return false;
-  // The replica retransmitted because it never saw the target's ack —
-  // resend the cached fan-out; the target's own dedupe then re-acks the
-  // whole control plane.  (Only fan-outs to other switches are cached: a
-  // copy of a self-targeted update falls through to answer_duplicate.)
-  ++agg_replays_;
-  const util::Bytes wire = it->second.wire;
-  rec_.phase_bytes(obs::CritPhase::kRetransmit, wire.size());
-  net_.send(config_.node, it->second.target_node, wire);
-  return true;
-}
-
 void SwitchRuntime::on_partial_share(sim::NodeId from, const PartialShareMsg& m) {
   if (down_ || config_.delivery != Delivery::kInNetwork) return;
   add_innet_partial(from, m.update_id, m.digest, std::nullopt, {}, m.partial);
@@ -329,7 +306,7 @@ void SwitchRuntime::add_innet_partial(sim::NodeId from, sched::UpdateId id,
                                       const crypto::PartialSignature& partial) {
   // Completed fan-out to another switch: replay it.  Update applied here
   // (self-targeted, or via an escalated duplicate): plain re-ack.
-  if (replay_innet(id) || answer_duplicate(id, from)) return;
+  if (answer_duplicate(id, from)) return;
   if (partial.signer == 0) return;  // in-network updates must carry a partial
   add_partial(innet_pending_, id, digest, std::move(body), std::move(signing_bytes), partial,
               "in-network", [this](const UpdateMsg& verified, const util::Bytes& agg_sig) {
@@ -349,15 +326,14 @@ void SwitchRuntime::fan_out(const AggregatedUpdateMsg& out) {
     apply_update(out.update);
     return;
   }
-  // Cache the fan-out for idempotent replay; bounded like the apply-side
-  // dedupe window (retransmission windows are short).
+  // Cache the fan-out in the id's record for idempotent replay.
   const auto dir = config_.switch_directory;
   const sim::NodeId target = dir != nullptr && dir->count(out.update.switch_node) != 0
                                  ? dir->at(out.update.switch_node)
                                  : sim::kInvalidNode;
-  innet_completed_[id] = InnetCompleted{wire, target};
-  remember(innet_completed_order_, id,
-           [this](sched::UpdateId old) { innet_completed_.erase(old); });
+  Known& k = known(id);
+  k.stage = Stage::kFannedOut;
+  k.fan_out = std::make_unique<FanOut>(FanOut{wire, target});
   if (target == sim::kInvalidNode) return;  // no directory: nothing to fan out to
   net_.send(config_.node, target, wire);
 }
@@ -377,7 +353,7 @@ void SwitchRuntime::on_agg_update(sim::NodeId /*from*/, const AggUpdateMsg& m) {
   note_rx(m.update.id);
   cpu_.execute(config_.costs.threshold_verify, "threshold.verify", [this, m] {
     if (down_) return;
-    if (applied_ids_.count(m.update.id) != 0) return;
+    if (const Known* k = find(m.update.id); k != nullptr && k->stage == Stage::kApplied) return;
     if (!config_.crypto->verify_update(config_.group_pk, m.update, m.agg_sig)) {
       updates_rejected_.inc();
       CICERO_LOG_WARN(kLog, "s%u: bad aggregated signature for update %llu", config_.topo_index,
@@ -388,44 +364,57 @@ void SwitchRuntime::on_agg_update(sim::NodeId /*from*/, const AggUpdateMsg& m) {
   });
 }
 
+// The one retention rule for everything the switch knows per id: records
+// open in first-contact order, and past Config::applied_dedupe_window the
+// oldest is forgotten together with its buckets — applied ids, lone
+// partials, manifests whose predecessor never signals and cached fan-outs
+// alike.  The newest record always stays.
+SwitchRuntime::Known& SwitchRuntime::known(sched::UpdateId id) {
+  const auto [it, opened] = known_.try_emplace(id);
+  if (!opened) return it->second;
+  for (; !order_.empty() && order_.size() >= config_.applied_dedupe_window; order_.pop_front()) {
+    const sched::UpdateId old = order_.front();
+    known_.erase(old);
+    pending_.erase(old);
+    innet_pending_.erase(old);
+    pending_manifests_.erase(old);
+  }
+  order_.push_back(id);
+  return it->second;
+}
+
+SwitchRuntime::Known* SwitchRuntime::find(sched::UpdateId id) {
+  const auto it = known_.find(id);
+  return it == known_.end() ? nullptr : &it->second;
+}
+
 // First receipt of a fresh update or manifest: the apply-latency start
 // and the lifecycle's rx fact.
 void SwitchRuntime::note_rx(sched::UpdateId id) {
-  if (config_.obs != nullptr) first_rx_.emplace(id, sim_.now());
+  Known& k = known(id);
+  if (config_.obs != nullptr && k.first_rx == kNoStamp) k.first_rx = sim_.now();
   rec_.update_rx(id);
 }
 
-// Idempotent retransmission handling (§5.1): a copy of an applied id is
-// answered instead of re-applied.  An applied segment re-signals its
-// successors (the likely lost messages) and re-acks only as its chain's
-// sink; anything else re-acks `to`.
+// Idempotent retransmission handling (§5.1): a copy of a finished id is
+// answered instead of processed again.  A fanned-out id replays its
+// cached fan-out — the replica never saw the target's ack, and the
+// target's own dedupe then re-acks the whole control plane.  An applied
+// segment re-signals its successors (the likely lost messages) and
+// re-acks only as its chain's sink; any other applied id re-acks `to`.
 bool SwitchRuntime::answer_duplicate(sched::UpdateId id, sim::NodeId to) {
-  if (applied_ids_.count(id) == 0) return false;
-  const auto dec = dec_applied_.find(id);
-  if (dec != dec_applied_.end()) signal_successors(id, dec->second.succs, /*resignal=*/true);
-  if (dec == dec_applied_.end() || dec->second.sink) re_ack(id, to);
-  return true;
-}
-
-void SwitchRuntime::note_applied(sched::UpdateId id) {
-  if (!applied_ids_.insert(id).second) return;
-  remember(applied_order_, id, [this](sched::UpdateId old) {
-    applied_ids_.erase(old);
-    dec_applied_.erase(old);
-  });
-}
-
-// The one retention rule for the switch's bounded memories — applied ids
-// (with their decentralized peers), cached fan-outs and parked
-// SegmentDones: `order` holds the remembered ids oldest first, and past
-// Config::applied_dedupe_window the oldest is handed to `forget`.
-template <typename Order, typename Forget>
-void SwitchRuntime::remember(Order& order, sched::UpdateId id, Forget forget) {
-  order.push_back(id);
-  while (order.size() > config_.applied_dedupe_window) {
-    forget(order.front());
-    order.pop_front();
+  const Known* k = find(id);
+  if (k == nullptr || k->stage == Stage::kOpen || k->stage == Stage::kAccepted) return false;
+  if (k->stage == Stage::kFannedOut) {
+    ++agg_replays_;
+    rec_.phase_bytes(obs::CritPhase::kRetransmit, k->fan_out->wire.size());
+    net_.send(config_.node, k->fan_out->to, k->fan_out->wire);
+    return true;
   }
+  const SegmentManifest* seg = k->segment();
+  if (seg != nullptr) signal_successors(id, seg->succs, /*resignal=*/true);
+  if (seg == nullptr || seg->sink) re_ack(id, to);
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -443,7 +432,7 @@ void SwitchRuntime::on_manifest(sim::NodeId from, const ManifestMsg& m) {
   note_rx(id);
 
   if (!threshold_signed(config_.framework)) {
-    if (accepted_.count(id) == 0) accept_manifest(m.manifest);
+    if (find(id)->stage == Stage::kOpen) accept_manifest(m.manifest);
     return;
   }
 
@@ -473,28 +462,20 @@ void SwitchRuntime::accept_manifest(const SegmentManifest& manifest) {
                     config_.topo_index, static_cast<unsigned long long>(id));
     return;
   }
-  AcceptedManifest& am = accepted_[id];
-  am.manifest = manifest;
-  const auto early = early_done_.find(id);
-  if (early != early_done_.end()) {
-    am.done_preds.insert(early->second.begin(), early->second.end());
-    early_done_.erase(early);
-    early_done_order_.erase(std::find(early_done_order_.begin(), early_done_order_.end(), id));
-  }
+  Known& k = known(id);
+  k.stage = Stage::kAccepted;
+  k.with_chain().manifest = manifest;
   maybe_apply_manifest(id);
 }
 
 void SwitchRuntime::maybe_apply_manifest(sched::UpdateId id) {
-  const auto it = accepted_.find(id);
-  if (it == accepted_.end()) return;
-  for (const SegmentPeer& p : it->second.manifest.preds) {
-    if (it->second.done_preds.count(p.update_id) == 0) return;
+  const Known* k = find(id);
+  if (k == nullptr || k->stage != Stage::kAccepted) return;
+  for (const SegmentPeer& p : k->chain->manifest->preds) {
+    if (k->chain->done_preds.count(p.update_id) == 0) return;
   }
-  const SegmentManifest manifest = std::move(it->second.manifest);
-  accepted_.erase(it);
   rec_.update_peer_ready(id);
-  apply_update(manifest.update);
-  dec_applied_[id] = DecApplied{manifest.succs, manifest.sink};  // read once the apply lands
+  apply_update(k->chain->manifest->update);
 }
 
 void SwitchRuntime::on_segment_done(sim::NodeId /*from*/, const SegmentDoneMsg& d) {
@@ -515,21 +496,12 @@ void SwitchRuntime::on_segment_done(sim::NodeId /*from*/, const SegmentDoneMsg& 
                       d.switch_node);
       return;
     }
-    if (applied_ids_.count(d.for_update) != 0) return;  // already applied
-    const auto it = accepted_.find(d.for_update);
-    if (it != accepted_.end()) {
-      it->second.done_preds.insert(d.done_update);
-      maybe_apply_manifest(d.for_update);
-      return;
-    }
-    // Signal raced ahead of the manifest (or its quorum); park it.  The
-    // bound keeps abandoned chains from pinning memory.
-    const auto [parked, fresh] = early_done_.try_emplace(d.for_update);
-    parked->second.insert(d.done_update);
-    if (fresh) {
-      remember(early_done_order_, d.for_update,
-               [this](sched::UpdateId old) { early_done_.erase(old); });
-    }
+    // A signal that raced ahead of its manifest (or the manifest's
+    // quorum) waits in the record like any other.
+    Known& k = known(d.for_update);
+    if (k.stage == Stage::kApplied) return;
+    k.with_chain().done_preds.insert(d.done_update);
+    maybe_apply_manifest(d.for_update);
   });
 }
 
@@ -544,7 +516,7 @@ void SwitchRuntime::signal_successors(sched::UpdateId id,
 }
 
 void SwitchRuntime::apply_update(const sched::Update& update) {
-  note_applied(update.id);
+  known(update.id).stage = Stage::kApplied;
   rec_.apply_begin(update.id);
   cpu_.execute(config_.costs.flow_table_update, "flow_table.update", [this, update] {
     if (down_) return;
@@ -555,19 +527,18 @@ void SwitchRuntime::apply_update(const sched::Update& update) {
       table_.remove(update.rule.match);
     }
     updates_applied_.inc();
-    const auto rx = first_rx_.find(update.id);
-    if (rx != first_rx_.end()) {
-      update_apply_ms_.observe(sim::to_ms(sim_.now() - rx->second));
-      first_rx_.erase(rx);
+    if (Known* k = find(update.id); k != nullptr && k->first_rx != kNoStamp) {
+      update_apply_ms_.observe(sim::to_ms(sim_.now() - k->first_rx));
+      k->first_rx = kNoStamp;
     }
     rec_.update_applied(update.id);
     for (const auto& observer : observers_) observer(update);
-    const auto dec = dec_applied_.find(update.id);
-    if (dec != dec_applied_.end()) {
+    const Known* k = find(update.id);
+    if (const SegmentManifest* seg = k != nullptr ? k->segment() : nullptr) {
       // Decentralized: done signals flow in-band to the downstream peers;
       // only the chain sink acks the control plane (for its whole chain).
-      signal_successors(update.id, dec->second.succs, /*resignal=*/false);
-      if (dec->second.sink) send_ack(update.id, sim::kInvalidNode, obs::CritPhase::kPropagate);
+      signal_successors(update.id, seg->succs, /*resignal=*/false);
+      if (seg->sink) send_ack(update.id, sim::kInvalidNode, obs::CritPhase::kPropagate);
     } else {
       send_ack(update.id, sim::kInvalidNode, obs::CritPhase::kPropagate);
     }

@@ -12,8 +12,11 @@
 // signed manifests under decentralized execution.  All three quorum
 // paths (updates, manifests, in-network) share one bucket core,
 // `add_partial`, and the steps around it are each written once: receipt
-// stamp, duplicate answer, signed send (acks and SegmentDones), and the
-// oldest-first retention rule that bounds every id memory (`remember`).
+// stamp, duplicate answer and signed send (acks and SegmentDones).
+// Everything else the switch knows about an update id lives in one
+// record (`Known`: stage, receipt stamp, SegmentDones, applied manifest,
+// cached fan-out), and one oldest-first order bounds the records — and
+// with them the id's buckets — to Config::applied_dedupe_window.
 // Under the centralized/crash-tolerant baselines the switch applies the
 // first copy of an update it sees — which is precisely the hole Cicero
 // closes (demonstrated by the Byzantine tests).
@@ -26,8 +29,8 @@
 
 #include <deque>
 #include <functional>
-#include <list>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string_view>
@@ -61,12 +64,12 @@ class SwitchRuntime {
     /// Topology index -> sim address of every switch, for the aggregator
     /// fan-out hop (in-network aggregation only); owned by the Deployment.
     const std::map<net::NodeIndex, sim::NodeId>* switch_directory = nullptr;
-    /// Bound on the duplicate-suppression window: how many recently applied
-    /// update ids the switch remembers (§5.1 idempotence).  Retransmission
-    /// windows are short — a few ack-timeout doublings — so a few thousand
-    /// ids comfortably outlast any retry while keeping long-run memory flat.
-    /// The same bound, oldest insertion first, caps the in-network fan-out
-    /// cache and the parked early SegmentDones.
+    /// Bound on the per-id records: how many update ids the switch
+    /// remembers, oldest first — applied ids for duplicate suppression
+    /// (§5.1 idempotence), ids still collecting partials or SegmentDones,
+    /// and cached in-network fan-outs alike.  Retransmission windows are
+    /// short — a few ack-timeout doublings — so a few thousand ids
+    /// comfortably outlast any retry while keeping long-run memory flat.
     std::size_t applied_dedupe_window = 4096;
     CostModel costs;
     crypto::SchnorrKeyPair key;                ///< PKI pair (event/ack signing)
@@ -115,7 +118,7 @@ class SwitchRuntime {
 
   /// Crash model (§5.1 failure handling): a down switch drops all traffic
   /// and loses its volatile state — forwarding rules, partial-signature
-  /// buffers, dedup sets and in-flight event markers.
+  /// buffers, id records (applied ids included) and in-flight event markers.
   void crash();
   /// Recovery: the switch comes back empty and re-requests a route for
   /// every rule lost in the crash plus every packet miss swallowed while
@@ -149,8 +152,9 @@ class SwitchRuntime {
   /// In-network aggregation: conflicting-digest groups reported via the
   /// signed-event path (one per update id, P4BFT response comparison).
   std::uint64_t agg_mismatches() const { return agg_mismatches_.value(); }
-  /// Current size of the bounded duplicate-suppression set (tests).
-  std::size_t applied_dedupe_size() const { return applied_ids_.size(); }
+  /// Update ids this switch currently keeps a record for (bounded by
+  /// Config::applied_dedupe_window).
+  std::size_t id_records() const { return known_.size(); }
 
  private:
   // Identical-body counting (Fig. 6b), for updates, decentralized
@@ -161,8 +165,7 @@ class SwitchRuntime {
   // it).  The key is the full SHA-256 for updates and manifests and the
   // 64-bit prefix for in-network shares, which carry only that.  The body
   // is optional because a share can open a bucket before any replica's
-  // body arrives.  An accepted manifest then waits locally until every
-  // listed predecessor has signaled SegmentDone.
+  // body arrives.
   template <typename Body>
   struct Bucket {
     std::optional<Body> body;
@@ -173,25 +176,39 @@ class SwitchRuntime {
   /// update id -> body digest -> bucket
   template <typename Key, typename Body>
   using Buckets = std::map<sched::UpdateId, std::map<Key, Bucket<Body>>>;
-  struct AcceptedManifest {
-    SegmentManifest manifest;
-    std::set<sched::UpdateId> done_preds;  ///< SegmentDones received so far
-  };
-  /// Post-apply peer bookkeeping, kept as long as the id stays inside the
-  /// dedupe window so duplicate manifests can trigger idempotent
-  /// re-signaling (loss recovery without controller round trips).
-  struct DecApplied {
-    std::vector<SegmentPeer> succs;
-    bool sink = false;
-  };
 
-  /// Completed aggregation for another switch, cached for idempotent
-  /// replay while the id stays inside the dedupe window (a replica
-  /// retransmitting means the target's ack got lost — resend the fan-out,
-  /// not a fresh aggregate).
-  struct InnetCompleted {
-    util::Bytes wire;  ///< encoded AggregatedUpdateMsg
-    sim::NodeId target_node = sim::kInvalidNode;
+  /// Where an id stands: open until a quorum closes, then accepted (a
+  /// decentralized manifest waiting on its predecessors), applied, or —
+  /// on the in-network aggregator — fanned out to its target switch.
+  enum class Stage : std::uint8_t { kOpen, kAccepted, kApplied, kFannedOut };
+  /// A decentralized segment's in-band state (§15).
+  struct Chain {
+    std::set<sched::UpdateId> done_preds;  ///< SegmentDones received so far
+    /// The accepted manifest: waits for `done_preds` to cover its preds;
+    /// once applied, its succs and sink flag answer duplicates.
+    std::optional<SegmentManifest> manifest;
+  };
+  /// The in-network aggregator's cached fan-out (§16): the encoded
+  /// AggregatedUpdateMsg and its target, replayed to answer duplicates.
+  struct FanOut {
+    util::Bytes wire;
+    sim::NodeId to = sim::kInvalidNode;
+  };
+  static constexpr sim::SimTime kNoStamp = -1;
+  /// Everything the switch knows about one update id.  The decentralized
+  /// and in-network parts sit out of line, so a direct-delivery record
+  /// costs one map node.
+  struct Known {
+    Stage stage = Stage::kOpen;
+    sim::SimTime first_rx = kNoStamp;  ///< first receipt (metrics runs), until applied
+    std::unique_ptr<Chain> chain;
+    std::unique_ptr<FanOut> fan_out;
+
+    Chain& with_chain() { return chain != nullptr ? *chain : *(chain = std::make_unique<Chain>()); }
+    /// The manifest of an accepted or applied chain segment, else nullptr.
+    const SegmentManifest* segment() const {
+      return chain != nullptr && chain->manifest ? &*chain->manifest : nullptr;
+    }
   };
 
   /// Signs and sends a fresh event (next sequence number) to the control plane.
@@ -206,6 +223,11 @@ class SwitchRuntime {
   /// A peer aggregator switch's fan-out (in-network aggregation).
   void on_aggregated_update(sim::NodeId from, const AggregatedUpdateMsg& m);
   void on_partial_share(sim::NodeId from, const PartialShareMsg& m);
+  /// `id`'s record, opened on first contact.  Opening one past
+  /// Config::applied_dedupe_window forgets the oldest record and its buckets.
+  Known& known(sched::UpdateId id);
+  /// `id`'s record, or nullptr when the switch keeps none.
+  Known* find(sched::UpdateId id);
   void note_rx(sched::UpdateId id);
   bool answer_duplicate(sched::UpdateId id, sim::NodeId to);
   /// Aggregator role (in-network mode): a replica's full body or compact
@@ -213,9 +235,6 @@ class SwitchRuntime {
   void add_innet_partial(sim::NodeId from, sched::UpdateId id, std::uint64_t digest,
                          std::optional<UpdateMsg> body, util::Bytes signing_bytes,
                          const crypto::PartialSignature& partial);
-  /// Replays the cached fan-out for a duplicate of a completed id; returns
-  /// false when the id is not in the completed cache.
-  bool replay_innet(sched::UpdateId id);
   /// Caches and sends (or, when self-targeted, applies) a fresh aggregate.
   void fan_out(const AggregatedUpdateMsg& out);
   void on_aggregator_notify(const AggregatorNotifyMsg& m);
@@ -237,11 +256,7 @@ class SwitchRuntime {
   /// Signs and sends one SegmentDoneMsg per downstream peer.
   void signal_successors(sched::UpdateId id, const std::vector<SegmentPeer>& succs,
                          bool resignal);
-  /// Duplicate-suppression with a bounded memory (Config::applied_dedupe_window).
-  void note_applied(sched::UpdateId id);
-  template <typename Order, typename Forget>
-  void remember(Order& order, sched::UpdateId id, Forget forget);
-  /// Notes `update` applied, then commits it to the table and acks/signals.
+  /// Marks `update` applied, then commits it to the table and acks/signals.
   void apply_update(const sched::Update& update);
   /// Signs and sends an ack to `to`, or to the whole control plane when
   /// `to` is kInvalidNode.
@@ -263,11 +278,13 @@ class SwitchRuntime {
   std::vector<AppliedFn> observers_;
 
   std::uint64_t event_seq_ = 0;
+  /// One record per update id, and the ids oldest first; past the window
+  /// the front is forgotten along with its buckets in the three maps below.
+  std::map<sched::UpdateId, Known> known_;
+  std::deque<sched::UpdateId> order_;
   Buckets<crypto::Digest, UpdateMsg> pending_;
-  /// Bounded dedupe set: `applied_ids_` for membership, `applied_order_`
-  /// (insertion order) to retire the oldest id past the window.
-  std::set<sched::UpdateId> applied_ids_;
-  std::deque<sched::UpdateId> applied_order_;
+  Buckets<std::uint64_t, UpdateMsg> innet_pending_;  ///< aggregator role (in-network)
+  Buckets<crypto::Digest, SegmentManifest> pending_manifests_;  ///< decentralized
   std::set<std::pair<net::NodeIndex, net::NodeIndex>> outstanding_events_;
   // Per-node counts (obs::NodeCounter: accessor + registry cell).
   obs::NodeCounter events_emitted_{rec_.counter("switch.events_emitted")};
@@ -280,22 +297,6 @@ class SwitchRuntime {
   std::uint64_t peer_signals_sent_ = 0;
   std::uint64_t peer_signals_received_ = 0;
   std::uint64_t agg_replays_ = 0;
-
-  // In-network aggregation state (aggregator role only).
-  Buckets<std::uint64_t, UpdateMsg> innet_pending_;
-  std::map<sched::UpdateId, InnetCompleted> innet_completed_;
-  std::deque<sched::UpdateId> innet_completed_order_;
-
-  // Decentralized mode state.
-  Buckets<crypto::Digest, SegmentManifest> pending_manifests_;
-  std::map<sched::UpdateId, AcceptedManifest> accepted_;
-  /// SegmentDones that raced ahead of their manifest: for_update -> preds
-  /// already done.  Bounded by the dedupe window against abandoned chains.
-  std::map<sched::UpdateId, std::set<sched::UpdateId>> early_done_;
-  /// early_done_'s keys, oldest first (a list: it stays empty, and
-  /// allocation-free, on every switch that never parks a signal).
-  std::list<sched::UpdateId> early_done_order_;
-  std::map<sched::UpdateId, DecApplied> dec_applied_;
   /// Highest control-plane membership epoch seen; older manifests and
   /// peer signals are stale and dropped.
   std::uint64_t phase_ = 0;
@@ -307,8 +308,6 @@ class SwitchRuntime {
   std::map<std::pair<net::NodeIndex, net::NodeIndex>, double> missed_while_down_;
 
   obs::Histogram update_apply_ms_{rec_.latency_histogram("switch.update_apply_ms")};
-  /// update id -> first receipt time (metrics runs only).
-  std::map<sched::UpdateId, sim::SimTime> first_rx_;
 };
 
 }  // namespace cicero::core

@@ -92,6 +92,7 @@ class SwitchRuntimeTest : public ::testing::Test {
   std::vector<sim::NodeId> ctrl_nodes_;
   crypto::Point switch_pk_;
   SwitchRuntime::Config base_cfg_;
+  obs::Observability obs_;  ///< optional sink; outlives rt_
   std::unique_ptr<SwitchRuntime> rt_;
   std::vector<util::Bytes> to_controllers_;
 };
@@ -292,9 +293,9 @@ TEST_F(SwitchRuntimeTest, AggregatorNotifyUpdatesConfig) {
 }
 
 TEST_F(SwitchRuntimeTest, AppliedDedupeWindowBoundsMemory) {
-  // Regression: applied_ids_ grew without bound for the lifetime of the
-  // switch.  With a window of 8, applying 20 distinct updates must leave
-  // at most 8 remembered ids — and dedupe still works inside the window.
+  // Regression: the applied ids grew without bound for the lifetime of
+  // the switch.  With a window of 8, applying 20 distinct updates must
+  // leave at most 8 id records — and dedupe still works inside the window.
   rebuild([](SwitchRuntime::Config& cfg) { cfg.applied_dedupe_window = 8; });
   for (sched::UpdateId id = 1; id <= 20; ++id) {
     sched::Update u;
@@ -306,7 +307,7 @@ TEST_F(SwitchRuntimeTest, AppliedDedupeWindowBoundsMemory) {
     send_partial(u, 1);
   }
   EXPECT_EQ(rt_->updates_applied(), 20u);
-  EXPECT_LE(rt_->applied_dedupe_size(), 8u);
+  EXPECT_LE(rt_->id_records(), 8u);
   // A duplicate inside the window is still suppressed and re-acked.
   sched::Update last;
   last.id = 20;
@@ -316,6 +317,47 @@ TEST_F(SwitchRuntimeTest, AppliedDedupeWindowBoundsMemory) {
   send_partial(last, 2);
   EXPECT_EQ(rt_->updates_applied(), 20u);
   EXPECT_EQ(rt_->acks_reissued(), 1u);
+}
+
+TEST_F(SwitchRuntimeTest, LonePartialsForgottenWithTheirRecords) {
+  // Ids that never reach a quorum (one partial each, as a lone Byzantine
+  // signer would send) share the window with applied ids: with a window
+  // of 8, 24 of them leave at most 8 records.  The receipt stamps of a
+  // metrics run live in those records, so they stay bounded too.
+  rebuild([this](SwitchRuntime::Config& cfg) {
+    cfg.applied_dedupe_window = 8;
+    cfg.obs = &obs_;
+  });
+  for (sched::UpdateId id = 1; id <= 24; ++id) send_partial(make_update(id), 0);
+  EXPECT_EQ(rt_->updates_applied(), 0u);
+  EXPECT_LE(rt_->id_records(), 8u);
+  // The oldest id's bucket went with its record: a second partial opens a
+  // fresh bucket instead of completing the quorum...
+  send_partial(make_update(1), 1);
+  EXPECT_EQ(rt_->updates_applied(), 0u);
+  // ...while an id inside the window still completes.
+  send_partial(make_update(24), 1);
+  EXPECT_EQ(rt_->updates_applied(), 1u);
+  EXPECT_LE(rt_->id_records(), 8u);
+}
+
+TEST_F(SwitchRuntimeTest, CrashForgetsAppliedIdsSoARetransmissionReinstalls) {
+  // A crash forgets applied ids on purpose (DESIGN.md §10): the control
+  // plane's retransmission of an update applied before the crash must
+  // re-install the lost rule, not be answered as a duplicate.
+  const auto u = make_update(1);
+  send_partial(u, 0);
+  send_partial(u, 1);
+  ASSERT_EQ(rt_->updates_applied(), 1u);
+  rt_->crash();
+  EXPECT_EQ(rt_->id_records(), 0u);
+  sim_.at(sim_.now(), [this] { rt_->recover(); });
+  sim_.run_until(sim_.now() + sim::milliseconds(10));
+  send_partial(u, 0);
+  send_partial(u, 1);
+  EXPECT_EQ(rt_->updates_applied(), 2u);
+  EXPECT_EQ(rt_->acks_reissued(), 0u);
+  EXPECT_TRUE(rt_->table().has({100, 200}));
 }
 
 TEST_F(SwitchRuntimeTest, InNetworkReplayCacheBoundedByWindow) {
@@ -482,6 +524,27 @@ TEST_F(DecentralizedSwitchTest, ParkedSignalsForgetTheOldestFirst) {
   send_manifest_partial(m, 0);
   send_manifest_partial(m, 1);
   EXPECT_EQ(rt_->updates_applied(), 1u);
+}
+
+TEST_F(DecentralizedSwitchTest, StalledManifestsBoundedByWindow) {
+  // Accepted manifests whose predecessor never signals (an abandoned
+  // chain) are forgotten oldest first like any other record.
+  rebuild([](SwitchRuntime::Config& cfg) {
+    cfg.delivery = Delivery::kDecentralized;
+    cfg.applied_dedupe_window = 8;
+  });
+  for (sched::UpdateId id = 101; id <= 124; ++id) {
+    const auto m = make_manifest(id, {SegmentPeer{1, 8, peer_node_}}, {});
+    send_manifest_partial(m, 0);
+    send_manifest_partial(m, 1);
+  }
+  EXPECT_EQ(rt_->updates_applied(), 0u);
+  EXPECT_LE(rt_->id_records(), 8u);
+  send_segment_done(/*for_update=*/101, /*done_update=*/1);  // forgotten: parks
+  EXPECT_EQ(rt_->updates_applied(), 0u);
+  send_segment_done(/*for_update=*/124, /*done_update=*/1);  // still waiting: applies
+  EXPECT_EQ(rt_->updates_applied(), 1u);
+  EXPECT_LE(rt_->id_records(), 8u);
 }
 
 TEST_F(DecentralizedSwitchTest, ForgedSegmentDoneRejected) {

@@ -1,10 +1,10 @@
 // Decentralized-vs-controller-driven equivalence: for every seed, under
-// loss, on the sharded parallel engine, both execution modes must land
-// the exact same set of completed flows with fully drained trackers; the
-// decentralized interleaving must keep every intermediate table state
-// invariant-clean (no loops, no black holes, waypoints intact); and a
-// decentralized run must be bit-identical to its own rerun.  Runs under
-// `ctest -L consistency`.
+// loss, on the sequential and the sharded parallel engine, both
+// execution modes must land the exact same set of completed flows with
+// fully drained trackers; the decentralized interleaving must keep every
+// intermediate table state invariant-clean (no loops, no black holes,
+// waypoints intact); and a decentralized run must be bit-identical to
+// its own rerun.  Runs under `ctest -L consistency`.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -47,25 +47,28 @@ std::set<std::size_t> completed_set(const core::Deployment& dep) {
 }
 
 TEST(DecentralizedEquivalence, SameCompletionSetsUnderLossAcrossSeeds) {
-  // 10% loss, threads=4.  The two modes lose different messages (their
-  // send orders differ), but both must recover every flow — identical
-  // completion sets, nothing stranded, for every seed.
-  for (const std::uint64_t seed : {7ull, 21ull, 99ull}) {
-    const auto run_mode = [seed](ExecutionMode mode) {
-      auto dep = make_dep(mode, seed, /*threads=*/4);
-      dep->faults().set_uniform_loss(0.10);
-      const auto flows = workload::scale_flows(dep->topology(), 30, /*rate=*/300.0, seed);
-      dep->inject(flows);
-      dep->run(sim::seconds(120));
-      EXPECT_EQ(completed_count(*dep), flows.size()) << "seed " << seed;
-      EXPECT_EQ(dep->pending_updates(), 0u) << "seed " << seed;
-      EXPECT_EQ(abandoned_count(*dep), 0u) << "seed " << seed;
-      return completed_set(*dep);
-    };
-    const auto driven = run_mode(ExecutionMode::kControllerDriven);
-    const auto dec = run_mode(ExecutionMode::kDecentralized);
-    EXPECT_FALSE(driven.empty()) << "seed " << seed;
-    EXPECT_EQ(driven, dec) << "seed " << seed;
+  // 10% loss, threads=1 and 4.  The two modes lose different messages
+  // (their send orders differ), but both must recover every flow —
+  // identical completion sets, nothing stranded, for every seed.
+  for (const std::uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    for (const std::uint64_t seed : {7ull, 21ull, 99ull}) {
+      const auto run_mode = [seed, threads](ExecutionMode mode) {
+        auto dep = make_dep(mode, seed, threads);
+        dep->faults().set_uniform_loss(0.10);
+        const auto flows = workload::scale_flows(dep->topology(), 30, /*rate=*/300.0, seed);
+        dep->inject(flows);
+        dep->run(sim::seconds(120));
+        EXPECT_EQ(completed_count(*dep), flows.size()) << "seed " << seed;
+        EXPECT_EQ(dep->pending_updates(), 0u) << "seed " << seed;
+        EXPECT_EQ(abandoned_count(*dep), 0u) << "seed " << seed;
+        return completed_set(*dep);
+      };
+      const auto driven = run_mode(ExecutionMode::kControllerDriven);
+      const auto dec = run_mode(ExecutionMode::kDecentralized);
+      EXPECT_FALSE(driven.empty()) << "seed " << seed;
+      EXPECT_EQ(driven, dec) << "seed " << seed;
+    }
   }
 }
 
@@ -114,10 +117,11 @@ TEST(DecentralizedEquivalence, EveryApplyStepIsInvariantCleanUnderLoss) {
 }
 
 TEST(DecentralizedEquivalence, RerunIsBitIdentical) {
-  // A decentralized parallel run is a pure function of its seeds: same
-  // per-flow timestamps, same message/drop counts, run to run.
-  const auto run_once = [] {
-    auto dep = make_dep(ExecutionMode::kDecentralized, 777, /*threads=*/4);
+  // A decentralized run, sequential or parallel, is a pure function of
+  // its seeds: same per-flow timestamps, same message/drop counts, run
+  // to run.
+  const auto run_once = [](std::uint32_t threads) {
+    auto dep = make_dep(ExecutionMode::kDecentralized, 777, threads);
     dep->faults().set_uniform_loss(0.05);
     const auto flows = workload::scale_flows(dep->topology(), 30, /*rate=*/300.0, 7);
     dep->inject(flows);
@@ -130,7 +134,9 @@ TEST(DecentralizedEquivalence, RerunIsBitIdentical) {
                         static_cast<sim::SimTime>(dep->network().messages_sent()));
     return stamps;
   };
-  EXPECT_EQ(run_once(), run_once());
+  for (const std::uint32_t threads : {1u, 4u}) {
+    EXPECT_EQ(run_once(threads), run_once(threads)) << "threads " << threads;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // plus the §4.4 guarantees, checked with real cryptography).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "integration/helpers.hpp"
 #include "net/checker.hpp"
 
@@ -211,6 +213,20 @@ TEST(Deployment, EventLinearizability) {
       EXPECT_EQ(other->next_hop, rule.next_hop) << "switch " << sw;
     }
   }
+}
+
+TEST(Deployment, PublishesLargestSwitchIdRecordCount) {
+  auto dep = make_deployment(FrameworkKind::kCicero, net::build_pod(small_pod()));
+  dep->inject(small_workload(dep->topology(), 10));
+  dep->run(sim::seconds(10));
+  std::size_t largest = 0;
+  for (const auto sw : dep->topology().switches()) {
+    largest = std::max(largest, dep->switch_at(sw).id_records());
+  }
+  EXPECT_GT(largest, 0u);
+  const auto& gauges = dep->obs().metrics.gauges();
+  ASSERT_EQ(gauges.count("switch.id_records_max"), 1u);
+  EXPECT_EQ(*gauges.at("switch.id_records_max"), static_cast<double>(largest));
 }
 
 TEST(Deployment, DeterministicAcrossRuns) {

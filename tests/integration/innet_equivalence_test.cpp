@@ -1,10 +1,10 @@
 // In-network-aggregation equivalence: for every seed, under loss, on
 // the sharded parallel engine (threads=4), the kInNetwork offload must
 // land the exact same set of completed flows as plain kCicero with
-// fully drained trackers, and an in-network run must be bit-identical
-// to its own rerun — the aggregator fast path, escalation and failover
-// are all inside the deterministic simulation.  Runs under
-// `ctest -L consistency`.
+// fully drained trackers, and an in-network run, sequential or parallel,
+// must be bit-identical to its own rerun — the aggregator fast path,
+// escalation and failover are all inside the deterministic simulation.
+// Runs under `ctest -L consistency`.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -70,10 +70,11 @@ TEST(InNetworkEquivalence, SameCompletionSetsUnderLossAcrossSeeds) {
 }
 
 TEST(InNetworkEquivalence, RerunIsBitIdentical) {
-  // An in-network parallel run is a pure function of its seeds: same
-  // per-flow timestamps, same message/drop/fan-out counts, run to run.
-  const auto run_once = [] {
-    auto dep = make_dep(AggregationMode::kInNetwork, 777, /*threads=*/4);
+  // An in-network run, sequential or parallel, is a pure function of its
+  // seeds: same per-flow timestamps, same message/drop/fan-out counts,
+  // run to run.
+  const auto run_once = [](std::uint32_t threads) {
+    auto dep = make_dep(AggregationMode::kInNetwork, 777, threads);
     dep->faults().set_uniform_loss(0.05);
     const auto flows = workload::scale_flows(dep->topology(), 30, /*rate=*/300.0, 7);
     dep->inject(flows);
@@ -91,7 +92,9 @@ TEST(InNetworkEquivalence, RerunIsBitIdentical) {
     stamps.emplace_back(static_cast<sim::SimTime>(fanouts), 0);
     return stamps;
   };
-  EXPECT_EQ(run_once(), run_once());
+  for (const std::uint32_t threads : {1u, 4u}) {
+    EXPECT_EQ(run_once(threads), run_once(threads)) << "threads " << threads;
+  }
 }
 
 TEST(InNetworkEquivalence, ThreadsDoNotChangeTheOutcome) {
