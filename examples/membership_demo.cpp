@@ -18,7 +18,7 @@ void show_plane(core::Deployment& dep) {
   std::printf("  members (%zu): ", ids.size());
   for (const auto id : ids) std::printf("c%u ", id);
   std::printf("| quorum t=%u | group key %s...\n",
-              dep.controller(ids.front()).config().quorum,
+              dep.controller(ids.front()).quorum(),
               dep.group_pk(0).to_hex().substr(0, 18).c_str());
 }
 

@@ -34,7 +34,7 @@ int main() {
   params.trace = true;  // record sim-time spans for the Perfetto export below
   core::Deployment dep(std::move(topo), params);
   std::printf("control plane: %zu controllers, quorum %u, group key %s...\n",
-              dep.controller_ids().size(), dep.controller(0).config().quorum,
+              dep.controller_ids().size(), dep.controller(0).quorum(),
               dep.group_pk(0).to_hex().substr(0, 18).c_str());
 
   // 3. A Hadoop-like workload of 200 flows.
@@ -75,7 +75,7 @@ int main() {
               static_cast<unsigned long long>(dep.network().messages_sent()),
               static_cast<unsigned long long>(dep.network().bytes_sent()));
   std::printf("\nevery update above carried a (t=%u, n=%zu) threshold signature;\n",
-              dep.controller(0).config().quorum, dep.controller_ids().size());
+              dep.controller(0).quorum(), dep.controller_ids().size());
   std::printf("re-run with params.framework = kCentralized to feel the difference.\n");
 
   // 6. Export the run's observability: a Chrome trace-event file (open in

@@ -1,7 +1,7 @@
 // BFT atomic-broadcast wire messages.
 //
-// PBFT-style three-phase protocol messages plus view-change machinery and
-// failure-detector heartbeats; messages.cpp holds their field lists.  A
+// PBFT-style three-phase protocol messages plus view-change and state
+// transfer machinery; messages.cpp holds their field lists.  A
 // message can carry a Schnorr signature over its body (controllers "use a
 // PKI system to validate messages sent with the atomic broadcast", §3.2).
 #pragma once
@@ -31,7 +31,7 @@ enum class BftMsgType : std::uint8_t {
   kCommit = 3,
   kViewChange = 4,
   kNewView = 5,
-  kHeartbeat = 6,
+  kHeartbeat = 6,  ///< no longer sent; keeps its wire value
   /// State transfer for lagging replicas: kFetch carries the requester's
   /// last delivered seq; kFetchReply returns the responder's delivered
   /// entries above it (reusing `new_view_entries`).  A fetched entry is
@@ -41,9 +41,9 @@ enum class BftMsgType : std::uint8_t {
 };
 constexpr BftMsgType wire_max(BftMsgType) { return BftMsgType::kFetchReply; }
 
-/// A client request as ordered by the protocol.  Requests are deduplicated
-/// by (submitter, local_seq), so re-submission after a view change cannot
-/// cause double delivery.
+/// A client request as ordered by the protocol.  Replicas deduplicate
+/// requests by the SHA-256 of their payload (`PbftReplica::request_key`),
+/// so re-submission after a view change cannot cause double delivery.
 struct BftRequest {
   ReplicaId submitter = 0;
   std::uint64_t local_seq = 0;

@@ -145,7 +145,7 @@ void PbftReplica::handle(const BftMessage& m) {
       handle_fetch_reply(m);
       break;
     case BftMsgType::kHeartbeat:
-      break;  // consumed by the failure detector, not the replica
+      break;  // no longer sent; ignored
   }
 }
 

@@ -9,9 +9,11 @@
 //
 // Simplifications vs. production PBFT, documented for reviewers:
 //   * no checkpointing / log truncation (runs are finite simulations);
-//   * view-change NEW-VIEW re-issues every undelivered prepared request
-//     above the quorum's max delivered seq and fills holes with explicit
-//     no-op entries rather than proving them with per-seq certificates.
+//   * view-change NEW-VIEW re-issues every prepared request (view-change
+//     messages report delivered entries too) above the *lowest* delivered
+//     seq in the view-change quorum, so laggards catch up without state
+//     transfer, and fills holes with explicit no-op entries rather than
+//     proving them with per-seq certificates.
 // Neither affects the safety/liveness properties the tests check.
 //
 // Fault injection for tests: `crash()` silences the replica;

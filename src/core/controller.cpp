@@ -9,13 +9,12 @@ constexpr const char* kLog = "controller";
 /// PBFT request timeout: a request unordered this long triggers a view change.
 constexpr sim::SimTime kBftTimeout = sim::milliseconds(400);
 
-bft::PbftConfig make_pbft_config(const Controller::Config& c, sim::CpuServer* cpu) {
+bft::PbftConfig make_pbft_config(const Controller::Config& c, const Controller::Plane& plane,
+                                 std::size_t rank, sim::CpuServer* cpu) {
   bft::PbftConfig pc;
   // Replica id = our position in the (id-sorted) member list.
-  for (std::size_t i = 0; i < c.members.size(); ++i) {
-    if (c.members[i].id == c.id) pc.id = static_cast<bft::ReplicaId>(i);
-    pc.group.push_back(c.members[i].node);
-  }
+  pc.id = static_cast<bft::ReplicaId>(rank);
+  for (const auto& m : plane.members) pc.group.push_back(m.node);
   pc.request_timeout = kBftTimeout;
   // PbftConfig signs by default; no evaluated setup signs BFT traffic, so
   // the replica's authenticated channels alone pin each vote to its sender.
@@ -26,10 +25,10 @@ bft::PbftConfig make_pbft_config(const Controller::Config& c, sim::CpuServer* cp
   return pc;
 }
 
-bft::PbftKeys make_pbft_keys(const Controller::Config& c) {
+bft::PbftKeys make_pbft_keys(const Controller::Config& c, const Controller::Plane& plane) {
   bft::PbftKeys keys;
   keys.own = c.key;
-  for (const auto& m : c.members) keys.replica_pks.push_back(m.pk);
+  for (const auto& m : plane.members) keys.replica_pks.push_back(m.pk);
   return keys;
 }
 }  // namespace
@@ -37,9 +36,10 @@ bft::PbftKeys make_pbft_keys(const Controller::Config& c) {
 Controller::Controller(sim::Simulator& simulator, sim::NetworkSim& network, Config config,
                        Environment env)
     : sim_(simulator), net_(network), config_(std::move(config)), env_(std::move(env)),
+      plane_(env_.planes->at(config_.domain)),
       rec_(config_.obs, config_.node, config_.domain, [&s = simulator] { return s.now(); }),
       cpu_(simulator) {
-  frost_ = env_.crypto->frost_party(config_.share, config_.group_pk, config_.nonce_seed);
+  frost_ = env_.crypto->frost_party(config_.share, plane_.group_pk, config_.nonce_seed);
   if (config_.obs != nullptr) cpu_.set_obs(config_.obs, config_.node, obs::kTidMain);
   rebuild_replica();
 }
@@ -48,7 +48,8 @@ Controller::Controller(sim::Simulator& simulator, sim::NetworkSim& network, Conf
 // records each event's and update's deployment-wide lifecycle.
 void Controller::rebuild_replica() {
   replica_ = std::make_unique<bft::PbftReplica>(
-      sim_, net_, make_pbft_config(config_, &cpu_), make_pbft_keys(config_),
+      sim_, net_, make_pbft_config(config_, plane_, member_rank(), &cpu_),
+      make_pbft_keys(config_, plane_),
       [this](bft::SeqNum seq, const util::Bytes& payload) { on_deliver(seq, payload); });
   rec_.set_leader(is_aggregator());
 }
@@ -138,15 +139,15 @@ std::set<net::DomainId> Controller::domains_of_path(
 void Controller::forward_cross_domain(const Event& e, const std::set<net::DomainId>& domains) {
   for (const net::DomainId d : domains) {
     if (d == config_.domain) continue;
-    const auto it = env_.members->find(d);
-    if (it == env_.members->end() || it->second.empty()) continue;
+    const auto it = env_.planes->find(d);
+    if (it == env_.planes->end() || it->second.members.empty()) continue;
     Event fwd = e;
     fwd.forwarded = true;  // never re-forwarded (§4.1)
     const util::Bytes wire = fwd.encode();
     rec_.phase_bytes(obs::CritPhase::kOrder, wire.size());
     // The remote domain's lowest-id member (any valid recipient works;
     // lowest-id matches the aggregator-selection rule).
-    net_.send(config_.node, it->second.front().node, wire);
+    net_.send(config_.node, it->second.members.front().node, wire);
     events_forwarded_.inc();
   }
 }
@@ -385,7 +386,7 @@ void Controller::dispatch_update(const sched::Update& update, bool retransmit) {
       }
     }
     const bool innet = config_.delivery == Delivery::kInNetwork;
-    if (innet && !retransmit && member_rank() >= config_.quorum) return;  // fast-path silence
+    if (innet && !retransmit && member_rank() >= quorum()) return;  // fast-path silence
     updates_sent_.inc();
     if (innet) {
       dispatch_innet(msg, retransmit);
@@ -417,14 +418,14 @@ void Controller::ship(net::NodeIndex sw, sched::UpdateId id, const util::Bytes& 
 }
 
 std::size_t Controller::member_rank() const {
-  for (std::size_t i = 0; i < config_.members.size(); ++i) {
-    if (config_.members[i].id == config_.id) return i;
-  }
-  return 0;
+  std::size_t rank = 0;
+  while (rank < plane_.members.size() && plane_.members[rank].id != config_.id) ++rank;
+  return rank;
 }
 
 void Controller::dispatch_innet(const UpdateMsg& msg, bool retransmit) {
-  if (config_.innet_aggregator == sim::kInvalidNode) return;
+  const auto agg = env_.switch_nodes->find(plane_.innet_aggregator);
+  if (agg == env_.switch_nodes->end()) return;
   const sched::UpdateId uid = msg.update.id;
   util::Bytes wire;
   if (retransmit || member_rank() == 0) {
@@ -444,7 +445,7 @@ void Controller::dispatch_innet(const UpdateMsg& msg, bool retransmit) {
   // aggregator makes afterwards is the propagate phase.
   rec_.update_sent(uid, retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kSign,
                    wire.size());
-  send_southbound(config_.innet_aggregator, wire);
+  send_southbound(agg->second, wire);
 }
 
 // ---------------------------------------------------------------------------
@@ -475,7 +476,7 @@ void Controller::send_manifest(const SegmentManifest& manifest, bool retransmit)
   ManifestMsg msg;
   msg.manifest = manifest;
   msg.cause = cause_of(manifest.update.id);
-  msg.epoch = membership_phase_;
+  msg.epoch = plane_.phase;
   if (fault_ == ControllerFault::kMutateUpdates || fault_ == ControllerFault::kRogueUpdates) {
     // Same corruption as dispatch_update: a loop-inducing next hop.  The
     // switch-local precondition (and, under Cicero, the quorum) rejects it.
@@ -583,13 +584,13 @@ void Controller::on_peer_update(const UpdateMsg& m) {
     auto it = agg_pending_.find(id);
     if (it == agg_pending_.end() || it->second.done) return;
     AggPending& p2 = it->second;
-    if (!env_.crypto->verify_partial(config_.verification_shares, p2.signing_bytes, partial)) {
+    if (!env_.crypto->verify_partial(plane_.verification_shares, p2.signing_bytes, partial)) {
       CICERO_LOG_WARN(kLog, "aggregator c%u: bad partial from share %u dropped", config_.id,
                       partial.signer);
       return;
     }
     p2.partials[partial.signer] = partial;
-    if (p2.partials.size() < config_.quorum) return;
+    if (p2.partials.size() < quorum()) return;
     p2.done = true;
     aggregate_and_ship(id);
   });
@@ -604,12 +605,12 @@ void Controller::maybe_start_frost_session(sched::UpdateId id) {
   auto it = agg_pending_.find(id);
   if (it == agg_pending_.end()) return;
   AggPending& p = it->second;
-  if (p.session_started || p.frost_commitments.size() < config_.quorum) return;
+  if (p.session_started || p.frost_commitments.size() < quorum()) return;
   p.session_started = true;
 
   std::size_t taken = 0;
   for (const auto& [idx, c] : p.frost_commitments) {
-    if (taken++ == config_.quorum) break;
+    if (taken++ == quorum()) break;
     p.frost_session.push_back(c);
   }
   for (const auto& c : p.frost_session) {
@@ -628,7 +629,7 @@ void Controller::send_frost_session(sched::UpdateId id, crypto::ShareIndex signe
   FrostSessionMsg session;
   session.update_id = id;
   for (const auto& c : p.frost_session) session.commitments.push_back(c.to_bytes());
-  for (const auto& m : config_.members) {
+  for (const auto& m : plane_.members) {
     if (m.id + 1 != signer) continue;
     if (m.id == config_.id) {
       on_frost_session(session);
@@ -681,8 +682,8 @@ void Controller::on_frost_partial(const FrostPartialMsg& m) {
   bool in_session = false;
   for (const auto& c : p.frost_session) in_session |= (c.signer == m.signer_index);
   if (!in_session) return;
-  const auto z = env_.crypto->frost_partial(p.signing_bytes, p.frost_session, config_.group_pk,
-                                            config_.verification_shares, m.signer_index, m.z);
+  const auto z = env_.crypto->frost_partial(p.signing_bytes, p.frost_session, plane_.group_pk,
+                                            plane_.verification_shares, m.signer_index, m.z);
   if (!z) {
     CICERO_LOG_WARN(kLog, "aggregator c%u: bad FROST partial from %u", config_.id,
                     m.signer_index);
@@ -699,15 +700,15 @@ void Controller::on_frost_partial(const FrostPartialMsg& m) {
 // update to its switch.
 void Controller::aggregate_and_ship(sched::UpdateId id) {
   const sim::SimTime agg_cost =
-      config_.costs.aggregate_per_share * static_cast<sim::SimTime>(config_.quorum);
+      config_.costs.aggregate_per_share * static_cast<sim::SimTime>(quorum());
   cpu_.execute(agg_cost, "aggregate", [this, id] {
     auto it = agg_pending_.find(id);
     if (it == agg_pending_.end()) return;
     AggPending& p = it->second;
     const auto sig = env_.crypto->backend() == ThresholdBackend::kFrost
                          ? env_.crypto->frost_aggregate(p.signing_bytes, p.frost_session,
-                                                        config_.group_pk, p.frost_partials)
-                         : env_.crypto->aggregate(p.signing_bytes, p.partials, config_.quorum);
+                                                        plane_.group_pk, p.frost_partials)
+                         : env_.crypto->aggregate(p.signing_bytes, p.partials, quorum());
     if (!sig) return;
     const util::Bytes& wire = agg_completed_[id] =
         AggUpdateMsg{p.update, cause_of(id), *sig}.encode();
@@ -730,9 +731,12 @@ void Controller::propose_membership(EventKind kind, std::uint32_t member) {
   replica_->submit(e.encode());
 }
 
-void Controller::finish_membership_change(std::uint64_t phase, Config new_group_config) {
-  membership_phase_ = phase;
-  config_ = std::move(new_group_config);
+void Controller::finish_membership_change(crypto::SecretShare share) {
+  config_.share = std::move(share);
+  // Re-key the FROST signer but keep its nonce DRBG: a re-seeded stream
+  // would repeat nonces already spent under the old share, and a nonce
+  // used twice reveals the share.
+  if (frost_ != nullptr) frost_->signer = crypto::FrostSigner(config_.share, plane_.group_pk);
   rebuild_replica();
   membership_changing_ = false;
   auto queued = std::move(queued_events_);

@@ -15,6 +15,10 @@
 //     verifies partials from its peers and ships one aggregated signature
 //     per update to the switch.
 //
+// A controller keeps only what is its own (`Config`); what its plane
+// shares is one `Plane` record the Deployment writes and members read live
+// (DESIGN.md §4.2c), so a membership change hands each its new share only.
+//
 // The apply/ack transaction is written once for every delivery shape:
 // one ack-wait record per awaited update (opened by `await_ack`, for
 // updates and decentralized chain sinks; closed by `end_wait` on the first
@@ -29,6 +33,7 @@
 // PACKET_OUT-style attack of §2.2).
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -60,6 +65,11 @@ enum class ControllerFault : std::uint8_t {
   kRogueUpdates,   ///< additionally fires unsolicited updates at switches
 };
 
+/// Threshold t for a plane of `members` controllers: f + 1, n >= 3f + 1.
+inline std::uint32_t quorum_for(std::size_t members) {
+  return static_cast<std::uint32_t>(std::max<std::size_t>(1, (members - 1) / 3 + 1));
+}
+
 class Controller {
  public:
   struct MemberInfo {
@@ -67,21 +77,31 @@ class Controller {
     sim::NodeId node = sim::kInvalidNode;
     crypto::Point pk;  ///< PKI key (BFT message + event signing)
   };
-  /// domain -> that domain's control-plane members, sorted by id.
-  using Directory = std::map<net::DomainId, std::vector<MemberInfo>>;
+  /// One control plane, as every member reads it live; the Deployment
+  /// owns one per plane and is its only writer (DESIGN.md §4.2c).
+  struct Plane {
+    std::vector<MemberInfo> members;  ///< sorted by id; front() aggregates
+    crypto::Point group_pk;
+    std::map<crypto::ShareIndex, crypto::Point> verification_shares;
+    std::uint64_t phase = 0;  ///< membership phase, +1 per settled change
+    /// kInNetwork only: the designated aggregator switch (kNoNode when
+    /// every switch of the domain is down), re-designated on crash/recover.
+    net::NodeIndex innet_aggregator = net::kNoNode;
 
+    std::uint32_t quorum() const { return quorum_for(members.size()); }
+  };
+  /// domain -> its plane (a global plane is domain 0).
+  using Planes = std::map<net::DomainId, Plane>;
+
+  /// What is this controller's own; the rest is read from its `Plane`.
   struct Config {
     std::uint32_t id = 0;
     net::DomainId domain = 0;
     FrameworkKind framework = FrameworkKind::kCicero;
     CostModel costs;
     sim::NodeId node = sim::kInvalidNode;
-    std::vector<MemberInfo> members;  ///< sorted by id, includes self
     crypto::SchnorrKeyPair key;
     crypto::SecretShare share;  ///< threshold share (Cicero frameworks)
-    crypto::Point group_pk;
-    std::map<crypto::ShareIndex, crypto::Point> verification_shares;
-    std::uint32_t quorum = 3;
     /// The path updates take to the switches (DESIGN.md §4.2b).  Under
     /// kInNetwork the replicas address the domain's designated aggregator
     /// *switch*: on the optimistic first send only the lowest-ranked
@@ -90,9 +110,6 @@ class Controller {
     /// still arms its ack timer, and any retransmission escalates to the
     /// full body, so liveness never depends on the optimistic cast.
     Delivery delivery = Delivery::kDirect;
-    /// Sim address of the designated aggregator switch (kInNetwork only);
-    /// re-pointed by the Deployment when that switch crashes.
-    sim::NodeId innet_aggregator = sim::kInvalidNode;
     std::uint64_t nonce_seed = 0;  ///< per-controller FROST nonce stream
     /// Transactional apply/ack recovery (§4.1): an update whose signed ack
     /// has not arrived within `ack_timeout` is re-signed and retransmitted
@@ -118,10 +135,9 @@ class Controller {
     const CryptoSuite* crypto = nullptr;
     /// topology switch index -> network endpoint.
     const std::map<net::NodeIndex, sim::NodeId>* switch_nodes = nullptr;
-    /// The live member table of every domain (cross-domain forwarding);
-    /// the Deployment rewrites a domain's entry when a membership change
-    /// settles.
-    const Directory* members = nullptr;
+    /// Every plane, read live: our own (members, keys, phase, aggregator
+    /// switch) and the others' members (cross-domain forwarding).
+    const Planes* planes = nullptr;
   };
 
   /// Fired when a membership event (add/remove) is delivered by the
@@ -138,15 +154,13 @@ class Controller {
   net::DomainId domain() const { return config_.domain; }
   sim::NodeId node() const { return config_.node; }
   bool is_aggregator() const;
+  /// The threshold our plane currently signs with.
+  std::uint32_t quorum() const { return plane_.quorum(); }
   sim::CpuServer& cpu() { return cpu_; }
   bft::PbftReplica& replica() { return *replica_; }
   const Config& config() const { return config_; }
 
   void set_fault(ControllerFault fault) { fault_ = fault; }
-
-  /// Aggregator-switch failover (in-network aggregation): the Deployment
-  /// re-points every replica of the domain at the new designated switch.
-  void set_innet_aggregator(sim::NodeId node) { config_.innet_aggregator = node; }
 
   /// Hash-chained log of every update this controller emitted, its head
   /// signed every 64 entries (§7 future work: decision auditability); see
@@ -161,10 +175,10 @@ class Controller {
   /// `finish_membership_change`.
   bool membership_changing() const { return membership_changing_; }
   void begin_membership_change() { membership_changing_ = true; }
-  /// Installs new group state (share, members, quorum), rebuilds the BFT
-  /// replica for the new membership, and drains the event queue.  `phase`
-  /// is the new membership phase.
-  void finish_membership_change(std::uint64_t phase, Config new_group_config);
+  /// Installs our re-dealt share (the plane itself is already settled),
+  /// re-keys the FROST signer, rebuilds the BFT replica for the new
+  /// membership, and drains the event queue.
+  void finish_membership_change(crypto::SecretShare share);
 
   /// Fires an unsolicited (non-quorum) update at a switch — only used by
   /// fault injection to demonstrate the baselines' vulnerability.
@@ -210,10 +224,11 @@ class Controller {
   /// In-network aggregation: rank-dependent send to the aggregator switch.
   void dispatch_innet(const UpdateMsg& msg, bool retransmit);
   void ship(net::NodeIndex sw, sched::UpdateId id, const util::Bytes& wire, bool retransmit);
-  /// This replica's rank: position of our id in the sorted member list.
+  /// This replica's rank: position of our id in the sorted member list
+  /// (members.size() once we are no longer a member).
   std::size_t member_rank() const;
   /// The lowest-id member: the aggregator under Delivery::kControllerAgg (§4.2).
-  const MemberInfo& aggregator_member() const { return config_.members.front(); }
+  const MemberInfo& aggregator_member() const { return plane_.members.front(); }
   /// Controller -> switch send, counted in southbound_bytes().
   void send_southbound(sim::NodeId to, const util::Bytes& wire);
   void arm_ack_timer(sched::UpdateId id, sim::SimTime delay);
@@ -239,6 +254,7 @@ class Controller {
   sim::NetworkSim& net_;
   Config config_;
   Environment env_;
+  const Plane& plane_;  ///< ours, in env_.planes
   /// Lifecycle recorder; its leader role is ours while we are the
   /// aggregator.
   obs::NodeHooks rec_;
@@ -248,7 +264,6 @@ class Controller {
   std::set<EventId> events_submitted_;
   std::set<EventId> events_processed_set_;
   std::vector<Event> queued_events_;  ///< arrivals during membership change
-  std::uint64_t membership_phase_ = 0;
   bool membership_changing_ = false;
   ControllerFault fault_ = ControllerFault::kNone;
   AuditLog audit_;

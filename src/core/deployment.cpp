@@ -127,9 +127,7 @@ sim::SimTime Deployment::min_cross_shard_latency() const {
     add(shard_of_domain_.at(n.domain), Placement2{n.placement.dc, n.placement.pod, true});
   }
   for (const net::DomainId d : topo_.domains()) {
-    // Controllers are placed at their domain's first switch (build_plane).
-    const auto sws = topo_.switches_in_domain(d);
-    const net::Placement p = sws.empty() ? net::Placement{} : topo_.node(sws.front()).placement;
+    const net::Placement p = plane_placement(d);
     add(shard_of_domain_.at(d), Placement2{p.dc, p.pod, false});
   }
   sim::SimTime best = sim::kNever;
@@ -166,17 +164,15 @@ void Deployment::build_nodes() {
   // the centralized and crash-tolerant baselines.
   const bool global = global_plane(params_.framework);
   if (global) {
-    build_plane(0, topo_.switches());
+    build_plane(0);
   } else {
-    for (const net::DomainId d : topo_.domains()) {
-      build_plane(d, topo_.switches_in_domain(d));
-    }
+    for (const net::DomainId d : topo_.domains()) build_plane(d);
   }
 
   // Switch runtimes (need the planes' keys, so after build_plane).
   for (const net::NodeIndex sw : topo_.switches()) {
     const net::DomainId d = global ? 0 : topo_.node(sw).domain;
-    const Plane& plane = planes_.at(d);
+    AggregatorNotifyMsg view = switch_view(d);
 
     SwitchRuntime::Config cfg;
     cfg.topo_index = sw;
@@ -184,11 +180,10 @@ void Deployment::build_nodes() {
     cfg.framework = params_.framework;
     cfg.costs = params_.costs;
     cfg.key = crypto_.switch_key(drbg_);
-    cfg.group_pk = plane.group_pk;
-    const auto& members = members_.at(d);
-    cfg.quorum = quorum_for(members.size());
-    for (const auto& m : members) cfg.controllers.push_back(m.node);
-    if (delivery_ == Delivery::kControllerAgg) cfg.aggregator = members.front().node;
+    cfg.group_pk = planes_.at(d).group_pk;
+    cfg.quorum = view.quorum;
+    cfg.controllers = std::move(view.controllers);
+    cfg.aggregator = view.aggregator;
     cfg.delivery = delivery_;
     cfg.switch_directory = &switch_nodes_;
     cfg.crypto = &crypto_;
@@ -205,25 +200,23 @@ void Deployment::build_nodes() {
     switches_[sw] = std::move(runtime);
   }
 
-  // Initial in-network aggregator designation (lowest topology index per
-  // domain).  Must precede controller construction: member_config reads it.
+  // Initial in-network aggregator designation (needs the switch runtimes).
   if (delivery_ == Delivery::kInNetwork) {
-    for (const net::DomainId d : topo_.domains()) {
-      innet_agg_switch_[d] = pick_innet_aggregator(d);
-    }
+    for (const net::DomainId d : topo_.domains()) designate_innet_aggregator(d);
   }
 
   // Controllers (after switches and all planes exist).
-  for (const auto& [d, members] : members_) {
-    for (const auto& m : members) spawn_controller(d, m.id);
+  for (const auto& [d, plane] : planes_) {
+    for (const auto& m : plane.members) spawn_controller(m.id);
   }
 }
 
-void Deployment::spawn_controller(net::DomainId domain, std::uint32_t id) {
+void Deployment::spawn_controller(std::uint32_t id) {
+  const net::DomainId domain = ctrl_configs_.at(id).domain;
   auto ctrl = std::make_unique<Controller>(
-      sim_for_domain(domain), *net_, member_config(domain, id),
-      Controller::Environment{&topo_, &scheduler_, &crypto_, &switch_nodes_, &members_});
-  ctrl->set_on_membership([this, domain](const Event& e) { on_membership_event(domain, e); });
+      sim_for_domain(domain), *net_, ctrl_configs_.at(id),
+      Controller::Environment{&topo_, &scheduler_, &crypto_, &switch_nodes_, &planes_});
+  ctrl->set_on_membership([this, domain](const Event& e) { run_membership_change(domain, e); });
   net_->set_handler(ctrl->node(), [c = ctrl.get()](sim::NodeId from, const util::Bytes& wire) {
     c->handle_message(from, wire);
   });
@@ -236,13 +229,21 @@ std::uint32_t Deployment::provision_controller(net::DomainId domain,
   const sim::NodeId node = net_->add_node("ctrl:" + std::to_string(id));
   node_shard_.push_back(shard_of_domain(domain));
   node_place_[node] = Placement2{placement.dc, placement.pod, false};
+  Controller::Config& cfg = ctrl_configs_[id];
+  cfg.id = id;
+  cfg.domain = domain;
+  cfg.framework = params_.framework;
+  cfg.delivery = delivery_;
+  cfg.costs = params_.costs;
+  cfg.node = node;
   // Controller keys are real in both crypto modes: they sign the audit
   // log's checkpoints.
-  ControllerRecord& rec = ctrl_records_[id];
-  rec.domain = domain;
-  rec.node = node;
-  rec.key = crypto::SchnorrKeyPair::generate(drbg_);
-  crypto_.pki().register_origin(kControllerOriginBase + id, rec.key.pk);
+  cfg.key = crypto::SchnorrKeyPair::generate(drbg_);
+  cfg.nonce_seed = params_.seed ^ (0x9E3779B97F4A7C15ULL * (id + 1));
+  cfg.ack_timeout = params_.ack_timeout;
+  cfg.update_max_retries = params_.update_max_retries;
+  cfg.obs = obs_for_domain(domain);
+  crypto_.pki().register_origin(kControllerOriginBase + id, cfg.key.pk);
   if (obs_.trace.enabled()) {
     obs_.trace.set_process_name(node, net_->node_name(node));
     obs_.trace.set_thread_name(node, obs::kTidMain, "controller");
@@ -252,67 +253,39 @@ std::uint32_t Deployment::provision_controller(net::DomainId domain,
   return id;
 }
 
-void Deployment::build_plane(net::DomainId domain,
-                             const std::vector<net::NodeIndex>& domain_switches) {
+std::vector<net::NodeIndex> Deployment::plane_switches(net::DomainId d) const {
+  return global_plane(params_.framework) ? topo_.switches() : topo_.switches_in_domain(d);
+}
+
+net::Placement Deployment::plane_placement(net::DomainId d) const {
+  const auto sws = plane_switches(d);
+  return sws.empty() ? net::Placement{} : topo_.node(sws.front()).placement;
+}
+
+void Deployment::build_plane(net::DomainId domain) {
   const std::size_t n = params_.framework == FrameworkKind::kCentralized
                             ? 1
                             : params_.controllers_per_domain;
-  const net::Placement placement = domain_switches.empty()
-                                       ? net::Placement{}
-                                       : topo_.node(domain_switches.front()).placement;
+  const net::Placement placement = plane_placement(domain);
   // Ids are provisioned in ascending order, so the list is sorted by id.
-  std::vector<Controller::MemberInfo>& members = members_[domain];
+  Controller::Plane& plane = planes_[domain];
   for (std::size_t i = 0; i < n; ++i) {
-    members.push_back(member_info(provision_controller(domain, placement)));
+    plane.members.push_back(member_info(provision_controller(domain, placement)));
   }
 
   // Threshold key material: share index = controller id + 1.
   std::vector<crypto::ShareIndex> indices;
-  for (const auto& m : members) indices.push_back(m.id + 1);
-  auto keys = crypto_.deal_plane(indices, quorum_for(n), threshold_signed(params_.framework),
+  for (const auto& m : plane.members) indices.push_back(m.id + 1);
+  auto keys = crypto_.deal_plane(indices, plane.quorum(), threshold_signed(params_.framework),
                                  drbg_);
-  Plane& plane = planes_[domain];
   plane.group_pk = keys.group_pk;
   plane.verification_shares = std::move(keys.verification_shares);
-  for (std::size_t i = 0; i < n; ++i) ctrl_records_.at(members[i].id).share = keys.shares[i];
-}
-
-std::uint32_t Deployment::quorum_for(std::size_t members) {
-  return static_cast<std::uint32_t>(std::max<std::size_t>(1, (members - 1) / 3 + 1));
+  for (std::size_t i = 0; i < n; ++i) ctrl_configs_.at(plane.members[i].id).share = keys.shares[i];
 }
 
 Controller::MemberInfo Deployment::member_info(std::uint32_t id) const {
-  const ControllerRecord& rec = ctrl_records_.at(id);
-  return Controller::MemberInfo{id, rec.node, rec.key.pk};
-}
-
-Controller::Config Deployment::member_config(net::DomainId domain, std::uint32_t id) {
-  const ControllerRecord& rec = ctrl_records_.at(id);
-  const Plane& plane = planes_.at(domain);
-  Controller::Config cfg;
-  cfg.id = id;
-  cfg.domain = domain;
-  cfg.framework = params_.framework;
-  cfg.delivery = delivery_;
-  cfg.costs = params_.costs;
-  cfg.node = rec.node;
-  cfg.members = members_.at(domain);
-  cfg.key = rec.key;
-  cfg.share = rec.share;
-  cfg.group_pk = plane.group_pk;
-  cfg.verification_shares = plane.verification_shares;
-  cfg.quorum = quorum_for(cfg.members.size());
-  cfg.nonce_seed = params_.seed ^ (0x9E3779B97F4A7C15ULL * (id + 1));
-  cfg.ack_timeout = params_.ack_timeout;
-  cfg.update_max_retries = params_.update_max_retries;
-  if (delivery_ == Delivery::kInNetwork) {
-    const auto it = innet_agg_switch_.find(domain);
-    if (it != innet_agg_switch_.end() && it->second != net::kNoNode) {
-      cfg.innet_aggregator = switch_nodes_.at(it->second);
-    }
-  }
-  cfg.obs = obs_for_domain(domain);
-  return cfg;
+  const Controller::Config& cfg = ctrl_configs_.at(id);
+  return Controller::MemberInfo{id, cfg.node, cfg.key.pk};
 }
 
 sim::SimTime Deployment::latency(sim::NodeId a, sim::NodeId b) const {
@@ -345,9 +318,9 @@ std::vector<std::uint32_t> Deployment::controller_ids() const {
 
 std::vector<std::uint32_t> Deployment::domain_controller_ids(net::DomainId d) const {
   std::vector<std::uint32_t> ids;
-  const auto it = members_.find(d);
-  if (it == members_.end()) return ids;
-  for (const auto& m : it->second) ids.push_back(m.id);
+  const auto it = planes_.find(d);
+  if (it == planes_.end()) return ids;
+  for (const auto& m : it->second.members) ids.push_back(m.id);
   return ids;
 }
 
@@ -372,55 +345,40 @@ void Deployment::restore_link(net::NodeIndex a, net::NodeIndex b) {
 void Deployment::crash_switch(net::NodeIndex sw) {
   switches_.at(sw)->crash();
   faults_->set_node_down(switch_nodes_.at(sw), true);
-  if (delivery_ == Delivery::kInNetwork) {
-    update_innet_aggregator(topo_.node(sw).domain);
-  }
+  if (delivery_ == Delivery::kInNetwork) designate_innet_aggregator(topo_.node(sw).domain);
 }
 
 void Deployment::recover_switch(net::NodeIndex sw) {
   faults_->set_node_down(switch_nodes_.at(sw), false);
   switches_.at(sw)->recover();
-  if (delivery_ == Delivery::kInNetwork) {
-    update_innet_aggregator(topo_.node(sw).domain);
-  }
+  if (delivery_ == Delivery::kInNetwork) designate_innet_aggregator(topo_.node(sw).domain);
 }
 
 net::NodeIndex Deployment::innet_aggregator_switch(net::DomainId d) const {
-  const auto it = innet_agg_switch_.find(d);
-  return it == innet_agg_switch_.end() ? net::kNoNode : it->second;
+  const auto it = planes_.find(d);
+  return it == planes_.end() ? net::kNoNode : it->second.innet_aggregator;
 }
 
-net::NodeIndex Deployment::pick_innet_aggregator(net::DomainId d) const {
+// The replicas read the designation live from the plane, which models the
+// management-plane routing change a real deployment would push; their ack
+// timers cover any update in flight at the old aggregator (retransmissions
+// escalate to full bodies, DESIGN.md §16).
+void Deployment::designate_innet_aggregator(net::DomainId d) {
   // switches_in_domain returns ascending topology indices, so the first
   // live switch IS the deterministic designation.  Any switch can serve:
   // the threshold signature, not the aggregator's identity, carries the
   // update's authority (DESIGN.md §16).
-  for (const net::NodeIndex sw : topo_.switches_in_domain(d)) {
-    const auto it = switches_.find(sw);
-    if (it != switches_.end() && !it->second->down()) return sw;
-  }
-  return net::kNoNode;
-}
-
-void Deployment::update_innet_aggregator(net::DomainId d) {
-  const net::NodeIndex chosen = pick_innet_aggregator(d);
-  innet_agg_switch_[d] = chosen;
-  const sim::NodeId node =
-      chosen == net::kNoNode ? sim::kInvalidNode : switch_nodes_.at(chosen);
-  // Re-point every live replica of the domain's plane.  This models the
-  // management-plane routing change a real deployment would push; the
-  // replicas' ack timers cover any update in flight at the old
-  // aggregator (retransmissions escalate to full bodies, DESIGN.md §16).
-  const auto mit = members_.find(d);
-  if (mit == members_.end()) return;
-  for (const auto& m : mit->second) controllers_.at(m.id)->set_innet_aggregator(node);
+  const auto sws = topo_.switches_in_domain(d);
+  const auto live = std::find_if(sws.begin(), sws.end(),
+                                 [this](net::NodeIndex sw) { return !switches_.at(sw)->down(); });
+  planes_.at(d).innet_aggregator = live == sws.end() ? net::kNoNode : *live;
 }
 
 std::size_t Deployment::pending_updates() const {
   // Current members only: silenced ex-members don't count.
   std::size_t pending = 0;
-  for (const auto& [d, members] : members_) {
-    for (const auto& m : members) pending += controllers_.at(m.id)->tracker().pending();
+  for (const auto& [d, plane] : planes_) {
+    for (const auto& m : plane.members) pending += controllers_.at(m.id)->tracker().pending();
   }
   return pending;
 }
@@ -634,9 +592,9 @@ std::map<net::DomainId, double> Deployment::events_share_per_domain() const {
   std::uint64_t total = 0;
   for (const auto& [sw, runtime] : switches_) total += runtime->events_emitted();
   std::map<net::DomainId, double> out;
-  for (const auto& [d, members] : members_) {
+  for (const auto& [d, plane] : planes_) {
     std::uint64_t processed = 0;
-    for (const auto& m : members) {
+    for (const auto& m : plane.members) {
       processed = std::max(processed, controllers_.at(m.id)->events_processed());
     }
     out[d] = total == 0 ? 0.0 : static_cast<double>(processed) / static_cast<double>(total);
@@ -658,13 +616,10 @@ std::uint32_t Deployment::add_controller(net::DomainId domain) {
   if (psim_ != nullptr) {
     throw std::logic_error("add_controller: membership changes require threads == 1");
   }
-  const std::uint32_t bootstrap = members_.at(domain).front().id;
+  const std::uint32_t bootstrap = planes_.at(domain).members.front().id;
   // (i) provision keys/identifier and hand the directory entry out before
   // the proposal, mirroring the paper's bootstrap step.
-  const auto& sample = topo_.switches_in_domain(domain);
-  const net::Placement placement =
-      sample.empty() ? net::Placement{} : topo_.node(sample.front()).placement;
-  const std::uint32_t new_id = provision_controller(domain, placement);
+  const std::uint32_t new_id = provision_controller(domain, plane_placement(domain));
 
   // (ii) the bootstrap controller (lowest id) proposes the addition
   // through consensus.
@@ -678,7 +633,7 @@ void Deployment::remove_controller(std::uint32_t id) {
   }
   // Any live member that detected the failure proposes the removal: the
   // lowest-id one other than `id`.
-  for (const auto& m : members_.at(ctrl_records_.at(id).domain)) {
+  for (const auto& m : planes_.at(ctrl_configs_.at(id).domain).members) {
     if (m.id == id) continue;
     controllers_.at(m.id)->propose_membership(EventKind::kRemoveController, id);
     return;
@@ -686,14 +641,10 @@ void Deployment::remove_controller(std::uint32_t id) {
   throw std::logic_error("remove_controller: no proposer");
 }
 
-void Deployment::on_membership_event(net::DomainId domain, const Event& e) {
-  Plane& plane = planes_.at(domain);
-  if (!plane.membership_seen.insert(e.id).second) return;  // one change per event
-  run_membership_change(domain, e);
-}
-
 void Deployment::run_membership_change(net::DomainId domain, const Event& e) {
-  const std::vector<Controller::MemberInfo>& members = members_.at(domain);
+  if (!membership_seen_.insert(e.id).second) return;  // one change per event
+  const Controller::Plane& plane = planes_.at(domain);
+  const std::vector<Controller::MemberInfo>& members = plane.members;
 
   // Freeze event processing (events delivered during the change queue up).
   for (const auto& m : members) controllers_.at(m.id)->begin_membership_change();
@@ -717,18 +668,18 @@ void Deployment::run_membership_change(net::DomainId domain, const Event& e) {
   std::vector<crypto::ShareIndex> new_indices;
   for (const auto& m : new_members) new_indices.push_back(m.id + 1);
 
-  const std::size_t t_old = quorum_for(members.size());
+  const std::size_t t_old = plane.quorum();
   std::vector<crypto::SecretShare> dealers;
   std::vector<std::uint32_t> quorum_ids;
   for (const auto& m : members) {
     if (e.kind == EventKind::kRemoveController && m.id == e.member) continue;
-    dealers.push_back(ctrl_records_.at(m.id).share);
+    dealers.push_back(ctrl_configs_.at(m.id).share);
     quorum_ids.push_back(m.id);
     if (dealers.size() == t_old) break;
   }
 
   auto keys = crypto_.reshare(dealers, new_indices, quorum_for(new_members.size()),
-                              planes_.at(domain).group_pk, drbg_);
+                              plane.group_pk, drbg_);
   for (const std::uint32_t id : quorum_ids) {
     controllers_.at(id)->cpu().charge(params_.costs.reshare_deal_cost);
   }
@@ -746,13 +697,13 @@ void Deployment::run_membership_change(net::DomainId domain, const Event& e) {
   const std::uint32_t member = e.member;
   sim_.after(settle, [this, domain, kind, member, new_members = std::move(new_members),
                       keys = std::move(keys)] {
-    Plane& pl = planes_.at(domain);
+    Controller::Plane& pl = planes_.at(domain);
     pl.verification_shares = keys.verification_shares;
     pl.phase += 1;
     for (std::size_t i = 0; i < new_members.size(); ++i) {
-      ctrl_records_.at(new_members[i].id).share = keys.shares[i];
+      ctrl_configs_.at(new_members[i].id).share = keys.shares[i];
     }
-    members_.at(domain) = new_members;
+    pl.members = new_members;
 
     if (kind == EventKind::kRemoveController) {
       // Keep the object (ids are never reused and callbacks may still be
@@ -764,16 +715,16 @@ void Deployment::run_membership_change(net::DomainId domain, const Event& e) {
       }
     }
 
-    // Rebuild every member's group view + a fresh PBFT instance for the
-    // new membership, then drain queued events.  A newly added member is
-    // constructed here (iv: receives data-plane state, policies and the
+    // Hand every member its re-dealt share and a fresh PBFT instance for
+    // the new membership, then drain queued events.  A newly added member
+    // is constructed here (iv: receives data-plane state, policies and the
     // directory).
     for (const auto& m : new_members) {
       const auto it = controllers_.find(m.id);
       if (it == controllers_.end()) {
-        spawn_controller(domain, m.id);
+        spawn_controller(m.id);
       } else {
-        it->second->finish_membership_change(pl.phase, member_config(domain, m.id));
+        it->second->finish_membership_change(ctrl_configs_.at(m.id).share);
       }
     }
     notify_switches(domain);
@@ -782,17 +733,22 @@ void Deployment::run_membership_change(net::DomainId domain, const Event& e) {
   });
 }
 
-void Deployment::notify_switches(net::DomainId domain) {
-  const auto& members = members_.at(domain);
+AggregatorNotifyMsg Deployment::switch_view(net::DomainId d) const {
+  const Controller::Plane& plane = planes_.at(d);
   AggregatorNotifyMsg m;
-  m.phase = planes_.at(domain).phase;
-  m.quorum = quorum_for(members.size());
-  for (const auto& c : members) m.controllers.push_back(c.node);
-  m.aggregator = delivery_ == Delivery::kControllerAgg ? members.front().node : sim::kInvalidNode;
-  for (const net::NodeIndex sw : global_plane(params_.framework)
-                                     ? topo_.switches()
-                                     : topo_.switches_in_domain(domain)) {
-    net_->send(members.front().node, switch_nodes_.at(sw), m.encode());
+  m.phase = plane.phase;
+  m.quorum = plane.quorum();
+  for (const auto& c : plane.members) m.controllers.push_back(c.node);
+  m.aggregator =
+      delivery_ == Delivery::kControllerAgg ? plane.members.front().node : sim::kInvalidNode;
+  return m;
+}
+
+void Deployment::notify_switches(net::DomainId domain) {
+  const util::Bytes wire = switch_view(domain).encode();
+  const sim::NodeId from = planes_.at(domain).members.front().node;
+  for (const net::NodeIndex sw : plane_switches(domain)) {
+    net_->send(from, switch_nodes_.at(sw), wire);
   }
 }
 

@@ -141,7 +141,9 @@ class Deployment {
   std::vector<std::uint32_t> controller_ids() const;
   std::vector<std::uint32_t> domain_controller_ids(net::DomainId d) const;
   const PkiDirectory& pki() const { return crypto_.pki(); }
-  const crypto::Point& group_pk(net::DomainId d) const { return planes_.at(d).group_pk; }
+  /// Plane `d` as its members read it (a global plane is domain 0).
+  const Controller::Plane& plane(net::DomainId d) const { return planes_.at(d); }
+  const crypto::Point& group_pk(net::DomainId d) const { return plane(d).group_pk; }
   /// Deployment-wide metrics registry + tracer (see obs/obs.hpp).
   obs::Observability& obs() { return obs_; }
   /// Per-shard engine utilization rows for the report's "shards" section;
@@ -202,33 +204,19 @@ class Deployment {
   std::size_t pending_updates() const;
 
  private:
-  /// One control plane's key material and membership phase; its members
-  /// live in `members_`.
-  struct Plane {
-    crypto::Point group_pk;
-    std::map<crypto::ShareIndex, crypto::Point> verification_shares;
-    std::uint64_t phase = 0;
-    std::set<EventId> membership_seen;
-  };
-  /// What provisioning hands one controller id (kept after removal: ids
-  /// are never reused).
-  struct ControllerRecord {
-    net::DomainId domain = 0;
-    sim::NodeId node = sim::kInvalidNode;
-    crypto::SchnorrKeyPair key;
-    crypto::SecretShare share;  ///< set when the id joins a plane
-  };
-
   struct Placement2;
   void setup_parallel();
   void build_nodes();
-  void build_plane(net::DomainId domain, const std::vector<net::NodeIndex>& domain_switches);
+  /// The switches plane `d` serves: its domain's, or every switch for a
+  /// global plane.  Its controllers sit at the first of them.
+  std::vector<net::NodeIndex> plane_switches(net::DomainId d) const;
+  net::Placement plane_placement(net::DomainId d) const;
+  void build_plane(net::DomainId domain);
   std::uint32_t provision_controller(net::DomainId domain, const net::Placement& placement);
   Controller::MemberInfo member_info(std::uint32_t id) const;
-  Controller::Config member_config(net::DomainId domain, std::uint32_t id);
-  /// Constructs member `id` of `domain` and connects it to the network and
-  /// to the membership orchestrator.
-  void spawn_controller(net::DomainId domain, std::uint32_t id);
+  /// Constructs member `id` from its provisioned config and connects it to
+  /// the network and to the membership orchestrator.
+  void spawn_controller(std::uint32_t id);
   sim::SimTime latency(sim::NodeId a, sim::NodeId b) const;
   sim::SimTime latency_between(const Placement2& pa, const Placement2& pb) const;
   sim::SimTime min_cross_shard_latency() const;
@@ -245,16 +233,15 @@ class Deployment {
   }
   void merge_shard_metrics();
   void on_switch_applied(net::NodeIndex sw, const sched::Update& update);
-  void on_membership_event(net::DomainId domain, const Event& e);
   void run_membership_change(net::DomainId domain, const Event& e);
+  /// What plane `d`'s switches know of it: member nodes, quorum and (under
+  /// kControllerAgg) the aggregator controller.
+  AggregatorNotifyMsg switch_view(net::DomainId d) const;
   void notify_switches(net::DomainId domain);
-  /// Threshold t for a plane of `members` controllers: f + 1, n >= 3f + 1.
-  static std::uint32_t quorum_for(std::size_t members);
-  /// In-network aggregation: deterministic designation rule — the lowest
-  /// topology index among the domain's non-crashed switches.
-  net::NodeIndex pick_innet_aggregator(net::DomainId d) const;
-  /// Recomputes the domain's designation and re-points its replicas.
-  void update_innet_aggregator(net::DomainId d);
+  /// In-network aggregation: (re)designates plane `d`'s aggregator switch,
+  /// deterministically the lowest topology index among its non-crashed
+  /// switches.
+  void designate_innet_aggregator(net::DomainId d);
 
   struct Placement2 {  ///< placement info for latency classification
     std::uint32_t dc = 0;
@@ -290,17 +277,17 @@ class Deployment {
   /// topology switch index -> network endpoint; every controller and
   /// switch runtime holds a const pointer to it.
   std::map<net::NodeIndex, sim::NodeId> switch_nodes_;
-  std::map<std::uint32_t, ControllerRecord> ctrl_records_;
-  /// The control-plane directory: each plane's current members, sorted by
-  /// id.  Written only by build_plane and a membership change's settle;
-  /// every controller reads it through a const pointer, so it is declared
-  /// before (and outlives) controllers_.
-  Controller::Directory members_;
+  /// What provisioning hands each controller id, its current share
+  /// included (kept after removal: ids are never reused).
+  std::map<std::uint32_t, Controller::Config> ctrl_configs_;
+  /// One record per control plane (DESIGN.md §4.2c).  Written only by
+  /// build_plane, a membership change's settle and the in-network
+  /// aggregator designation; every controller reads it through a const
+  /// pointer, so it is declared before (and outlives) controllers_.
+  Controller::Planes planes_;
   std::map<std::uint32_t, std::unique_ptr<Controller>> controllers_;
-  std::map<net::DomainId, Plane> planes_;
-  /// In-network aggregation: current designated aggregator switch per
-  /// domain (kNoNode when the whole domain is down).
-  std::map<net::DomainId, net::NodeIndex> innet_agg_switch_;
+  /// Membership events already acted on (one change per event).
+  std::set<EventId> membership_seen_;
   std::map<sim::NodeId, Placement2> node_place_;
   std::uint32_t next_ctrl_id_ = 0;
 

@@ -96,7 +96,9 @@ TEST(DeterminismSweep, ScaleScenarioBitIdenticalAcrossEightSeeds) {
     ASSERT_EQ(first, second) << "scale run report diverged for seed " << seed;
     // Different seeds must actually produce different runs — otherwise
     // this suite would pass vacuously with the seed being ignored.
-    if (!previous.empty()) EXPECT_NE(first, previous) << "seed " << seed << " ignored";
+    if (!previous.empty()) {
+      EXPECT_NE(first, previous) << "seed " << seed << " ignored";
+    }
     previous = first;
   }
 }

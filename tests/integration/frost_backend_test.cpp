@@ -3,6 +3,8 @@
 // composition claim of DESIGN.md §1).
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "integration/helpers.hpp"
 
 namespace cicero {
@@ -102,6 +104,43 @@ TEST(FrostBackend, SilentSignerToleratedByQuorumChoice) {
   dep->inject(flows);
   dep->run(sim::seconds(25));
   EXPECT_EQ(completed_count(*dep), flows.size());
+}
+
+TEST(FrostBackend, FlowsCompleteAfterMembershipChange) {
+  // Regression: the FROST signer kept its pre-change share after a
+  // reshare, so every partial failed verification and no flow completed.
+  // Re-keying must keep the nonce stream: a commitment minted before the
+  // change showing up again after it means a nonce was used twice.
+  for (const bool add : {true, false}) {
+    SCOPED_TRACE(add ? "add" : "remove");
+    auto dep = frost_deployment();
+    std::set<util::Bytes> commitments;
+    std::size_t repeats = 0;
+    dep->network().set_mutate_fn([&](sim::NodeId, sim::NodeId, util::Bytes& wire) {
+      if (core::peek_tag(wire) != static_cast<std::uint8_t>(core::CoreMsgTag::kUpdate)) return;
+      const auto m = core::UpdateMsg::decode(wire);
+      if (m && !m->frost_commitment.empty()) {
+        repeats += commitments.insert(m->frost_commitment).second ? 0 : 1;
+      }
+    });
+    // The first batch is signing when the change lands at 10 ms; the
+    // second, over other host pairs, needs fresh signatures after it.
+    const auto flows = small_workload(dep->topology(), 30);
+    dep->simulator().at(sim::milliseconds(10), [&] {
+      if (add) {
+        dep->add_controller(0);
+      } else {
+        dep->remove_controller(dep->domain_controller_ids(0).back());
+      }
+    });
+    for (const std::size_t first : {0u, 15u}) {
+      dep->inject({flows.begin() + first, flows.begin() + first + 15});
+      dep->run(dep->simulator().now() + sim::seconds(30));
+    }
+    EXPECT_EQ(completed_count(*dep), 30u);
+    EXPECT_FALSE(commitments.empty());
+    EXPECT_EQ(repeats, 0u);
+  }
 }
 
 TEST(FrostBackend, CostOnlyModeWorks) {

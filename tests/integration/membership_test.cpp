@@ -78,15 +78,27 @@ TEST(Membership, RemoveControllerQuorumShrinks) {
 }
 
 TEST(Membership, RemovedControllerStopsParticipating) {
-  auto dep = make_deployment(FrameworkKind::kCicero, net::build_pod(small_pod()),
-                             true, false, 5);
-  const auto victim = dep->domain_controller_ids(0).back();
-  dep->simulator().at(sim::milliseconds(10), [&] { dep->remove_controller(victim); });
-  dep->run(sim::seconds(5));
-  const auto updates_at_removal = dep->controller(victim).updates_sent();
-  dep->inject(small_workload(dep->topology(), 10));
-  dep->run(sim::seconds(60));
-  EXPECT_EQ(dep->controller(victim).updates_sent(), updates_at_removal);
+  // Silent from the settle on: whether it was the aggregator (lowest id)
+  // or not, under direct and controller aggregation.
+  for (const auto framework : {FrameworkKind::kCicero, FrameworkKind::kCiceroAgg}) {
+    for (const bool lowest : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "framework " << static_cast<int>(framework)
+                                        << ", lowest " << lowest);
+      auto dep = make_deployment(framework, net::build_pod(small_pod()), true, false, 5);
+      const auto ids = dep->domain_controller_ids(0);
+      const auto victim = lowest ? ids.front() : ids.back();
+      dep->simulator().at(sim::milliseconds(10), [&] { dep->remove_controller(victim); });
+      dep->run(sim::seconds(5));
+      const auto updates_at_removal = dep->controller(victim).updates_sent();
+      const auto bytes_at_removal = dep->controller(victim).southbound_bytes();
+      const auto flows = small_workload(dep->topology(), 10);
+      dep->inject(flows);
+      dep->run(sim::seconds(60));
+      EXPECT_EQ(completed_count(*dep), flows.size());
+      EXPECT_EQ(dep->controller(victim).updates_sent(), updates_at_removal);
+      EXPECT_EQ(dep->controller(victim).southbound_bytes(), bytes_at_removal);
+    }
+  }
 }
 
 TEST(Membership, SequentialAddAndRemove) {
@@ -123,6 +135,39 @@ TEST(Membership, AggregatorReassignedAfterRemoval) {
   dep->inject(flows);
   dep->run(sim::seconds(60));
   EXPECT_EQ(completed_count(*dep), flows.size());
+}
+
+TEST(Membership, MembersReadTheSettledPlane) {
+  // 3 -> 4 -> 3 members moves the quorum 1 -> 2 -> 1; after each change
+  // every current member signs with the Deployment's quorum and exactly
+  // one of them, the plane's lowest id, aggregates.
+  auto dep = make_deployment(FrameworkKind::kCiceroAgg, net::build_pod(small_pod()), true,
+                             false, 3);
+  const auto expect_settled = [&](std::uint32_t quorum) {
+    const core::Controller::Plane& plane = dep->plane(0);
+    EXPECT_EQ(plane.quorum(), quorum);
+    std::size_t aggregators = 0;
+    for (const auto id : dep->domain_controller_ids(0)) {
+      const auto& c = dep->controller(id);
+      EXPECT_EQ(c.quorum(), plane.quorum()) << "controller " << id;
+      if (c.is_aggregator()) {
+        ++aggregators;
+        EXPECT_EQ(id, plane.members.front().id);
+      }
+    }
+    EXPECT_EQ(aggregators, 1u);
+  };
+  dep->simulator().at(sim::milliseconds(10), [&] { dep->add_controller(0); });
+  dep->run(sim::seconds(5));
+  ASSERT_EQ(dep->domain_controller_ids(0).size(), 4u);
+  expect_settled(2);
+
+  dep->simulator().after(sim::milliseconds(10), [&] {
+    dep->remove_controller(dep->domain_controller_ids(0).front());
+  });
+  dep->run(sim::seconds(10));
+  ASSERT_EQ(dep->domain_controller_ids(0).size(), 3u);
+  expect_settled(1);
 }
 
 }  // namespace

@@ -56,7 +56,9 @@ TEST(FlatHashMap, GrowsPastInitialCapacityAndMatchesStdMap) {
         const std::uint64_t* v = m.find(k);
         const auto it = ref.find(k);
         ASSERT_EQ(v != nullptr, it != ref.end()) << "find divergence at key " << k;
-        if (v != nullptr) ASSERT_EQ(*v, it->second);
+        if (v != nullptr) {
+          ASSERT_EQ(*v, it->second);
+        }
       }
     }
   }
