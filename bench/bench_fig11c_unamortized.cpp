@@ -24,7 +24,7 @@ int main() {
   report.set_meta("teardown_after_flow", std::int64_t{1});
   obs::crypto_ops().reset();
 
-  std::printf("%-16s %10s %12s %12s\n", "framework", "flows", "compl_ms", "overhead%%");
+  std::printf("%-16s %10s %12s %12s\n", "framework", "flows", "compl_ms", "overhead%");
   double centralized_mean = 0.0;
   std::vector<std::pair<std::string, util::CdfCollector>> series;
   std::vector<double> means;

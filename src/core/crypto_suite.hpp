@@ -14,6 +14,12 @@
 // {0x01}, FROST z {0x00}, Schnorr signatures empty, switch public keys
 // at infinity (nothing reads them: no signature is checked).  Callers
 // charge the simulated CPU cost of every operation in both modes.
+//
+// A real suite's PKI verifies each distinct (origin, signature, body)
+// once per deployment: the other replicas' checks of the same bytes are
+// answered from a bounded memo of successes (pki.hpp, DESIGN.md §4.2a).
+// The memo saves host time only; the simulated cost is still charged
+// per replica.
 #pragma once
 
 #include <map>

@@ -502,11 +502,15 @@ void Deployment::run(sim::SimTime horizon) {
   } else {
     sim_.run_until(horizon);
   }
-  // Host-side route work (net::Topology's memo) and the largest switch's
-  // id records: gauges, not counters, so the record fingerprints that
-  // hash every counter stay put.
+  // Host-side route and verification work (net::Topology's and the PKI's
+  // memos) and the largest switch's id records: gauges, not counters, so
+  // the record fingerprints that hash every counter stay put.
   obs_.metrics.gauge("net.route.dijkstra_runs").set(static_cast<double>(topo_.dijkstra_runs()));
   obs_.metrics.gauge("net.route.memo_entries").set(static_cast<double>(topo_.route_memo_size()));
+  const PkiDirectory& pki = crypto_.pki();
+  obs_.metrics.gauge("crypto.verify_memo_hits").set(static_cast<double>(pki.verify_memo_hits()));
+  obs_.metrics.gauge("crypto.verify_memo_entries")
+      .set(static_cast<double>(pki.verify_memo_entries()));
   std::size_t id_records = 0;
   for (const auto& [index, sw] : switches_) id_records = std::max(id_records, sw->id_records());
   obs_.metrics.gauge("switch.id_records_max").set(static_cast<double>(id_records));

@@ -167,6 +167,9 @@ TEST(CtDifferential, SecretWipesOnDestruction) {
   auto* s = new (buf) ct::Secret<std::uint64_t>(0xDEADBEEFCAFEF00Dull);
   EXPECT_EQ(s->declassify(), 0xDEADBEEFCAFEF00Dull);
   s->~Secret();
+  // The Secret's lifetime has ended, so gcc takes its storage for
+  // indeterminate; the empty asm marks the wiped bytes as observable.
+  asm volatile("" : "+m"(buf));
   std::uint64_t leftover = 1;
   std::memcpy(&leftover, buf, sizeof(leftover));
   EXPECT_EQ(leftover, 0u);

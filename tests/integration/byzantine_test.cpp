@@ -178,6 +178,36 @@ TEST(Byzantine, MutatedPartialExcludedBySwitchRetry) {
   EXPECT_EQ(completed_count(*dep), flows.size());
 }
 
+TEST(Byzantine, MutatedAckCopyRejectedWhileHonestCopiesVerify) {
+  // Every switch ack is verified once and then answered from the PKI's
+  // memo for the other replicas.  One receiver's copy is altered in
+  // flight: it must miss the memo, be verified for real and be dropped,
+  // while the other three accept their honest copies.
+  auto dep = make_deployment(FrameworkKind::kCicero, net::build_pod(small_pod()));
+  const auto ids = dep->controller_ids();
+  const auto victim_node = dep->controller(ids[2]).node();
+  std::uint64_t mutated = 0;
+  dep->network().set_mutate_fn([victim_node, &mutated](sim::NodeId, sim::NodeId to,
+                                                       util::Bytes& m) {
+    if (to == victim_node && !m.empty() &&
+        m[0] == static_cast<std::uint8_t>(core::CoreMsgTag::kAck)) {
+      m.back() ^= 0x01;  // the last byte of the switch's signature
+      ++mutated;
+    }
+  });
+  const auto flows = small_workload(dep->topology(), 15);
+  dep->inject(flows);
+  dep->run(sim::seconds(20));
+
+  EXPECT_GT(mutated, 0u);
+  EXPECT_EQ(dep->controller(ids[2]).acks_received(), 0u);
+  for (const auto id : {ids[0], ids[1], ids[3]}) {
+    EXPECT_GT(dep->controller(id).acks_received(), 0u) << "controller " << id;
+  }
+  EXPECT_GT(*dep->obs().metrics.gauges().at("crypto.verify_memo_hits"), 0.0);
+  EXPECT_EQ(completed_count(*dep), flows.size());
+}
+
 TEST(Byzantine, AuditLogExposesMutatingController) {
   // §7 future work made executable: the mutating controller's signed,
   // hash-chained decision log diverges from every honest log at the first

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "integration/helpers.hpp"
 #include "net/checker.hpp"
@@ -227,6 +228,33 @@ TEST(Deployment, PublishesLargestSwitchIdRecordCount) {
   const auto& gauges = dep->obs().metrics.gauges();
   ASSERT_EQ(gauges.count("switch.id_records_max"), 1u);
   EXPECT_EQ(*gauges.at("switch.id_records_max"), static_cast<double>(largest));
+}
+
+TEST(Deployment, VerifyMemoStaysWithinItsWindow) {
+  // Teardown after each flow, so every flow installs its rules afresh.
+  auto dep = make_deployment(FrameworkKind::kCicero, net::build_pod(small_pod()),
+                             /*real_crypto=*/true, /*teardown=*/true);
+  std::set<util::Bytes> acks;  // distinct switch-signed acks on the wire
+  dep->network().set_mutate_fn([&acks](sim::NodeId, sim::NodeId, util::Bytes& m) {
+    if (!m.empty() && m[0] == static_cast<std::uint8_t>(core::CoreMsgTag::kAck)) acks.insert(m);
+  });
+  dep->inject(small_workload(dep->topology(), 150));
+  dep->run(sim::seconds(30));
+  const std::size_t window = core::PkiDirectory::kVerifyMemoWindow;
+  ASSERT_GT(acks.size(), window);
+  const auto& gauges = dep->obs().metrics.gauges();
+  EXPECT_GT(*gauges.at("crypto.verify_memo_hits"), 0.0);
+  EXPECT_EQ(*gauges.at("crypto.verify_memo_entries"), static_cast<double>(window));
+}
+
+TEST(Deployment, ModeledRunLeavesTheVerifyMemoEmpty) {
+  auto dep = make_deployment(FrameworkKind::kCicero, net::build_pod(small_pod()),
+                             /*real_crypto=*/false);
+  dep->inject(small_workload(dep->topology(), 25));
+  dep->run(sim::seconds(10));
+  const auto& gauges = dep->obs().metrics.gauges();
+  EXPECT_EQ(*gauges.at("crypto.verify_memo_hits"), 0.0);
+  EXPECT_EQ(*gauges.at("crypto.verify_memo_entries"), 0.0);
 }
 
 TEST(Deployment, DeterministicAcrossRuns) {

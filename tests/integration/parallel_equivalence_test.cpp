@@ -24,13 +24,15 @@ namespace {
 using core::FrameworkKind;
 using testing::completed_count;
 
+// Cost-model crypto by default: these runs stress scale, not crypto.
 std::unique_ptr<core::Deployment> make_dep(FrameworkKind fw, net::Topology topo,
                                            std::uint32_t threads,
-                                           std::size_t controllers = 4) {
+                                           std::size_t controllers = 4,
+                                           bool real_crypto = false) {
   core::DeploymentParams dp;
   dp.framework = fw;
   dp.controllers_per_domain = controllers;
-  dp.real_crypto = false;  // cost-model mode: these runs stress scale, not crypto
+  dp.real_crypto = real_crypto;
   dp.seed = 12345;
   dp.threads = threads;
   return std::make_unique<core::Deployment>(std::move(topo), dp);
@@ -95,6 +97,26 @@ TEST(ParallelEquivalence, WanOutcomesMatchSequentialAcrossSeeds) {
     EXPECT_FALSE(seq.empty()) << "seed " << seed;
     EXPECT_EQ(seq, par) << "seed " << seed;
   }
+}
+
+TEST(ParallelEquivalence, RealCryptoOutcomesMatchSequential) {
+  // Two domains verifying switch signatures on their own shards share the
+  // deployment's PKI verification memo.
+  const auto run_mode = [](std::uint32_t threads) {
+    auto dep = make_dep(FrameworkKind::kCicero, region_wan(64), threads, 4, /*real_crypto=*/true);
+    EXPECT_EQ(dep->topology().domains().size(), 2u);
+    EXPECT_EQ(dep->parallel_mode(), threads > 1);
+    const auto flows = scenario_flows(dep->topology(), 20);
+    dep->inject(flows);
+    dep->run(sim::seconds(30));
+    EXPECT_EQ(dep->pending_updates(), 0u);
+    EXPECT_GT(*dep->obs().metrics.gauges().at("crypto.verify_memo_hits"), 0.0);
+    return completed_set(*dep);
+  };
+  const auto seq = run_mode(1);
+  const auto par = run_mode(4);
+  EXPECT_FALSE(seq.empty());
+  EXPECT_EQ(seq, par);
 }
 
 TEST(ParallelEquivalence, ChaosLossCompletesAllFlowsInBothModes) {

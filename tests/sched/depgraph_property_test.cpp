@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -77,6 +78,13 @@ std::vector<UpdateId> sorted(std::vector<UpdateId> v) {
 /// Random DAG batch: update i may depend on earlier updates of the same
 /// batch (forward-reference-free by construction => acyclic) and, with
 /// some probability, on ids from earlier batches (completed or not).
+ScheduledUpdate scheduled(UpdateId id, std::vector<UpdateId> deps) {
+  ScheduledUpdate su;
+  su.update.id = id;
+  su.deps = std::move(deps);
+  return su;
+}
+
 UpdateSchedule random_batch(util::Rng& rng, UpdateId first_id, std::size_t n,
                             const std::vector<UpdateId>& earlier_ids) {
   UpdateSchedule schedule;
@@ -189,7 +197,7 @@ TEST(DepgraphProperty, RandomCyclesAreRejected) {
     // A rejected batch must leave the tracker untouched and usable.
     EXPECT_TRUE(dense.idle());
     UpdateSchedule ok;
-    ok.updates.push_back({Update{.id = 999}, {}});
+    ok.updates.push_back(scheduled(999, {}));
     EXPECT_EQ(dense.add(ok), std::vector<UpdateId>{999u});
   }
 }
@@ -197,7 +205,7 @@ TEST(DepgraphProperty, RandomCyclesAreRejected) {
 TEST(DepgraphProperty, UnknownDependenceRejectedCleanly) {
   DependencyTracker dense;
   UpdateSchedule schedule;
-  schedule.updates.push_back({Update{.id = 1}, {42}});  // 42 never added
+  schedule.updates.push_back(scheduled(1, {42}));  // 42 never added
   EXPECT_THROW(dense.add(schedule), std::invalid_argument);
   EXPECT_TRUE(dense.idle());
   EXPECT_FALSE(dense.knows(1));  // nothing half-inserted

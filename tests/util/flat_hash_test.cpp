@@ -143,11 +143,11 @@ TEST(FlatHashMap, HashSaltPerturbsPlacementButNotContents) {
 
 TEST(FlatHashSet, InsertContainsErase) {
   FlatHashSet<std::uint32_t> s;
-  EXPECT_TRUE(s.insert(7));
-  EXPECT_FALSE(s.insert(7));
-  EXPECT_TRUE(s.contains(7));
-  EXPECT_TRUE(s.erase(7));
-  EXPECT_FALSE(s.contains(7));
+  EXPECT_TRUE(s.insert(7u));
+  EXPECT_FALSE(s.insert(7u));
+  EXPECT_TRUE(s.contains(7u));
+  EXPECT_TRUE(s.erase(7u));
+  EXPECT_FALSE(s.contains(7u));
   EXPECT_TRUE(s.empty());
 }
 
