@@ -25,6 +25,25 @@ void BM_Sha256_1k(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256_1k);
 
+// Protocol messages are one to two blocks: 64 bytes pads to two.  The first
+// runs the dispatched kernel (SHA-NI where the CPU has it), the second the
+// portable reference.
+void BM_Sha256_64B(benchmark::State& state) {
+  const util::Bytes data(64, 0xAB);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Sha256::hash(data));
+  }
+}
+BENCHMARK(BM_Sha256_64B);
+
+void BM_Sha256_Portable_64B(benchmark::State& state) {
+  const util::Bytes data(64, 0xAB);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(detail::sha256_portable(data.data(), data.size()));
+  }
+}
+BENCHMARK(BM_Sha256_Portable_64B);
+
 void BM_ScalarMul(benchmark::State& state) {
   Drbg d(1);
   const Scalar a = d.next_scalar(), b = d.next_scalar();

@@ -65,7 +65,7 @@ void PbftReplica::send_to(ReplicaId target, const BftMessage& m) {
   net_.send(node_of(config_.id), node_of(target), wire);
 }
 
-void PbftReplica::broadcast(const BftMessage& m) {
+void PbftReplica::send_to_peers(const BftMessage& m) {
   // Byzantine-primary fault: selectively disseminate pre-prepares to a
   // single backup so no prepare quorum can form.  (Forging request bodies
   // is pointless — receivers check the digest against the carried request,
@@ -77,7 +77,6 @@ void PbftReplica::broadcast(const BftMessage& m) {
     const util::Bytes wire = sign_and_encode(m);
     rec_.phase_bytes(obs::CritPhase::kOrder, wire.size());
     net_.send(node_of(config_.id), node_of(lucky), wire);
-    handle(m);
     return;
   }
   const util::Bytes wire = sign_and_encode(m);
@@ -86,6 +85,10 @@ void PbftReplica::broadcast(const BftMessage& m) {
     rec_.phase_bytes(obs::CritPhase::kOrder, wire.size());
     net_.send(node_of(config_.id), node_of(r), wire);
   }
+}
+
+void PbftReplica::broadcast(const BftMessage& m) {
+  send_to_peers(m);
   handle(m);  // loopback: our own vote counts immediately
 }
 
@@ -162,23 +165,25 @@ void PbftReplica::submit(util::Bytes payload) {
   m.type = BftMsgType::kRequest;
   m.sender = config_.id;
   m.view = view_;
-  m.request = req;
+  m.request = std::move(req);
   // Broadcast the request to every replica (paper §3.2: events are
   // broadcast to all controllers): backups remember it for retransmission
   // and timeout tracking; the primary orders it.
-  broadcast(m);
+  send_to_peers(m);
+  accept_request(*m.request, key);
 }
 
 void PbftReplica::handle_request(const BftMessage& m) {
-  if (!m.request) return;
-  const ReqKey key = request_key(*m.request);
-  if (delivered_reqs_.count(key) != 0) return;
-  pending_.try_emplace(key, Pending{*m.request, sim_.now()});
-  if (is_primary() && !in_view_change_) order_request(*m.request);
+  if (m.request) accept_request(*m.request, request_key(*m.request));
 }
 
-void PbftReplica::order_request(const BftRequest& request) {
-  const ReqKey key = request_key(request);
+void PbftReplica::accept_request(const BftRequest& request, const ReqKey& key) {
+  if (delivered_reqs_.count(key) != 0) return;
+  pending_.try_emplace(key, Pending{request, sim_.now()});
+  if (is_primary() && !in_view_change_) order_request(request, key);
+}
+
+void PbftReplica::order_request(const BftRequest& request, const ReqKey& key) {
   if (ordered_reqs_.count(key) != 0 || delivered_reqs_.count(key) != 0) return;
   ordered_reqs_.insert(key);
   const SeqNum s = next_seq_++;
@@ -190,12 +195,14 @@ void PbftReplica::order_request(const BftRequest& request) {
   pp.seq = s;
   pp.request = request;
   pp.digest = request.digest();
-  broadcast(pp);
+  send_to_peers(pp);
+  handle_pre_prepare(pp, &key);  // loopback
 }
 
-void PbftReplica::handle_pre_prepare(const BftMessage& m) {
+void PbftReplica::handle_pre_prepare(const BftMessage& m, const ReqKey* own_key) {
   if (in_view_change_ || m.view != view_ || m.sender != primary_of(view_)) return;
-  if (!m.request || !digests_equal(m.digest, m.request->digest())) return;
+  if (!m.request) return;
+  if (own_key == nullptr && !digests_equal(m.digest, m.request->digest())) return;
   if (m.seq <= last_delivered_) return;
   m_preprepares_.inc();
 
@@ -207,6 +214,7 @@ void PbftReplica::handle_pre_prepare(const BftMessage& m) {
   }
   if (!e.request) {
     e.request = *m.request;
+    e.key = own_key != nullptr ? *own_key : request_key(*m.request);
     e.digest = m.digest;
     e.view = m.view;
   }
@@ -277,7 +285,7 @@ void PbftReplica::try_deliver() {
     LogEntry& e = it->second;
     ++last_delivered_;
     if (!e.noop && e.request) {
-      const ReqKey key = request_key(*e.request);
+      const ReqKey key = e.key;
       if (delivered_reqs_.insert(key).second) {
         observe_order_latency(key);
         m_delivered_.inc();
@@ -393,6 +401,7 @@ void PbftReplica::adopt_new_view(const BftMessage& m) {
     e.digest = req.digest();
     e.view = view_;
     e.noop = req.payload.empty() && req.submitter == 0 && req.local_seq == 0;
+    if (!e.noop) e.key = request_key(req);
     e.prepare_senders.insert(primary_of(view_));
 
     if (config_.id != primary_of(view_)) {
@@ -419,7 +428,7 @@ void PbftReplica::resubmit_pending() {
     m.view = view_;
     m.request = p.request;
     if (is_primary()) {
-      order_request(p.request);
+      order_request(p.request, key);
     } else {
       send_to(primary_of(view_), m);
     }

@@ -99,6 +99,7 @@ class PbftReplica {
 
   struct LogEntry {
     std::optional<BftRequest> request;
+    ReqKey key{};  ///< request_key(*request), set with `request` (not for no-ops)
     crypto::Digest digest{};
     ViewId view = 0;
     std::set<ReplicaId> prepare_senders;
@@ -112,12 +113,18 @@ class PbftReplica {
   sim::NodeId node_of(ReplicaId r) const { return config_.group.at(r); }
 
   void send_to(ReplicaId target, const BftMessage& m);
-  void broadcast(const BftMessage& m);  ///< to all others + loopback handling
+  void send_to_peers(const BftMessage& m);  ///< to all others, no loopback
+  void broadcast(const BftMessage& m);      ///< to all others + loopback handling
   util::Bytes sign_and_encode(const BftMessage& m) const;
 
   void handle(const BftMessage& m);
   void handle_request(const BftMessage& m);
-  void handle_pre_prepare(const BftMessage& m);
+  /// Records a request under the key its caller computed (once per
+  /// replica) and, on the primary, orders it.
+  void accept_request(const BftRequest& request, const ReqKey& key);
+  /// `own_key` is set only for the primary's own pre-prepare, whose digest
+  /// it computed itself; a pre-prepare off the wire is checked and keyed.
+  void handle_pre_prepare(const BftMessage& m, const ReqKey* own_key = nullptr);
   void handle_prepare(const BftMessage& m);
   void handle_commit(const BftMessage& m);
   void handle_view_change(const BftMessage& m);
@@ -126,7 +133,7 @@ class PbftReplica {
   void handle_fetch_reply(const BftMessage& m);
   void try_deliver_fetched();
 
-  void order_request(const BftRequest& request);  ///< primary assigns a seq
+  void order_request(const BftRequest& request, const ReqKey& key);  ///< primary assigns a seq
   void check_prepared(SeqNum s);
   void check_committed(SeqNum s);
   void try_deliver();

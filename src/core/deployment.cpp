@@ -153,7 +153,7 @@ void Deployment::build_nodes() {
     switch_nodes_[sw] = node;
     node_shard_.push_back(shard_of_domain(topo_.node(sw).domain));
     const auto& p = topo_.node(sw).placement;
-    node_place_[node] = Placement2{p.dc, p.pod, true};
+    node_place_.push_back(Placement2{p.dc, p.pod, true});
     if (obs_.trace.enabled()) {
       obs_.trace.set_process_name(node, net_->node_name(node));
       obs_.trace.set_thread_name(node, obs::kTidMain, "switch");
@@ -228,7 +228,7 @@ std::uint32_t Deployment::provision_controller(net::DomainId domain,
   const std::uint32_t id = next_ctrl_id_++;
   const sim::NodeId node = net_->add_node("ctrl:" + std::to_string(id));
   node_shard_.push_back(shard_of_domain(domain));
-  node_place_[node] = Placement2{placement.dc, placement.pod, false};
+  node_place_.push_back(Placement2{placement.dc, placement.pod, false});
   Controller::Config& cfg = ctrl_configs_[id];
   cfg.id = id;
   cfg.domain = domain;
@@ -289,12 +289,10 @@ Controller::MemberInfo Deployment::member_info(std::uint32_t id) const {
 }
 
 sim::SimTime Deployment::latency(sim::NodeId a, sim::NodeId b) const {
-  const auto ia = node_place_.find(a);
-  const auto ib = node_place_.find(b);
-  if (ia == node_place_.end() || ib == node_place_.end()) {
+  if (a >= node_place_.size() || b >= node_place_.size()) {
     return params_.costs.ctrl_switch_latency;
   }
-  return latency_between(ia->second, ib->second);
+  return latency_between(node_place_[a], node_place_[b]);
 }
 
 sim::SimTime Deployment::latency_between(const Placement2& pa, const Placement2& pb) const {

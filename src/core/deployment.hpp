@@ -288,7 +288,9 @@ class Deployment {
   std::map<std::uint32_t, std::unique_ptr<Controller>> controllers_;
   /// Membership events already acted on (one change per event).
   std::set<EventId> membership_seen_;
-  std::map<sim::NodeId, Placement2> node_place_;
+  /// Indexed by sim::NodeId: every endpoint gets its placement when
+  /// NetworkSim::add_node hands out the next dense id.
+  std::vector<Placement2> node_place_;
   std::uint32_t next_ctrl_id_ = 0;
 
   // flow driver state: records_ is shared (disjoint elements per shard);

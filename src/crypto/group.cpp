@@ -591,6 +591,15 @@ void Point::batch_normalize(std::vector<Point>& pts) {
   GroupCtx::batch_normalize(pts.data(), pts.size());
 }
 
+Point Point::normalized() const {
+  Point p = *this;
+  if (!inf_) {
+    GroupCtx::to_affine(*this, p.x_, p.y_);
+    p.z_ = kOne;
+  }
+  return p;
+}
+
 std::vector<util::Bytes> Point::batch_to_bytes(std::vector<Point> pts) {
   GroupCtx::batch_normalize(pts.data(), pts.size());
   std::vector<util::Bytes> out;

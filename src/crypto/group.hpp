@@ -117,6 +117,9 @@ class Point {
   /// normalized right-hand side take the cheaper mixed-addition path, and
   /// to_bytes becomes inversion-free.
   static void batch_normalize(std::vector<Point>& pts);
+  /// The same point with Z = 1: one field inversion unless it already is,
+  /// after which to_bytes and mixed additions need none.
+  Point normalized() const;
 
   /// Serializes a vector of points with a single field inversion (batch
   /// to-affine + encode); element-wise identical to calling to_bytes.

@@ -39,8 +39,10 @@ std::optional<SchnorrSignature> SchnorrSignature::from_bytes(const util::Bytes& 
 
 SchnorrKeyPair SchnorrKeyPair::generate(Drbg& drbg) {
   const ct::Secret<Scalar> sk = drbg.next_secret_scalar();
-  // Public-key derivation multiplies by the secret key: ct comb path.
-  return SchnorrKeyPair{sk, Point::mul_gen(sk)};
+  // Public-key derivation multiplies by the secret key: ct comb path.  The
+  // key is stored with Z = 1, so each signature's challenge encodes it
+  // without an inversion.
+  return SchnorrKeyPair{sk, Point::mul_gen(sk).normalized()};
 }
 
 SchnorrSignature schnorr_sign(const SchnorrKeyPair& kp, const util::Bytes& msg) {
@@ -61,7 +63,10 @@ SchnorrSignature schnorr_sign(const SchnorrKeyPair& kp, const util::Bytes& msg) 
     // probability ~2^-256)
     if (!k.declassify().is_zero()) break;
   }
-  const Point r = Point::mul_gen(k);  // ct comb: nonce never hits a branch
+  // ct comb: nonce never hits a branch.  R is normalized once (it is
+  // public from here on), so the challenge and the signature encoding
+  // below share one inversion.
+  const Point r = Point::mul_gen(k).normalized();
   const Scalar e = challenge(r, kp.pk, msg);
   // Taint-tracked signing equation; s is public by protocol once emitted.
   const Scalar s = (k + e * kp.sk).declassify();
@@ -69,7 +74,7 @@ SchnorrSignature schnorr_sign(const SchnorrKeyPair& kp, const util::Bytes& msg) 
 }
 
 SchnorrSignature schnorr_sign(const ct::Secret<Scalar>& sk, const util::Bytes& msg) {
-  return schnorr_sign(SchnorrKeyPair{sk, Point::mul_gen(sk)}, msg);
+  return schnorr_sign(SchnorrKeyPair{sk, Point::mul_gen(sk).normalized()}, msg);
 }
 
 bool schnorr_verify(const Point& pk, const util::Bytes& msg, const SchnorrSignature& sig) {

@@ -2,6 +2,20 @@
 //
 // Used for message digests, hash-to-scalar, commitment hashing, and the
 // deterministic DRBG.  Streaming interface plus one-shot helpers.
+//
+// Two block kernels compute the same function.  On x86-64 CPUs that
+// report the SHA extensions (cpuid leaf 7 EBX bit 29) and SSE4.1, every
+// Sha256 uses the SHA-NI kernel (`sha256rnds2`/`msg1`/`msg2`); elsewhere
+// it uses the portable C++ kernel.  The choice is made once, when the
+// first Sha256 is built, from cpuid alone.  The portable kernel stays as the
+// fallback and as the reference the SHA-NI kernel is tested against
+// (`detail::sha256_portable`).  Both kernels have data-independent timing,
+// so HMAC over key bytes stays constant-time (DESIGN.md §7).
+//
+// `update` compresses whole 64-byte blocks straight from the caller's
+// buffer; only a partial tail is copied.  `finish` pads in place and runs
+// one or two more blocks, then adds one hash and its block count to
+// `obs::crypto_ops()`.
 #pragma once
 
 #include <array>
@@ -13,6 +27,14 @@
 namespace cicero::crypto {
 
 using Digest = std::array<std::uint8_t, 32>;
+
+namespace detail {
+/// SHA-256 of `data` computed with the portable kernel whatever the CPU:
+/// the reference for differential tests and micro-benchmarks.
+Digest sha256_portable(const std::uint8_t* data, std::size_t len);
+/// True when Sha256 runs the SHA-NI kernel on this CPU.
+bool sha256_uses_shani();
+}  // namespace detail
 
 class Sha256 {
  public:
@@ -33,8 +55,12 @@ class Sha256 {
   static Digest hash(std::string_view data);
 
  private:
-  void process_block(const std::uint8_t* block);
+  /// Compresses `n` consecutive 64-byte blocks into `state`.
+  using BlockFn = void (*)(std::uint32_t* state, const std::uint8_t* blocks, std::size_t n);
+  explicit Sha256(BlockFn blocks);
+  friend Digest detail::sha256_portable(const std::uint8_t* data, std::size_t len);
 
+  BlockFn blocks_;
   std::uint32_t state_[8];
   std::uint64_t bit_len_ = 0;
   std::uint8_t buf_[64];

@@ -179,6 +179,10 @@ struct CryptoOpCounters {
   std::atomic<std::uint64_t> frost_sign{0};
   std::atomic<std::uint64_t> frost_aggregate{0};
   std::atomic<std::uint64_t> frost_verify{0};
+  /// SHA-256 work: finished hashes and the 64-byte blocks they compressed,
+  /// padding included.  Added once per hash, relaxed.
+  std::atomic<std::uint64_t> sha256_hashes{0};
+  std::atomic<std::uint64_t> sha256_blocks{0};
   void reset() {
     schnorr_sign = 0;
     schnorr_verify = 0;
@@ -189,6 +193,8 @@ struct CryptoOpCounters {
     frost_sign = 0;
     frost_aggregate = 0;
     frost_verify = 0;
+    sha256_hashes = 0;
+    sha256_blocks = 0;
   }
 };
 CryptoOpCounters& crypto_ops();

@@ -64,6 +64,8 @@ void RunReport::add_crypto_ops(const CryptoOpCounters& ops, const std::string& p
   counters_[base + "frost_sign"] = ops.frost_sign;
   counters_[base + "frost_aggregate"] = ops.frost_aggregate;
   counters_[base + "frost_verify"] = ops.frost_verify;
+  counters_[base + "sha256_hashes"] = ops.sha256_hashes;
+  counters_[base + "sha256_blocks"] = ops.sha256_blocks;
 }
 
 void RunReport::add_cdf(const std::string& name, const util::CdfCollector& cdf,

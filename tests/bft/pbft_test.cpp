@@ -6,6 +6,7 @@
 #include <set>
 
 #include "crypto/drbg.hpp"
+#include "obs/metrics.hpp"
 
 namespace cicero::bft {
 namespace {
@@ -227,6 +228,45 @@ TEST(Pbft, CrashAfterPartialDeliveryStaysConsistent) {
     ASSERT_EQ(c.delivered_[static_cast<std::size_t>(i)].size(), 8u) << "replica " << i;
     EXPECT_EQ(c.delivered_[static_cast<std::size_t>(i)], c.delivered_[1]);
   }
+}
+
+TEST(Pbft, RequestHashedOncePerReplica) {
+  // Every replica relays the same payloads (the paper's event relay).  Per
+  // delivered request the group hashes 4 submits, 12 requests off the wire,
+  // the primary's digest, and each backup's digest check and key: 23
+  // SHA-256 hashes.  Rehashing the request at every step cost 33.
+  Cluster c(4, /*sign=*/false);
+  obs::CryptoOpCounters& ops = obs::crypto_ops();
+  ops.reset();
+  constexpr std::size_t kRequests = 20;
+  for (std::size_t k = 0; k < kRequests; ++k) {
+    for (std::size_t r = 0; r < 4; ++r) c.submit(r, static_cast<std::uint8_t>(k));
+  }
+  c.run();
+  for (std::size_t i = 0; i < 4; ++i) ASSERT_EQ(c.delivered_[i].size(), kRequests);
+  EXPECT_LE(ops.sha256_hashes.load(), 23 * kRequests);
+  ops.reset();
+}
+
+TEST(Pbft, AlteredPrePrepareRefusedByEveryBackup) {
+  // The primary trusts the digest of its own pre-prepare; every backup must
+  // still check it.  The network swaps the carried request under the
+  // primary's digest, so no backup may prepare and nothing is delivered.
+  Cluster c(4, /*sign=*/false);
+  int prepares = 0;
+  c.net_.set_mutate_fn([&prepares](sim::NodeId, sim::NodeId, util::Bytes& wire) {
+    auto decoded = BftMessage::decode(wire);
+    if (!decoded) return;
+    BftMessage& m = decoded->first;
+    if (m.type == BftMsgType::kPrepare) ++prepares;
+    if (m.type != BftMsgType::kPrePrepare || !m.request) return;
+    m.request->payload.push_back(0xee);
+    wire = m.encode(decoded->second);
+  });
+  c.submit(1, 0x01);
+  c.run(sim::seconds(1));
+  EXPECT_EQ(prepares, 0);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_TRUE(c.delivered_[i].empty()) << "replica " << i;
 }
 
 TEST(Pbft, QuorumArithmetic) {

@@ -180,6 +180,7 @@ TEST(EcKernels, BatchInverseRejectsZeroWithoutClobbering) {
   EXPECT_EQ(xs[2], before[2]);
 }
 
+// Batch and single-point normalization both encode like to_bytes.
 TEST(EcKernels, BatchToBytesMatchesSerialToBytes) {
   Drbg d(112);
   std::vector<Point> pts;
@@ -189,6 +190,9 @@ TEST(EcKernels, BatchToBytesMatchesSerialToBytes) {
   ASSERT_EQ(batch.size(), pts.size());
   for (std::size_t i = 0; i < pts.size(); ++i) {
     EXPECT_EQ(batch[i], pts[i].to_bytes()) << "i = " << i;
+    const Point affine = pts[i].normalized();
+    EXPECT_EQ(affine, pts[i]) << "i = " << i;
+    EXPECT_EQ(affine.to_bytes(), batch[i]) << "i = " << i;
   }
 }
 
