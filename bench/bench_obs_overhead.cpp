@@ -1,15 +1,22 @@
 // Observability overhead guard: the metrics/trace hot path must cost
 // (almost) nothing when recording is off.
 //
-// Two properties are ASSERTED (non-zero exit on violation), so this bench
-// doubles as a regression gate:
+// These properties are ASSERTED (non-zero exit on violation), so this
+// bench doubles as a regression gate:
 //   1. counter.inc / histogram.observe / tracer record calls against a
 //      DISABLED registry/tracer perform ZERO heap allocations;
 //   2. the same calls against an ENABLED registry also allocate nothing
 //      (all storage is resolved at handle-construction time);
 //   3. NetworkSim::multicast copies the payload once per fan-out, not
 //      once per destination (allocated bytes stay ~1 payload no matter
-//      how many recipients).
+//      how many recipients);
+//   4. encoding an UpdateMsg, or a BftMessage carrying a request, is one
+//      allocation of exactly the encoded size;
+//   5. scheduling and running an event whose capture is as large as a
+//      network delivery's allocates nothing (sim::Callback keeps it
+//      inline);
+//   6. a small end-to-end deployment stays within an allocation budget
+//      per simulated event.
 // Wall-clock per-op costs are printed for information only (they vary
 // with the host and are not asserted).
 #include <chrono>
@@ -20,10 +27,15 @@
 #include <string>
 #include <vector>
 
+#include "bft/messages.hpp"
+#include "core/deployment.hpp"
+#include "core/messages.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "workload/topo_gen.hpp"
+#include "workload/workload.hpp"
 
 namespace {
 std::uint64_t g_allocs = 0;
@@ -68,6 +80,38 @@ Probe measure(Fn&& body) {
   p.ns_per_op =
       std::chrono::duration<double, std::nano>(t1 - t0).count() / static_cast<double>(kIters);
   return p;
+}
+
+/// Allocations made by `body`, run once.
+template <typename Fn>
+std::uint64_t count_allocs(Fn&& body) {
+  g_allocs = 0;
+  g_counting = true;
+  body();
+  g_counting = false;
+  return g_allocs;
+}
+
+/// Encodes `encode()` 1000 times; each must be one exactly-sized allocation.
+template <typename Encode>
+int check_encode(const char* label, Encode&& encode) {
+  constexpr std::uint64_t kEncodes = 1000;
+  std::size_t size = 0;
+  std::size_t capacity = 0;
+  const std::uint64_t allocs = count_allocs([&] {
+    for (std::uint64_t i = 0; i < kEncodes; ++i) {
+      const cicero::util::Bytes wire = encode();
+      size = wire.size();
+      capacity = wire.capacity();
+    }
+  });
+  std::printf("%-28s %8.2f allocs/encode  %zu B (capacity %zu)\n", label,
+              static_cast<double>(allocs) / kEncodes, size, capacity);
+  if (allocs != kEncodes || capacity != size) {
+    std::fprintf(stderr, "FAIL: %s is not one exactly-sized allocation\n", label);
+    return 1;
+  }
+  return 0;
 }
 
 int check(const char* label, const Probe& p) {
@@ -162,6 +206,74 @@ int main() {
     }
     if (g_bytes > 2 * kPayload) {
       std::fprintf(stderr, "FAIL: multicast send path copied the payload per destination\n");
+      ++failures;
+    }
+  }
+
+  {
+    // Exact-size encoding: the size-only pass, then one reservation.
+    core::UpdateMsg um;
+    um.update.id = 0x1234;
+    um.update.rule.reserved_bps = 1e6;
+    um.cause = core::EventId{7, 9};
+    um.partial = crypto::PartialSignature{2, util::Bytes(65, 0x5A)};
+    failures += check_encode("encode UpdateMsg", [&um] { return um.encode(); });
+
+    bft::BftMessage pp;
+    pp.type = bft::BftMsgType::kPrePrepare;
+    pp.view = 1;
+    pp.seq = 42;
+    pp.request = bft::BftRequest{1, 3, util::Bytes(220, 0xA5)};
+    pp.digest = pp.request->digest();
+    const util::Bytes sig(64, 0x11);
+    failures += check_encode("encode BftMessage+request", [&] { return pp.encode(sig); });
+  }
+
+  {
+    // A capture laid out like NetworkSim::do_send's (node pointer, three
+    // 32-bit ids, an owned buffer): scheduled and run without allocating.
+    sim::Simulator sim;
+    std::uint64_t ran = 0;
+    const auto schedule = [&](std::uint64_t i) {
+      auto fn = [counter = &ran, from = static_cast<std::uint32_t>(i), to = 2u, shard = 0u,
+                 m = util::Bytes{}] { *counter += from + to + shard + m.size(); };
+      static_assert(sizeof(fn) == 48 && sim::Callback::fits_inline<decltype(fn)>);
+      sim.after(sim::microseconds(100), std::move(fn));
+      sim.step();
+    };
+    schedule(0);  // grows the heap and the slot arena once
+    failures += check("sim.after + step (48 B)", measure(schedule));
+    if (ran == 0) ++failures;
+  }
+
+  {
+    // End-to-end: allocations per simulated event over a small modeled-
+    // crypto run (k = 4 fat-tree, 40 Hadoop flows), setup excluded.  It
+    // measures 2.83 per event (Release and RelWithDebInfo alike); the
+    // budget leaves ~25 % headroom.  It was 7.51 while closures went
+    // through std::function and encodings grew one push_back at a time.
+    constexpr double kBudgetPerEvent = 3.5;
+    core::DeploymentParams dp;
+    dp.framework = core::FrameworkKind::kCicero;
+    dp.real_crypto = false;
+    dp.seed = 42;
+    core::Deployment dep(workload::fat_tree(4), dp);
+    workload::WorkloadParams wp;
+    wp.kind = workload::WorkloadKind::kHadoop;
+    wp.flow_count = 40;
+    wp.seed = 7;
+    const auto flows = workload::WorkloadGenerator(dep.topology(), wp).generate();
+    const std::uint64_t allocs = count_allocs([&] {
+      dep.inject(flows);
+      dep.run(sim::seconds(30));
+    });
+    const double events = static_cast<double>(dep.events_processed());
+    const double per_event = static_cast<double>(allocs) / events;
+    std::printf("%-28s %8.2f allocs/event  (%llu allocs, %.0f events; budget %.1f)\n",
+                "deployment k=4, 40 flows", per_event, static_cast<unsigned long long>(allocs),
+                events, kBudgetPerEvent);
+    if (events == 0 || per_event > kBudgetPerEvent) {
+      std::fprintf(stderr, "FAIL: end-to-end allocations per event above budget\n");
       ++failures;
     }
   }

@@ -39,6 +39,9 @@ PbftReplica::PbftReplica(sim::Simulator& simulator, sim::NetworkSim& network,
       rec_(config_.obs, node_of(config_.id), 0, [&s = simulator] { return s.now(); }),
       keys_(std::move(keys)),
       deliver_(std::move(deliver)) {
+  for (ReplicaId r = 0; r < n(); ++r) {
+    if (r != config_.id) peers_.push_back(node_of(r));
+  }
   arm_timer();
 }
 
@@ -60,9 +63,9 @@ void PbftReplica::send_to(ReplicaId target, const BftMessage& m) {
     handle(m);
     return;
   }
-  const util::Bytes wire = sign_and_encode(m);
+  util::Bytes wire = sign_and_encode(m);
   rec_.phase_bytes(obs::CritPhase::kOrder, wire.size());
-  net_.send(node_of(config_.id), node_of(target), wire);
+  net_.send(node_of(config_.id), node_of(target), std::move(wire));
 }
 
 void PbftReplica::send_to_peers(const BftMessage& m) {
@@ -74,17 +77,16 @@ void PbftReplica::send_to_peers(const BftMessage& m) {
   // from the view change.)
   if (equivocate_ && m.type == BftMsgType::kPrePrepare && m.request) {
     const ReplicaId lucky = static_cast<ReplicaId>((config_.id + 1) % n());
-    const util::Bytes wire = sign_and_encode(m);
+    util::Bytes wire = sign_and_encode(m);
     rec_.phase_bytes(obs::CritPhase::kOrder, wire.size());
-    net_.send(node_of(config_.id), node_of(lucky), wire);
+    net_.send(node_of(config_.id), node_of(lucky), std::move(wire));
     return;
   }
-  const util::Bytes wire = sign_and_encode(m);
-  for (ReplicaId r = 0; r < n(); ++r) {
-    if (r == config_.id) continue;
+  util::Bytes wire = sign_and_encode(m);
+  for (std::size_t i = 0; i < peers_.size(); ++i) {
     rec_.phase_bytes(obs::CritPhase::kOrder, wire.size());
-    net_.send(node_of(config_.id), node_of(r), wire);
   }
+  net_.multicast(node_of(config_.id), peers_, std::move(wire));
 }
 
 void PbftReplica::broadcast(const BftMessage& m) {
@@ -458,11 +460,15 @@ void PbftReplica::handle_fetch(const BftMessage& m) {
 void PbftReplica::handle_fetch_reply(const BftMessage& m) {
   for (const auto& [s, req] : m.new_view_entries) {
     if (s <= last_delivered_) continue;
-    const crypto::Digest d = req.digest();
-    const std::string key(d.begin(), d.end());
-    auto& slot = fetched_[s][key];
-    slot.first = req;
-    slot.second.insert(m.sender);
+    // Peers that agree send equal requests: count another responder for a
+    // request already held at this seq without hashing it again.
+    auto& by_digest = fetched_[s];
+    auto it = std::find_if(by_digest.begin(), by_digest.end(),
+                           [&req](const auto& held) { return held.second.first == req; });
+    if (it == by_digest.end()) {
+      it = by_digest.try_emplace(req.digest(), req, std::set<ReplicaId>{}).first;
+    }
+    it->second.second.insert(m.sender);
   }
   try_deliver_fetched();
 }
@@ -504,9 +510,11 @@ PbftReplica::~PbftReplica() { *alive_ = false; }
 
 void PbftReplica::arm_timer() {
   const std::uint64_t epoch = ++timer_epoch_;
-  sim_.after(config_.request_timeout / 2, [this, epoch, alive = alive_] {
+  auto fire = [this, epoch, alive = alive_] {
     if (*alive && epoch == timer_epoch_) on_timer();
-  });
+  };
+  static_assert(sim::Callback::fits_inline<decltype(fire)>);
+  sim_.after(config_.request_timeout / 2, std::move(fire));
 }
 
 void PbftReplica::on_timer() {

@@ -113,7 +113,8 @@ class PbftReplica {
   sim::NodeId node_of(ReplicaId r) const { return config_.group.at(r); }
 
   void send_to(ReplicaId target, const BftMessage& m);
-  void send_to_peers(const BftMessage& m);  ///< to all others, no loopback
+  /// To all others, no loopback: one signed encoding, one shared buffer.
+  void send_to_peers(const BftMessage& m);
   void broadcast(const BftMessage& m);      ///< to all others + loopback handling
   util::Bytes sign_and_encode(const BftMessage& m) const;
 
@@ -151,6 +152,8 @@ class PbftReplica {
   obs::NodeHooks rec_;
   PbftKeys keys_;
   DeliverFn deliver_;
+  /// Every other member's node, in replica order: one fan-out's recipients.
+  std::vector<sim::NodeId> peers_;
 
   ViewId view_ = 0;
   bool in_view_change_ = false;
@@ -167,9 +170,11 @@ class PbftReplica {
   std::set<ReqKey> delivered_reqs_;
   std::set<ReqKey> ordered_reqs_;              ///< primary-side: already assigned a seq
   std::map<ViewId, std::map<ReplicaId, BftMessage>> view_changes_;
-  /// Fetched state-transfer entries: seq -> request-digest -> (request,
-  /// confirming senders).  Delivered once f+1 responders agree.
-  std::map<SeqNum, std::map<std::string, std::pair<BftRequest, std::set<ReplicaId>>>> fetched_;
+  /// Fetched state-transfer entries: seq -> request digest -> (request,
+  /// confirming senders).  Delivered once f+1 responders agree; each
+  /// distinct request is hashed once, however many peers report it.
+  std::map<SeqNum, std::map<crypto::Digest, std::pair<BftRequest, std::set<ReplicaId>>>>
+      fetched_;
   std::uint64_t local_req_seq_ = 0;
   std::uint64_t timer_epoch_ = 0;
   bool crashed_ = false;

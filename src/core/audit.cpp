@@ -1,17 +1,26 @@
 #include "core/audit.hpp"
 
+#include <algorithm>
+#include <array>
+
 namespace cicero::core {
 
 crypto::Digest AuditEntry::digest() const {
+  // Fixed layout, little-endian: index, prev, cause origin, cause seq,
+  // update digest (8 + 32 + 4 + 8 + 32 bytes).
+  std::array<std::uint8_t, 84> buf;
+  std::uint8_t* p = buf.data();
+  const auto put_le = [&p](std::uint64_t v, int n) {
+    for (int i = 0; i < n; ++i) *p++ = static_cast<std::uint8_t>(v >> (8 * i));
+  };
+  put_le(index, 8);
+  p = std::copy(prev.begin(), prev.end(), p);
+  put_le(cause.origin, 4);
+  put_le(cause.seq, 8);
+  std::copy(update_digest.begin(), update_digest.end(), p);
   crypto::Sha256 h;
   h.update("cicero/audit");
-  util::Writer w;
-  w.u64(index);
-  w.raw(prev.data(), prev.size());
-  w.u32(cause.origin);
-  w.u64(cause.seq);
-  w.raw(update_digest.data(), update_digest.size());
-  h.update(w.data());
+  h.update(buf.data(), buf.size());
   return h.finish();
 }
 

@@ -56,9 +56,9 @@ void Controller::rebuild_replica() {
 
 bool Controller::is_aggregator() const { return aggregator_member().id == config_.id; }
 
-void Controller::send_southbound(sim::NodeId to, const util::Bytes& wire) {
+void Controller::send_southbound(sim::NodeId to, util::Bytes wire) {
   southbound_bytes_.inc(wire.size());
-  net_.send(config_.node, to, wire);
+  net_.send(config_.node, to, std::move(wire));
 }
 
 void Controller::handle_message(sim::NodeId from, const util::Bytes& wire) {
@@ -143,11 +143,11 @@ void Controller::forward_cross_domain(const Event& e, const std::set<net::Domain
     if (it == env_.planes->end() || it->second.members.empty()) continue;
     Event fwd = e;
     fwd.forwarded = true;  // never re-forwarded (§4.1)
-    const util::Bytes wire = fwd.encode();
+    util::Bytes wire = fwd.encode();
     rec_.phase_bytes(obs::CritPhase::kOrder, wire.size());
     // The remote domain's lowest-id member (any valid recipient works;
     // lowest-id matches the aggregator-selection rule).
-    net_.send(config_.node, it->second.members.front().node, wire);
+    net_.send(config_.node, it->second.members.front().node, std::move(wire));
     events_forwarded_.inc();
   }
 }
@@ -293,7 +293,7 @@ std::optional<Controller::AckWait> Controller::end_wait(sched::UpdateId id) {
 void Controller::arm_ack_timer(sched::UpdateId id, sim::SimTime delay) {
   AckWait& w = waits_.at(id);
   sim_.cancel(w.timer);  // re-arm: at most one pending timer per id
-  w.timer = sim_.after_cancellable(delay, [this, id, epoch = w.epoch, delay] {
+  auto fire = [this, id, epoch = w.epoch, delay] {
     const auto it = waits_.find(id);
     if (it == waits_.end() || it->second.epoch != epoch) return;  // acked or re-armed
     AckWait& wait = it->second;
@@ -321,7 +321,9 @@ void Controller::arm_ack_timer(sched::UpdateId id, sim::SimTime delay) {
       dispatch_update(tracker_.update(id), /*retransmit=*/true);
     }
     arm_ack_timer(id, delay * 2);
-  });
+  };
+  static_assert(sim::Callback::fits_inline<decltype(fire)>);
+  w.timer = sim_.after_cancellable(delay, std::move(fire));
 }
 
 // Retry exhaustion (both execution modes): finalize every update that can
@@ -397,10 +399,10 @@ void Controller::dispatch_update(const sched::Update& update, bool retransmit) {
     } else {
       // Route through the aggregator (Fig. 7c).  The partial-carrying hop
       // is part of the signing phase's control-plane traffic.
-      const util::Bytes wire = msg.encode();
+      util::Bytes wire = msg.encode();
       rec_.phase_bytes(retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kSign,
                        wire.size());
-      net_.send(config_.node, aggregator_member().node, wire);
+      net_.send(config_.node, aggregator_member().node, std::move(wire));
     }
   });
 }
@@ -445,7 +447,7 @@ void Controller::dispatch_innet(const UpdateMsg& msg, bool retransmit) {
   // aggregator makes afterwards is the propagate phase.
   rec_.update_sent(uid, retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kSign,
                    wire.size());
-  send_southbound(agg->second, wire);
+  send_southbound(agg->second, std::move(wire));
 }
 
 // ---------------------------------------------------------------------------
@@ -635,9 +637,9 @@ void Controller::send_frost_session(sched::UpdateId id, crypto::ShareIndex signe
       on_frost_session(session);
       continue;
     }
-    const util::Bytes wire = session.encode();
+    util::Bytes wire = session.encode();
     rec_.phase_bytes(phase, wire.size());
-    net_.send(config_.node, m.node, wire);
+    net_.send(config_.node, m.node, std::move(wire));
   }
 }
 
@@ -667,9 +669,9 @@ void Controller::on_frost_session(const FrostSessionMsg& m) {
     if (is_aggregator()) {
       on_frost_partial(reply);
     } else {
-      const util::Bytes wire = reply.encode();
+      util::Bytes wire = reply.encode();
       rec_.phase_bytes(obs::CritPhase::kSign, wire.size());
-      net_.send(config_.node, aggregator_member().node, wire);
+      net_.send(config_.node, aggregator_member().node, std::move(wire));
     }
   });
 }

@@ -230,7 +230,7 @@ class Controller {
   /// The lowest-id member: the aggregator under Delivery::kControllerAgg (§4.2).
   const MemberInfo& aggregator_member() const { return plane_.members.front(); }
   /// Controller -> switch send, counted in southbound_bytes().
-  void send_southbound(sim::NodeId to, const util::Bytes& wire);
+  void send_southbound(sim::NodeId to, util::Bytes wire);
   void arm_ack_timer(sched::UpdateId id, sim::SimTime delay);
   void on_ack(const AckMsg& ack);
   /// Decentralized execution: plan + ship every manifest of one schedule,

@@ -7,8 +7,14 @@
 /// nothing else is.
 template <>
 struct cicero::util::Wire<cicero::crypto::PartialSignature> {
-  static void put(Encoder& e, const crypto::PartialSignature& p) {
-    e.w.bytes(p.signer == 0 ? Bytes{} : p.to_bytes());
+  template <class Enc> static void put(Enc& e, const crypto::PartialSignature& p) {
+    // The frame holds p.to_bytes(), written in place.
+    const std::size_t at = e.w.begin_frame();
+    if (p.signer != 0) {
+      e.w.u32(p.signer);
+      e.w.bytes(p.payload);
+    }
+    e.w.end_frame(at);
   }
   static void get(Reader& r, crypto::PartialSignature& p) {
     const Bytes b = r.bytes();

@@ -146,12 +146,12 @@ void SwitchRuntime::emit_event(EventKind kind, const net::FlowMatch& match,
   // Miss detection + event signing cost, then transmit (Fig. 6a).
   cpu_.execute(config_.costs.packet_in_cost + config_.costs.event_sign,
                "packet_in.sign", [this, e = std::move(e)] {
-                 const util::Bytes wire = e.encode();
+                 util::Bytes wire = e.encode();
                  if (config_.delivery == Delivery::kControllerAgg &&
                      config_.aggregator != sim::kInvalidNode) {
-                   net_.send(config_.node, config_.aggregator, wire);
+                   net_.send(config_.node, config_.aggregator, std::move(wire));
                  } else {
-                   net_.multicast(config_.node, config_.controllers, wire);
+                   net_.multicast(config_.node, config_.controllers, std::move(wire));
                  }
                });
 }
@@ -561,13 +561,13 @@ void SwitchRuntime::send_signed(Msg msg, sim::NodeId to, obs::CritPhase phase,
   cpu_.execute(cost, op, [this, to, phase, msg = std::move(msg)] {
     if (down_) return;
     if constexpr (std::is_same_v<Msg, SegmentDoneMsg>) ++peer_signals_sent_;
-    const util::Bytes wire = msg.encode();
+    util::Bytes wire = msg.encode();
     const bool everyone = to == sim::kInvalidNode;
     rec_.phase_bytes(phase, wire.size() * (everyone ? config_.controllers.size() : 1));
     if (everyone) {
-      net_.multicast(config_.node, config_.controllers, wire);
+      net_.multicast(config_.node, config_.controllers, std::move(wire));
     } else {
-      net_.send(config_.node, to, wire);
+      net_.send(config_.node, to, std::move(wire));
     }
   });
 }

@@ -17,7 +17,9 @@ util::Bytes session_transcript(const std::vector<FrostCommitment>& session) {
   for (const auto& c : session) sorted.push_back(&c);
   std::sort(sorted.begin(), sorted.end(),
             [](const auto* a, const auto* b) { return a->signer < b->signer; });
-  util::Writer w;
+  // Every commitment is a signer index and two 65-byte points (a point
+  // at infinity takes 1 byte, so this is an upper bound).
+  util::Writer w(sorted.size() * (12 + 2 * 65));
   for (const auto* c : sorted) {
     w.u32(c->signer);
     w.bytes(c->d.to_bytes());
@@ -27,8 +29,9 @@ util::Bytes session_transcript(const std::vector<FrostCommitment>& session) {
 }
 
 Scalar binding_factor(ShareIndex signer, const util::Bytes& msg, const util::Bytes& transcript) {
-  util::Writer w;
-  w.str("cicero/frost/rho");
+  constexpr std::string_view kDomain = "cicero/frost/rho";
+  util::Writer w(16 + kDomain.size() + msg.size() + transcript.size());
+  w.str(kDomain);
   w.u32(signer);
   w.bytes(msg);
   w.bytes(transcript);
@@ -36,10 +39,13 @@ Scalar binding_factor(ShareIndex signer, const util::Bytes& msg, const util::Byt
 }
 
 Scalar challenge(const Point& r, const Point& pk, const util::Bytes& msg) {
-  util::Writer w;
-  w.str("cicero/frost/chal");
-  w.bytes(r.to_bytes());
-  w.bytes(pk.to_bytes());
+  constexpr std::string_view kDomain = "cicero/frost/chal";
+  const util::Bytes rb = r.to_bytes();
+  const util::Bytes pkb = pk.to_bytes();
+  util::Writer w(16 + kDomain.size() + rb.size() + pkb.size() + msg.size());
+  w.str(kDomain);
+  w.bytes(rb);
+  w.bytes(pkb);
   w.bytes(msg);
   return Scalar::hash_to_scalar(w.data());
 }
@@ -47,10 +53,12 @@ Scalar challenge(const Point& r, const Point& pk, const util::Bytes& msg) {
 }  // namespace
 
 util::Bytes FrostCommitment::to_bytes() const {
-  util::Writer w;
+  const util::Bytes db = d.to_bytes();
+  const util::Bytes eb = e.to_bytes();
+  util::Writer w(12 + db.size() + eb.size());
   w.u32(signer);
-  w.bytes(d.to_bytes());
-  w.bytes(e.to_bytes());
+  w.bytes(db);
+  w.bytes(eb);
   return w.take();
 }
 
@@ -72,9 +80,11 @@ std::optional<FrostCommitment> FrostCommitment::from_bytes(const util::Bytes& b)
 }
 
 util::Bytes FrostSignature::to_bytes() const {
-  util::Writer w;
-  w.bytes(r.to_bytes());
-  w.bytes(z.to_bytes());
+  const util::Bytes rb = r.to_bytes();
+  const util::Bytes zb = z.to_bytes();
+  util::Writer w(8 + rb.size() + zb.size());
+  w.bytes(rb);
+  w.bytes(zb);
   return w.take();
 }
 

@@ -8,19 +8,24 @@ namespace cicero::crypto {
 namespace {
 /// Fiat–Shamir challenge e = H(R || PK || m) as a scalar.
 Scalar challenge(const Point& r, const Point& pk, const util::Bytes& msg) {
-  util::Writer w;
-  w.str("cicero/schnorr");
-  w.bytes(r.to_bytes());
-  w.bytes(pk.to_bytes());
+  constexpr std::string_view kDomain = "cicero/schnorr";
+  const util::Bytes rb = r.to_bytes();
+  const util::Bytes pkb = pk.to_bytes();
+  util::Writer w(16 + kDomain.size() + rb.size() + pkb.size() + msg.size());
+  w.str(kDomain);
+  w.bytes(rb);
+  w.bytes(pkb);
   w.bytes(msg);
   return Scalar::hash_to_scalar(w.data());
 }
 }  // namespace
 
 util::Bytes SchnorrSignature::to_bytes() const {
-  util::Writer w;
-  w.bytes(r.to_bytes());
-  w.bytes(s.to_bytes());
+  const util::Bytes rb = r.to_bytes();
+  const util::Bytes sb = s.to_bytes();
+  util::Writer w(8 + rb.size() + sb.size());
+  w.bytes(rb);
+  w.bytes(sb);
   return w.take();
 }
 

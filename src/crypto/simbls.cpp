@@ -17,8 +17,9 @@ Scalar hash_scalar(const util::Bytes& msg) {
   thread_local Scalar cached_scalar;
   thread_local bool cached = false;
   if (cached && cached_msg == msg) return cached_scalar;
-  util::Writer w;
-  w.str("cicero/simbls");
+  constexpr std::string_view kDomain = "cicero/simbls";
+  util::Writer w(8 + kDomain.size() + msg.size());
+  w.str(kDomain);
   w.bytes(msg);
   cached_scalar = Scalar::hash_to_scalar(w.data());
   cached_msg = msg;
@@ -28,7 +29,7 @@ Scalar hash_scalar(const util::Bytes& msg) {
 }  // namespace
 
 util::Bytes PartialSignature::to_bytes() const {
-  util::Writer w;
+  util::Writer w(8 + payload.size());
   w.u32(signer);
   w.bytes(payload);
   return w.take();

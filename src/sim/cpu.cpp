@@ -28,7 +28,7 @@ obs::Histogram& CpuServer::op_histogram(std::string_view op) {
               .first;
 }
 
-void CpuServer::execute(SimTime cost, std::string_view op, std::function<void()> done) {
+void CpuServer::execute(SimTime cost, std::string_view op, Callback done) {
   if (cost < 0) throw std::invalid_argument("CpuServer::execute: negative cost");
   const SimTime start = std::max(sim_.now(), busy_until_);
   const SimTime finish = start + cost;

@@ -16,7 +16,6 @@
 // view of a node shows exactly what its CPU did and when.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,9 +38,11 @@ class CpuServer {
   /// names the cost-model operation for metrics/tracing; it is keyed by
   /// CONTENT (hashed), so the same name used from different translation
   /// units lands in the same histogram — keying by `const char*` literal
-  /// identity used to register duplicate handles per TU.
-  void execute(SimTime cost, std::string_view op, std::function<void()> done);
-  void execute(SimTime cost, std::function<void()> done) {
+  /// identity used to register duplicate handles per TU.  `done` is
+  /// handed to the simulator as is, so a capture that fits
+  /// `Callback::kInlineSize` costs no allocation.
+  void execute(SimTime cost, std::string_view op, Callback done);
+  void execute(SimTime cost, Callback done) {
     execute(cost, "task", std::move(done));
   }
 

@@ -100,11 +100,19 @@ void NetworkSim::do_send(NodeId from, NodeId to, util::Bytes owned,
   st.link_latency_ms.observe(to_ms(latency));
 
   const std::uint32_t dst_shard = shard_of(to);
-  Simulator::Callback cb;
+  Callback cb;
   if (shared != nullptr) {
-    cb = [this, from, to, dst_shard, m = std::move(shared)] { deliver(from, to, *m, dst_shard); };
+    auto fn = [this, from, to, dst_shard, m = std::move(shared)] {
+      deliver(from, to, *m, dst_shard);
+    };
+    static_assert(Callback::fits_inline<decltype(fn)>);
+    cb = std::move(fn);
   } else {
-    cb = [this, from, to, dst_shard, m = std::move(owned)] { deliver(from, to, m, dst_shard); };
+    auto fn = [this, from, to, dst_shard, m = std::move(owned)] {
+      deliver(from, to, m, dst_shard);
+    };
+    static_assert(Callback::fits_inline<decltype(fn)>);
+    cb = std::move(fn);
   }
   if (par_ == nullptr) {
     sim_.after(latency, std::move(cb));
@@ -119,14 +127,14 @@ void NetworkSim::send(NodeId from, NodeId to, util::Bytes msg) {
   do_send(from, to, std::move(msg), nullptr);
 }
 
-void NetworkSim::multicast(NodeId from, const std::vector<NodeId>& to, const util::Bytes& msg) {
+void NetworkSim::multicast(NodeId from, const std::vector<NodeId>& to, util::Bytes msg) {
   // One shared immutable buffer serves the whole fan-out; per-recipient
   // copies only when a mutate hook needs a private buffer per message.
   if (mutate_fn_ || to.size() <= 1) {
     for (const NodeId t : to) send(from, t, msg);
     return;
   }
-  auto shared = std::make_shared<const util::Bytes>(msg);
+  auto shared = std::make_shared<const util::Bytes>(std::move(msg));
   for (const NodeId t : to) do_send(from, t, {}, shared);
 }
 

@@ -79,11 +79,12 @@ class NetworkSim {
   /// though with a deterministic latency function FIFO order emerges.
   void send(NodeId from, NodeId to, util::Bytes msg);
 
-  /// Multicast as independent unicasts that SHARE one immutable payload
-  /// buffer: the fan-out costs one allocation total instead of one copy
-  /// per recipient.  (With a mutate hook installed the copying path is
-  /// kept — mutation needs a private buffer per message.)
-  void multicast(NodeId from, const std::vector<NodeId>& to, const util::Bytes& msg);
+  /// Multicast as independent unicasts, in the order of `to`, that SHARE
+  /// one immutable payload buffer: `msg` moves into it, so the fan-out
+  /// costs one allocation total instead of one copy per recipient.  (With
+  /// a mutate hook installed the copying path is kept — mutation needs a
+  /// private buffer per message.)
+  void multicast(NodeId from, const std::vector<NodeId>& to, util::Bytes msg);
 
   std::uint64_t messages_sent() const { return sum(&ShardStats::sent); }
   std::uint64_t messages_delivered() const { return sum(&ShardStats::delivered); }

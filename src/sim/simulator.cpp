@@ -19,18 +19,19 @@ Simulator::TimerId Simulator::schedule(SimTime t, Callback fn) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+    slot = static_cast<std::uint32_t>(fns_.size());
+    fns_.emplace_back();
+    gens_.push_back(0);
   }
-  slots_[slot].fn = std::move(fn);
-  heap_.push_back(Entry{t, next_seq_++, slot, slots_[slot].gen});
+  fns_[slot] = std::move(fn);
+  heap_.push_back(Entry{t, next_seq_++, slot, gens_[slot]});
   sift_up(heap_.size() - 1);
   ++live_;
-  return TimerId{slot, slots_[slot].gen};
+  return TimerId{slot, gens_[slot]};
 }
 
 bool Simulator::cancel(TimerId id) {
-  if (!id.valid() || id.slot >= slots_.size() || slots_[id.slot].gen != id.gen) {
+  if (!id.valid() || id.slot >= gens_.size() || gens_[id.slot] != id.gen) {
     return false;
   }
   release_slot(id.slot);
@@ -44,8 +45,8 @@ void Simulator::release_slot(std::uint32_t slot) {
   // The generation bump invalidates both the heap entry and any
   // outstanding TimerId; destroying the callback now breaks capture
   // cycles without waiting for the tombstone to surface.
-  slots_[slot].fn = nullptr;
-  ++slots_[slot].gen;
+  fns_[slot] = nullptr;
+  ++gens_[slot];
   free_slots_.push_back(slot);
 }
 
@@ -82,7 +83,9 @@ bool Simulator::step() {
   heap_.front() = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0);
-  Callback fn = std::move(slots_[e.slot].fn);
+  // Moved out first: the callback may schedule events, which can
+  // reallocate the arena under a callback still running in place.
+  Callback fn = std::move(fns_[e.slot]);
   release_slot(e.slot);
   --live_;
   now_ = e.time;

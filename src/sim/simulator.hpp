@@ -7,8 +7,12 @@
 //
 // The queue is an indexed 4-ary heap over 24-byte plain entries, with the
 // callbacks parked in a slot arena off to the side:
+//   * each callback is a `sim::Callback` (sim/callback.hpp), a move-only
+//     closure that keeps captures of up to 56 bytes inline, so scheduling
+//     a typical event (a message delivery, a timer, a CPU completion)
+//     allocates nothing;
 //   * sift operations move only (time, seq, slot) triples, never a
-//     std::function, so pushes/pops stay inside a few cache lines even
+//     closure, so pushes/pops stay inside a few cache lines even
 //     with hundreds of thousands of pending events (the thousand-switch
 //     topologies of bench_scale);
 //   * `cancel()` is O(1): it frees the callback and bumps the slot's
@@ -24,16 +28,16 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "sim/callback.hpp"
 #include "sim/time.hpp"
 
 namespace cicero::sim {
 
 class Simulator {
  public:
-  using Callback = std::function<void()>;
+  using Callback = sim::Callback;
 
   /// Handle to a cancellable scheduled event.  Value type; a default
   /// constructed id is invalid and cancel() on it is a no-op.
@@ -102,17 +106,13 @@ class Simulator {
     std::uint32_t slot;
     std::uint32_t gen;
   };
-  struct Slot {
-    Callback fn;
-    std::uint32_t gen = 0;
-  };
 
   static bool earlier(const Entry& a, const Entry& b) {
     return a.time != b.time ? a.time < b.time : a.seq < b.seq;
   }
 
   TimerId schedule(SimTime t, Callback fn);
-  bool entry_live(const Entry& e) const { return slots_[e.slot].gen == e.gen; }
+  bool entry_live(const Entry& e) const { return gens_[e.slot] == e.gen; }
   void release_slot(std::uint32_t slot);
   /// Drops tombstones off the heap top; afterwards heap_ is empty or its
   /// root is live.
@@ -128,7 +128,10 @@ class Simulator {
   std::uint64_t event_cap_ = 0;
   std::size_t live_ = 0;  ///< armed entries in heap_ (heap_.size() - tombstones)
   std::vector<Entry> heap_;
-  std::vector<Slot> slots_;
+  /// Slot arena, two parallel arrays: the pending callbacks, and the
+  /// generations that liveness checks read without touching a callback.
+  std::vector<Callback> fns_;
+  std::vector<std::uint32_t> gens_;
   std::vector<std::uint32_t> free_slots_;
 };
 

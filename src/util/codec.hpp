@@ -6,7 +6,10 @@
 //   void fields(IO& io, M& m) { io(m.update_id, m.switch_node, util::kSignedEnd, m.sig); }
 //
 // `Encoder` walks it to write, `Decoder` to read, and `signed_bytes` to
-// write the part before `kSignedEnd`.  Each field type has one rule, a
+// write the part before `kSignedEnd`.  Every encoding entry point walks
+// the list twice: once over a `SizeWriter` to learn the exact size, then
+// into a Writer that reserved it, so an encoded message is one allocation
+// with no capacity slack.  Each field type has one rule, a
 // `Wire<T>` here (or beside the one user of a type this layer cannot see):
 //
 //   u32, u64     little-endian            bool, double  one byte 0/1, IEEE bits
@@ -16,6 +19,7 @@
 //   map<K, V>    u32 count, then each (K, V) with keys strictly ascending
 //   optional<T>  presence bool, then T    pair          first, then second
 //   struct       its field list, inline or, if it sets kFramed, as Bytes
+//                (written in place: length placeholder, fields, length)
 //
 // Decoding rejects what no encoder writes, so accepted bytes re-encode to
 // themselves.
@@ -43,8 +47,10 @@ inline constexpr SignedEnd kSignedEnd{};
 
 template <class T> struct Wire;
 
-struct Encoder {
-  Writer& w;
+/// Writes values through a Writer, or sizes them through a SizeWriter.
+template <class W>
+struct BasicEncoder {
+  W& w;
   bool signing = false;  ///< stop each field list at kSignedEnd
   bool done = false;
   template <class... T>
@@ -53,6 +59,8 @@ struct Encoder {
   }
   template <class M> void list(const M& m) { fields(*this, m); }
 };
+using Encoder = BasicEncoder<Writer>;
+using SizeEncoder = BasicEncoder<SizeWriter>;
 
 /// Reads into default-constructed values.
 struct Decoder {
@@ -65,32 +73,34 @@ struct Decoder {
 /// encoding is the least room any T takes on the wire.
 template <class T>
 std::size_t min_size() {
-  static const std::size_t n = [] { Writer w; Encoder{w}(T{}); return w.size(); }();
+  static const std::size_t n = [] { SizeWriter w; SizeEncoder{w}(T{}); return w.size(); }();
   return n;
 }
 
 template <> struct Wire<SignedEnd> {
-  static void put(Encoder& e, SignedEnd) { e.done = e.signing; }
+  template <class Enc> static void put(Enc& e, SignedEnd) { e.done = e.signing; }
   static void get(Reader&, const SignedEnd&) {}
 };
 
 template <std::unsigned_integral T> requires(sizeof(T) == 4 || sizeof(T) == 8) struct Wire<T> {
-  static void put(Encoder& e, T v) { if constexpr (sizeof(T) == 4) e.w.u32(v); else e.w.u64(v); }
+  template <class Enc> static void put(Enc& e, T v) {
+    if constexpr (sizeof(T) == 4) e.w.u32(v); else e.w.u64(v);
+  }
   static void get(Reader& r, T& v) { if constexpr (sizeof(T) == 4) v = r.u32(); else v = r.u64(); }
 };
 
 template <> struct Wire<bool> {
-  static void put(Encoder& e, bool v) { e.w.boolean(v); }
+  template <class Enc> static void put(Enc& e, bool v) { e.w.boolean(v); }
   static void get(Reader& r, bool& v) { v = r.boolean(); }
 };
 
 template <> struct Wire<double> {
-  static void put(Encoder& e, double v) { e.w.f64(v); }
+  template <class Enc> static void put(Enc& e, double v) { e.w.f64(v); }
   static void get(Reader& r, double& v) { v = r.f64(); }
 };
 
 template <class E> requires std::is_enum_v<E> struct Wire<E> {
-  static void put(Encoder& e, E v) { e.w.u8(static_cast<std::uint8_t>(v)); }
+  template <class Enc> static void put(Enc& e, E v) { e.w.u8(static_cast<std::uint8_t>(v)); }
   static void get(Reader& r, E& v) {
     const std::uint8_t raw = r.u8();
     if (raw > static_cast<std::uint8_t>(wire_max(E{}))) throw DeserializeError("enum out of range");
@@ -99,17 +109,19 @@ template <class E> requires std::is_enum_v<E> struct Wire<E> {
 };
 
 template <> struct Wire<Bytes> {
-  static void put(Encoder& e, const Bytes& v) { e.w.bytes(v); }
+  template <class Enc> static void put(Enc& e, const Bytes& v) { e.w.bytes(v); }
   static void get(Reader& r, Bytes& v) { v = r.bytes(); }
 };
 
 template <std::size_t N> struct Wire<std::array<std::uint8_t, N>> {
-  static void put(Encoder& e, const std::array<std::uint8_t, N>& v) { e.w.raw(v.data(), N); }
+  template <class Enc> static void put(Enc& e, const std::array<std::uint8_t, N>& v) {
+    e.w.raw(v.data(), N);
+  }
   static void get(Reader& r, std::array<std::uint8_t, N>& v) { for (auto& b : v) b = r.u8(); }
 };
 
 template <class T> struct Wire<std::vector<T>> {
-  static void put(Encoder& e, const std::vector<T>& v) {
+  template <class Enc> static void put(Enc& e, const std::vector<T>& v) {
     e.w.u32(static_cast<std::uint32_t>(v.size()));
     for (const T& x : v) e(x);
   }
@@ -121,7 +133,7 @@ template <class T> struct Wire<std::vector<T>> {
 };
 
 template <class K, class V> struct Wire<std::map<K, V>> {
-  static void put(Encoder& e, const std::map<K, V>& m) {
+  template <class Enc> static void put(Enc& e, const std::map<K, V>& m) {
     e.w.u32(static_cast<std::uint32_t>(m.size()));
     for (const auto& [k, v] : m) e(k, v);
   }
@@ -138,7 +150,7 @@ template <class K, class V> struct Wire<std::map<K, V>> {
 };
 
 template <class T> struct Wire<std::optional<T>> {
-  static void put(Encoder& e, const std::optional<T>& v) {
+  template <class Enc> static void put(Enc& e, const std::optional<T>& v) {
     e.w.boolean(v.has_value());
     if (v) e(*v);
   }
@@ -148,14 +160,16 @@ template <class T> struct Wire<std::optional<T>> {
 };
 
 template <class A, class B> struct Wire<std::pair<A, B>> {
-  static void put(Encoder& e, const std::pair<A, B>& p) { e(p.first, p.second); }
+  template <class Enc> static void put(Enc& e, const std::pair<A, B>& p) { e(p.first, p.second); }
   static void get(Reader& r, std::pair<A, B>& p) { Decoder{r}(p.first, p.second); }
 };
 
 /// The field list of `m` as bytes: no tag, no frame.
 template <class M>
 Bytes encode_fields(const M& m) {
-  Writer w;
+  SizeWriter s;
+  SizeEncoder{s}.list(m);
+  Writer w(s.size());
   Encoder{w}.list(m);
   return w.take();
 }
@@ -164,9 +178,14 @@ template <class T>
   requires requires(Encoder& e, const T& v) { fields(e, v); }
 struct Wire<T> {
   static constexpr bool kFramed = requires { requires T::kFramed; };
-  static void put(Encoder& e, const T& v) {
-    if constexpr (kFramed) e.w.bytes(encode_fields(v));
-    else Encoder{e.w, e.signing}.list(v);
+  template <class Enc> static void put(Enc& e, const T& v) {
+    if constexpr (kFramed) {
+      const std::size_t at = e.w.begin_frame();
+      Enc{e.w}.list(v);
+      e.w.end_frame(at);
+    } else {
+      Enc{e.w, e.signing}.list(v);
+    }
   }
   static void get(Reader& r, T& v) {
     if constexpr (kFramed) {
@@ -183,7 +202,9 @@ struct Wire<T> {
 /// `tag`, then `m`: the whole wire form of a tagged message.
 template <class Tag, class M>
 Bytes encode(Tag tag, const M& m) {
-  Writer w;
+  SizeWriter s;
+  SizeEncoder{s}(m);
+  Writer w(1 + s.size());
   w.u8(static_cast<std::uint8_t>(tag));
   Encoder{w}(m);
   return w.take();
@@ -207,7 +228,10 @@ std::optional<M> decode(Tag tag, const Bytes& wire) try {
 /// every field list cut at its kSignedEnd.
 template <class... T>
 Bytes signed_bytes(std::string_view domain, const T&... v) {
-  Writer w;
+  SizeWriter s;
+  s.str(domain);
+  SizeEncoder{s, /*signing=*/true}(v...);
+  Writer w(s.size());
   w.str(domain);
   Encoder{w, /*signing=*/true}(v...);
   return w.take();

@@ -5,45 +5,10 @@
 
 namespace cicero::util {
 
-void Writer::u8(std::uint8_t v) { buf_.push_back(v); }
-
-void Writer::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void Writer::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void Writer::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void Writer::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-
 void Writer::f64(double v) {
   std::uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
   u64(bits);
-}
-
-void Writer::boolean(bool v) { u8(v ? 1 : 0); }
-
-void Writer::bytes(const Bytes& v) { bytes(v.data(), v.size()); }
-
-void Writer::bytes(const std::uint8_t* data, std::size_t len) {
-  u32(static_cast<std::uint32_t>(len));
-  raw(data, len);
-}
-
-void Writer::str(std::string_view v) {
-  u32(static_cast<std::uint32_t>(v.size()));
-  raw(reinterpret_cast<const std::uint8_t*>(v.data()), v.size());
-}
-
-void Writer::raw(const std::uint8_t* data, std::size_t len) {
-  buf_.insert(buf_.end(), data, data + len);
 }
 
 void Reader::need(std::size_t n) const {

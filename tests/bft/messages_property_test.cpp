@@ -105,6 +105,21 @@ TEST(BftMessagesProperty, RoundTripIsCanonical) {
   }
 }
 
+TEST(BftMessagesProperty, EncodingsAreExactlySized) {
+  // Capacity equals size only when the size-only pass matched the bytes
+  // written (see MessagesProperty.EncodingsAreExactlySized).
+  for (const std::uint64_t seed : kSeeds) {
+    util::Rng rng(seed);
+    for (int c = 0; c < kCasesPerSeed; ++c) {
+      const auto encodings = random_encodings(rng);
+      for (std::size_t i = 0; i < encodings.size(); ++i) {
+        EXPECT_EQ(encodings[i].capacity(), encodings[i].size())
+            << "seed " << seed << " case " << c << " index " << i;
+      }
+    }
+  }
+}
+
 TEST(BftMessagesProperty, EveryStrictPrefixRejected) {
   for (const std::uint64_t seed : kSeeds) {
     util::Rng rng(seed);

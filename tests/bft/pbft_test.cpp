@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 
@@ -267,6 +268,71 @@ TEST(Pbft, AlteredPrePrepareRefusedByEveryBackup) {
   c.run(sim::seconds(1));
   EXPECT_EQ(prepares, 0);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_TRUE(c.delivered_[i].empty()) << "replica " << i;
+}
+
+/// A kFetchReply from replica `from` offering `entries` above seq 0.
+util::Bytes fetch_reply(ReplicaId from, const std::map<SeqNum, BftRequest>& entries) {
+  BftMessage m;
+  m.type = BftMsgType::kFetchReply;
+  m.sender = from;
+  m.new_view_entries = entries;
+  return m.encode({});
+}
+
+BftRequest request_of(std::uint8_t tag) {
+  BftRequest r;
+  r.submitter = 1;
+  r.local_seq = tag;
+  r.payload = {tag};
+  return r;
+}
+
+TEST(Pbft, FetchRepliesHashEachEntryOnce) {
+  // Three honest peers answer a lagging replica's fetch with the same ten
+  // entries (f = 1, so the second reply confirms them all).  Each distinct
+  // entry is hashed once when first fetched and keyed once on delivery;
+  // hashing every entry of every reply cost one more hash per entry per
+  // extra responder.
+  Cluster c(4, /*sign=*/false);
+  constexpr std::uint8_t kEntries = 10;
+  std::map<SeqNum, BftRequest> entries;
+  for (std::uint8_t k = 1; k <= kEntries; ++k) entries[k] = request_of(k);
+  obs::CryptoOpCounters& ops = obs::crypto_ops();
+  ops.reset();
+  for (const ReplicaId peer : {1u, 2u, 3u}) {
+    c.replicas_[0]->on_message(c.nodes_[peer], fetch_reply(peer, entries));
+  }
+  EXPECT_EQ(c.replicas_[0]->last_delivered(), kEntries);
+  ASSERT_EQ(c.delivered_[0].size(), kEntries);
+  for (std::uint8_t k = 1; k <= kEntries; ++k) {
+    EXPECT_EQ(c.delivered_[0][k - 1u], util::Bytes{k});
+  }
+  EXPECT_EQ(ops.sha256_hashes.load(), 2u * kEntries);
+  ops.reset();
+}
+
+TEST(Pbft, ConflictingFetchedEntryNeedsFPlusOneResponders) {
+  // f = 2: a fetched entry is delivered only once three distinct peers
+  // report the same request; a conflicting request splits the votes, and a
+  // repeated reply from one peer counts once.
+  Cluster c(7, /*sign=*/false);
+  const BftRequest a = request_of(0xa1);
+  const BftRequest b = request_of(0xb2);
+  const auto reply = [&c](ReplicaId peer, const BftRequest& r) {
+    c.replicas_[0]->on_message(c.nodes_[peer], fetch_reply(peer, {{1, r}}));
+  };
+  reply(1, a);
+  reply(2, b);
+  reply(3, a);
+  reply(3, a);  // the same responder again
+  reply(4, b);
+  EXPECT_EQ(c.replicas_[0]->last_delivered(), 0u);
+  EXPECT_TRUE(c.delivered_[0].empty());
+  reply(5, a);
+  EXPECT_EQ(c.replicas_[0]->last_delivered(), 1u);
+  EXPECT_EQ(c.delivered_[0], std::vector<util::Bytes>{a.payload});
+  reply(6, b);  // a third vote for b arrives after a was delivered
+  EXPECT_EQ(c.delivered_[0], std::vector<util::Bytes>{a.payload});
 }
 
 TEST(Pbft, QuorumArithmetic) {

@@ -267,6 +267,21 @@ TEST(MessagesProperty, RoundTripIsCanonical) {
   }
 }
 
+TEST(MessagesProperty, EncodingsAreExactlySized) {
+  // An encoder reserves what its size-only pass counted and then writes;
+  // capacity equals size only when the two agree (a short count would
+  // reallocate and double, a long one would leave slack).
+  for (const std::uint64_t seed : kSeeds) {
+    util::Rng rng(seed);
+    for (int c = 0; c < kCasesPerSeed; ++c) {
+      for (const auto& wire : random_encodings(rng)) {
+        EXPECT_EQ(wire.capacity(), wire.size())
+            << "seed " << seed << " case " << c << " tag " << int(wire[0]);
+      }
+    }
+  }
+}
+
 TEST(MessagesProperty, EveryStrictPrefixRejected) {
   // A truncated message must never decode: decoders read to the end and
   // expect_end() catches short *and* long frames.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <utility>
+
 namespace cicero::sim {
 namespace {
 
@@ -172,6 +176,87 @@ TEST(SimulatorCancel, RunUntilAdvancesPastCancelledTail) {
   s.run_until(50);
   EXPECT_EQ(s.now(), 50);
   EXPECT_TRUE(s.empty());
+}
+
+/// Counts its own destruction; a moved-from instance does not count.
+struct DestroyCounter {
+  int* destroyed;
+  explicit DestroyCounter(int* d) : destroyed(d) {}
+  DestroyCounter(DestroyCounter&& o) noexcept : destroyed(std::exchange(o.destroyed, nullptr)) {}
+  DestroyCounter& operator=(DestroyCounter&&) = delete;
+  ~DestroyCounter() {
+    if (destroyed != nullptr) ++*destroyed;
+  }
+};
+
+/// A capture too large for the inline buffer.
+using Ballast = std::array<std::uint64_t, 16>;
+
+TEST(Callback, MoveOnlyCaptureRuns) {
+  Simulator s;
+  int seen = 0;
+  auto owned = std::make_unique<int>(7);
+  auto fn = [&seen, owned = std::move(owned)] { seen = *owned; };
+  static_assert(Callback::fits_inline<decltype(fn)>);
+  s.after(milliseconds(1), std::move(fn));
+  s.run();
+  EXPECT_EQ(seen, 7);
+}
+
+TEST(Callback, LargeCaptureFallsBackToHeapAndRuns) {
+  Simulator s;
+  std::uint64_t sum = 0;
+  Ballast ballast;
+  ballast.fill(3);
+  auto fn = [&sum, ballast] {
+    for (const std::uint64_t v : ballast) sum += v;
+  };
+  static_assert(!Callback::fits_inline<decltype(fn)>);
+  Callback cb(std::move(fn));
+  Callback moved(std::move(cb));  // moves the heap pointer, not the capture
+  s.after(milliseconds(1), std::move(moved));
+  s.run();
+  EXPECT_EQ(sum, 48u);
+}
+
+TEST(Callback, CancelDestroysCaptureAtOnce) {
+  Simulator s;
+  int inline_gone = 0;
+  int heap_gone = 0;
+  auto small = [c = DestroyCounter(&inline_gone)] {};
+  auto large = [c = DestroyCounter(&heap_gone), b = Ballast{}] { (void)b; };
+  static_assert(Callback::fits_inline<decltype(small)>);
+  static_assert(!Callback::fits_inline<decltype(large)>);
+  const Simulator::TimerId a = s.after_cancellable(milliseconds(5), std::move(small));
+  const Simulator::TimerId b = s.after_cancellable(milliseconds(5), std::move(large));
+  EXPECT_EQ(inline_gone, 0);
+  EXPECT_EQ(heap_gone, 0);
+  EXPECT_TRUE(s.cancel(a));
+  EXPECT_EQ(inline_gone, 1);
+  EXPECT_TRUE(s.cancel(b));
+  EXPECT_EQ(heap_gone, 1);
+  s.run();
+  EXPECT_EQ(inline_gone, 1);
+  EXPECT_EQ(heap_gone, 1);
+}
+
+TEST(Callback, MovedFromIsEmpty) {
+  int runs = 0;
+  Callback small([&runs] { ++runs; });
+  Callback large([&runs, b = Ballast{}] { runs += 1 + static_cast<int>(b[0]); });
+  EXPECT_TRUE(small);
+  EXPECT_TRUE(large);
+  Callback small_to(std::move(small));
+  Callback large_to;
+  large_to = std::move(large);
+  EXPECT_FALSE(small);  // NOLINT(bugprone-use-after-move): the point of the test
+  EXPECT_FALSE(large);  // NOLINT(bugprone-use-after-move)
+  small_to();
+  large_to();
+  EXPECT_EQ(runs, 2);
+  large_to = nullptr;
+  EXPECT_FALSE(large_to);
+  EXPECT_FALSE(Callback());
 }
 
 }  // namespace
