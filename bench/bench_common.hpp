@@ -1,12 +1,11 @@
-// Shared plumbing for the figure-regeneration benches.
+// Plumbing shared by the deployment benches: `bench_figures` (every
+// paper figure and ablation, one per name) and `bench_scale`.
 //
-// Every bench binary prints (a) the experiment id and setup, (b) the same
-// series/rows the paper's figure or table reports, and (c) a short
-// "paper vs measured" summary line that EXPERIMENTS.md quotes.  Output is
-// plain text so `./bench_figXX | tee` is the full workflow.
+// Each bench prints its experiment id and setup as a header, then plain
+// text rows, then writes a machine-readable run report
+// (BENCH_<id>.report.json) and prints its path on the last line.
 #pragma once
 
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -15,8 +14,6 @@
 
 #include "core/deployment.hpp"
 #include "obs/report.hpp"
-#include "util/stats.hpp"
-#include "workload/workload.hpp"
 
 namespace cicero::bench {
 
@@ -44,78 +41,10 @@ inline std::unique_ptr<core::Deployment> make_dep(core::FrameworkKind fw, net::T
   return std::make_unique<core::Deployment>(std::move(topo), dp);
 }
 
-/// Monotonic wall clock in seconds, for the standard timing fields below.
+/// Monotonic wall clock in seconds, for the `wall_sec` report fields.
 inline double wall_clock_sec() {
   using clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
-}
-
-/// Injects a workload and runs to (near-)quiescence.
-inline void run_workload(core::Deployment& dep, workload::WorkloadKind kind,
-                         std::size_t flows, std::uint64_t seed = 7,
-                         double rate_per_sec = 400.0) {
-  workload::WorkloadParams wp;
-  wp.kind = kind;
-  wp.flow_count = flows;
-  wp.arrival_rate_per_sec = rate_per_sec;
-  wp.seed = seed;
-  workload::WorkloadGenerator gen(dep.topology(), wp);
-  dep.inject(gen.generate());
-  const double horizon_sec = static_cast<double>(flows) / rate_per_sec + 30.0;
-  dep.run(sim::from_sec(horizon_sec));
-}
-
-inline void print_cdf_series(const std::string& label, const util::CdfCollector& cdf,
-                             std::size_t points = 20) {
-  std::printf("# series: %s (n=%zu, mean=%.2f ms, p50=%.2f, p99=%.2f)\n", label.c_str(),
-              cdf.count(), cdf.mean(), cdf.count() ? cdf.median() : 0.0,
-              cdf.count() ? cdf.p99() : 0.0);
-  std::printf("#   %-14s %s\n", "value(ms)", "CDF");
-  for (const auto& [x, q] : cdf.cdf_series(points)) {
-    std::printf("    %-14.3f %.3f\n", x, q);
-  }
-}
-
-/// Lowercases a human label into a metric-name prefix component
-/// ("Crash Tolerant" -> "crash_tolerant").
-inline std::string metric_slug(const std::string& label) {
-  std::string s;
-  for (const char c : label) {
-    if (std::isalnum(static_cast<unsigned char>(c)) != 0) {
-      s += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    } else if (!s.empty() && s.back() != '_') {
-      s += '_';
-    }
-  }
-  while (!s.empty() && s.back() == '_') s.pop_back();
-  return s;
-}
-
-/// Folds one finished deployment run into `report` under a
-/// `<slug(label)>.` prefix: the full metrics registry, the process-wide
-/// crypto op counters (reset afterwards so runs don't bleed into each
-/// other), the completion/setup CDFs, the critical-path attribution
-/// summary, and the per-shard engine telemetry.
-/// Every run carries two standard fields so reports stay comparable
-/// across thread counts and machines: `<slug>.threads` (worker shards
-/// backing run(); 1 = sequential fast path) and, when the caller
-/// measured one, `<slug>.wall_sec` (wall-clock duration of the run).
-inline void report_run(obs::RunReport& report, core::Deployment& dep, const std::string& label,
-                       double wall_sec = -1.0) {
-  const std::string slug = metric_slug(label);
-  const std::string prefix = slug + ".";
-  report.add_metrics(dep.obs().metrics, prefix);
-  report.add_crypto_ops(obs::crypto_ops(), prefix);
-  obs::crypto_ops().reset();
-  report.add_cdf(prefix + "completion_ms", dep.completion_cdf());
-  report.add_cdf(prefix + "setup_ms", dep.setup_cdf());
-  report.add_critical_path(slug, dep.obs().critpath.summarize());
-  report.add_shards(slug, dep.shard_telemetry());
-  obs::MetricsRegistry standard;
-  standard.gauge(prefix + "threads").set(static_cast<double>(dep.worker_shards()));
-  if (wall_sec >= 0.0) standard.gauge(prefix + "wall_sec").set(wall_sec);
-  standard.counter(prefix + "trace.dropped_events").inc(dep.obs().trace.dropped_events());
-  report.add_metrics(standard);
 }
 
 /// Writes the report as BENCH_<id>.report.json in the working directory
@@ -131,14 +60,5 @@ inline void write_report(const obs::RunReport& report, const std::string& id) {
     std::printf("\n# report: FAILED to write %s\n", path.c_str());
   }
 }
-
-inline net::FabricParams bench_pod() {
-  net::FabricParams p;
-  p.racks_per_pod = 8;   // paper: 40 racks/pod; scaled for simulation speed
-  p.hosts_per_rack = 3;
-  return p;
-}
-
-constexpr std::size_t kBenchFlows = 1500;  // paper: 5000 (scaled; same CDF shape)
 
 }  // namespace cicero::bench

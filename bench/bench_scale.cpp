@@ -26,7 +26,6 @@
 //
 // `--large` appends the 10k-switch WAN and k = 32 fat-tree scenarios
 // (out of CI budget; for dedicated scaling runs).
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -40,11 +39,6 @@
 namespace {
 
 using namespace cicero;
-
-double now_sec() {
-  using clock = std::chrono::steady_clock;
-  return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
-}
 
 /// Peak resident set size of this process in MiB (VmHWM; monotonic).
 double peak_rss_mb() {
@@ -72,7 +66,7 @@ double peak_rss_mb() {
 double bench_queue(std::uint64_t n, sim::SimTime ack_gap, sim::SimTime timeout) {
   sim::Simulator sim;
   std::uint64_t acked = 0;
-  const double t0 = now_sec();
+  const double t0 = bench::wall_clock_sec();
   std::function<void(std::uint64_t)> send = [&](std::uint64_t i) {
     if (i >= n) return;
     const sim::Simulator::TimerId timer = sim.after_cancellable(timeout, [] {});
@@ -84,7 +78,7 @@ double bench_queue(std::uint64_t n, sim::SimTime ack_gap, sim::SimTime timeout) 
   };
   send(0);
   sim.run();
-  return static_cast<double>(acked) / (now_sec() - t0);
+  return static_cast<double>(acked) / (bench::wall_clock_sec() - t0);
 }
 
 // --- 1b. dependency tracker: chained batches -----------------------------
@@ -97,7 +91,7 @@ double bench_tracker(std::uint64_t batches, std::uint32_t width, std::uint32_t d
   sched::DependencyTracker tracker;
   sched::UpdateId next_id = 1;
   std::uint64_t updates = 0;
-  const double t0 = now_sec();
+  const double t0 = bench::wall_clock_sec();
   std::vector<sched::UpdateId> order;
   for (std::uint64_t b = 0; b < batches; ++b) {
     sched::UpdateSchedule schedule;
@@ -125,7 +119,7 @@ double bench_tracker(std::uint64_t batches, std::uint32_t width, std::uint32_t d
       std::exit(1);
     }
   }
-  const double wall = now_sec() - t0;
+  const double wall = bench::wall_clock_sec() - t0;
   return static_cast<double>(updates) / wall;
 }
 
@@ -143,12 +137,12 @@ void run_scale_config(obs::RunReport& report, ScaleConfig cfg, std::uint32_t thr
   const std::vector<workload::Flow> flows =
       workload::scale_flows(cfg.topo, cfg.flows, 600.0, /*seed=*/11);
 
-  const double t0 = now_sec();
+  const double t0 = bench::wall_clock_sec();
   auto dep = bench::make_dep(core::FrameworkKind::kCicero, std::move(cfg.topo),
                              /*controllers=*/4, /*teardown=*/false, threads);
   dep->inject(flows);
   dep->run(sim::from_sec(static_cast<double>(cfg.flows) / 600.0 + 20.0));
-  const double wall = now_sec() - t0;
+  const double wall = bench::wall_clock_sec() - t0;
 
   std::uint64_t applied = 0;
   for (const net::NodeIndex s : dep->topology().switches()) {

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Runs the crypto micro-benchmarks and records the results as JSON, then
-# the observability smoke pass: the obs-overhead guard, the Fig. 11a
-# bench (which emits a machine-readable run report), the scale smoke
-# bench, the decentralized-execution comparison bench, the in-network
-# aggregation control-plane-size sweep, the schema
+# the observability smoke pass: the obs-overhead guard, the Fig. 11a,
+# decentralized-execution and in-network aggregation figures of
+# bench_figures (each emits a machine-readable run report), the scale
+# smoke bench, the schema
 # checker (tools/obs/check_obs.py) over the emitted
 # artifacts, and the perf gate (tools/obs/bench_diff.py) against the
 # committed baselines in bench/baselines/.
@@ -52,8 +52,8 @@ echo "Running bench_obs_overhead (asserts alloc-free disabled hot path)"
 "$build_dir/bench/bench_obs_overhead"
 
 echo
-echo "Running bench_fig11a_hadoop_fct -> $bench_out/BENCH_fig11a.report.json"
-CICERO_REPORT_DIR="$bench_out" "$build_dir/bench/bench_fig11a_hadoop_fct" > /dev/null
+echo "Running bench_figures fig11a -> $bench_out/BENCH_fig11a.report.json"
+CICERO_REPORT_DIR="$bench_out" "$build_dir/bench/bench_figures" fig11a > /dev/null
 
 echo "Validating run report"
 python3 "$repo_root/tools/obs/check_obs.py" "$bench_out/BENCH_fig11a.report.json"
@@ -66,15 +66,15 @@ echo "Validating scale run report"
 python3 "$repo_root/tools/obs/check_obs.py" "$bench_out/BENCH_scale.report.json"
 
 echo
-echo "Running bench_decentralized -> $bench_out/BENCH_decentralized.report.json"
-CICERO_REPORT_DIR="$bench_out" "$build_dir/bench/bench_decentralized" > /dev/null
+echo "Running bench_figures decentralized -> $bench_out/BENCH_decentralized.report.json"
+CICERO_REPORT_DIR="$bench_out" "$build_dir/bench/bench_figures" decentralized > /dev/null
 
 echo "Validating decentralized run report"
 python3 "$repo_root/tools/obs/check_obs.py" "$bench_out/BENCH_decentralized.report.json"
 
 echo
-echo "Running bench_innet_cp_size -> $bench_out/BENCH_innet.report.json"
-CICERO_REPORT_DIR="$bench_out" "$build_dir/bench/bench_innet_cp_size" > /dev/null
+echo "Running bench_figures innet -> $bench_out/BENCH_innet.report.json"
+CICERO_REPORT_DIR="$bench_out" "$build_dir/bench/bench_figures" innet > /dev/null
 
 echo "Validating in-network aggregation run report"
 python3 "$repo_root/tools/obs/check_obs.py" "$bench_out/BENCH_innet.report.json"

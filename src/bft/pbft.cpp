@@ -537,12 +537,19 @@ void PbftReplica::on_timer() {
     fetch.last_delivered = last_delivered_;
     const ReplicaId peer =
         static_cast<ReplicaId>((config_.id + 1 + timer_epoch_ % (n() - 1)) % n());
-    if (peer != config_.id) send_to(peer, fetch);
-    if (stuck) {
-      // Actively stuck: widen the probe to everyone.
-      for (ReplicaId r = 0; r < n(); ++r) {
-        if (r != config_.id) send_to(r, fetch);
+    // One encoding per tick, however many peers it goes to.
+    util::Bytes wire = sign_and_encode(fetch);
+    rec_.phase_bytes(obs::CritPhase::kOrder, wire.size());
+    if (!stuck) {
+      net_.send(node_of(config_.id), node_of(peer), std::move(wire));
+    } else {
+      // Actively stuck: widen the probe to everyone (the rotating peer
+      // gets a second copy).
+      net_.send(node_of(config_.id), node_of(peer), wire);
+      for (std::size_t i = 0; i < peers_.size(); ++i) {
+        rec_.phase_bytes(obs::CritPhase::kOrder, wire.size());
       }
+      net_.multicast(node_of(config_.id), peers_, std::move(wire));
     }
   }
   if (stuck && !in_view_change_) {

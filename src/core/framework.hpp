@@ -3,7 +3,7 @@
 // The paper's evaluation compares four update frameworks (§6.1); the same
 // enum selects the deployment wiring throughout this repository.  The
 // capability matrix reproduces Table 2 as data derived from what each
-// implementation actually does, so `bench_table2_features` prints it from
+// implementation actually does, so `bench_figures table2` prints it from
 // code rather than prose.
 #pragma once
 

@@ -18,12 +18,9 @@ constexpr SimTime microseconds(std::int64_t n) { return n * 1000; }
 constexpr SimTime milliseconds(std::int64_t n) { return n * 1000000; }
 constexpr SimTime seconds(std::int64_t n) { return n * 1000000000; }
 
-/// Fractional-unit constructors (workloads express costs as doubles).
-constexpr SimTime from_us(double us) { return static_cast<SimTime>(us * 1e3); }
-constexpr SimTime from_ms(double ms) { return static_cast<SimTime>(ms * 1e6); }
+/// Fractional-second constructor (workloads express horizons as doubles).
 constexpr SimTime from_sec(double s) { return static_cast<SimTime>(s * 1e9); }
 
-constexpr double to_us(SimTime t) { return static_cast<double>(t) / 1e3; }
 constexpr double to_ms(SimTime t) { return static_cast<double>(t) / 1e6; }
 constexpr double to_sec(SimTime t) { return static_cast<double>(t) / 1e9; }
 
