@@ -581,7 +581,7 @@ double mean_share(const net::Topology& topo, workload::WorkloadKind kind, std::s
 // so the report carries the share table itself as gauges.
 void fig12b(obs::RunReport& report) {
   report.set_meta("flows_per_point", std::int64_t{4000});
-  obs::MetricsRegistry shares(true);
+  obs::MetricsRegistry shares;
 
   std::printf("%-10s %16s %16s\n", "#domains", "MD Hadoop", "MD Webserver");
   double hadoop1 = 0.0;

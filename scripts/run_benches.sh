@@ -48,7 +48,7 @@ for b in data.get("benchmarks", []):
 EOF
 
 echo
-echo "Running bench_obs_overhead (asserts alloc-free disabled hot path)"
+echo "Running bench_obs_overhead (asserts alloc-free hot paths)"
 "$build_dir/bench/bench_obs_overhead"
 
 echo

@@ -170,10 +170,8 @@ class Controller {
   void seal_audit() { audit_.seal(config_.key); }
   void set_on_membership(MembershipFn fn) { on_membership_ = std::move(fn); }
 
-  /// True while a membership change is being installed; events delivered
-  /// in this window are queued (paper §4.3) and drained by
-  /// `finish_membership_change`.
-  bool membership_changing() const { return membership_changing_; }
+  /// Opens the membership-change window: events delivered in it are
+  /// queued (paper §4.3) and drained by `finish_membership_change`.
   void begin_membership_change() { membership_changing_ = true; }
   /// Installs our re-dealt share (the plane itself is already settled),
   /// re-keys the FROST signer, rebuilds the BFT replica for the new

@@ -53,7 +53,7 @@ Delivery delivery_of(const DeploymentParams& params) {
 
 Deployment::Deployment(net::Topology topology, DeploymentParams params)
     : topo_(std::move(topology)), params_(params), delivery_(delivery_of(params)),
-      obs_(params.metrics, params.trace), drbg_(params.seed),
+      obs_(params.trace), drbg_(params.seed),
       crypto_(params.real_crypto, params.backend) {
   setup_parallel();
   if (psim_ == nullptr) {
@@ -102,7 +102,7 @@ void Deployment::setup_parallel() {
   psim_ = std::make_unique<sim::ParallelSim>(opt);
   shard_obs_.reserve(part.shards);
   for (std::uint32_t s = 0; s < part.shards; ++s) {
-    shard_obs_.push_back(std::make_unique<obs::Observability>(params_.metrics, false));
+    shard_obs_.push_back(std::make_unique<obs::Observability>());
   }
   flow_shards_ = std::vector<FlowShard>(part.shards);
   CICERO_LOG_INFO(kLog, "parallel mode: %u shards over %zu domains, lookahead %lld ns",
@@ -515,7 +515,7 @@ void Deployment::run(sim::SimTime horizon) {
 }
 
 void Deployment::merge_shard_metrics() {
-  if (psim_ == nullptr || !params_.metrics) return;
+  if (psim_ == nullptr) return;
   // The deployment-wide registry is write-idle in parallel mode (every
   // component records into its shard's registry), so zero+fold is
   // repeatable across successive run() calls.

@@ -71,9 +71,6 @@ struct DeploymentParams {
   /// `ack_timeout <= 0` or `update_max_retries == 0` disables.
   sim::SimTime ack_timeout = sim::milliseconds(500);
   std::uint32_t update_max_retries = 6;
-  /// Metrics recording (counters/histograms); near-zero cost, on by
-  /// default.  Disable for the most allocation-sensitive sweeps.
-  bool metrics = true;
   /// Simulation-time tracing (buffers every span in memory); off by
   /// default — enable for runs whose trace you intend to export.
   bool trace = false;

@@ -1,6 +1,7 @@
 #include "crypto/group.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -337,25 +338,38 @@ const GenTables& gen_tables() {
 
 /// Width-`w` non-adjacent form, digits least-significant first.  Every
 /// nonzero digit is odd with |d| < 2^(w-1); at most 257 digits.  Returns
-/// the digit count.
+/// the digit count.  Shifts once per run of zero digits, not once per
+/// digit.
 int wnaf_recode(U256 k, int w, std::int8_t* digits) {
   const std::uint64_t mask = (1u << w) - 1;
   const std::uint64_t half = 1u << (w - 1);
   int len = 0;
+  const auto zeros = [&](unsigned n) {
+    std::fill_n(digits + len, n, std::int8_t{0});
+    len += static_cast<int>(n);
+  };
   while (!k.is_zero()) {
+    if (!k.is_odd()) {
+      unsigned limb = 0;
+      while (k.w[limb] == 0) ++limb;
+      const unsigned z = 64 * limb + static_cast<unsigned>(std::countr_zero(k.w[limb]));
+      zeros(z);
+      k = k.shr(z);
+    }
+    const std::uint64_t m = k.w[0] & mask;
     std::int64_t d = 0;
-    if (k.is_odd()) {
-      const std::uint64_t m = k.w[0] & mask;
-      if (m >= half) {
-        d = static_cast<std::int64_t>(m) - static_cast<std::int64_t>(mask + 1);
-        k.add_assign(U256(static_cast<std::uint64_t>(-d)));
-      } else {
-        d = static_cast<std::int64_t>(m);
-        k.sub_assign(U256(static_cast<std::uint64_t>(d)));
-      }
+    if (m >= half) {
+      d = static_cast<std::int64_t>(m) - static_cast<std::int64_t>(mask + 1);
+      k.add_assign(U256(static_cast<std::uint64_t>(-d)));
+    } else {
+      d = static_cast<std::int64_t>(m);
+      k.sub_assign(U256(static_cast<std::uint64_t>(d)));
     }
     digits[len++] = static_cast<std::int8_t>(d);
-    k = k.shr(1);
+    if (k.is_zero()) break;
+    // k is now a nonzero multiple of 2^w: the next w - 1 digits are zero.
+    zeros(static_cast<unsigned>(w - 1));
+    k = k.shr(static_cast<unsigned>(w));
   }
   return len;
 }

@@ -54,7 +54,7 @@ class FlowTable {
  private:
   /// Flat-hash key: the (src, dst) host pair packed into one u64, so the
   /// per-packet lookup is one mix + probe and placement responds to the
-  /// CICERO_HASH_SALT determinism sweep like every other hot table.
+  /// hash-salt determinism sweep like every other hot table.
   static std::uint64_t key(const FlowMatch& m) {
     return (static_cast<std::uint64_t>(m.src_host) << 32) | m.dst_host;
   }

@@ -43,13 +43,11 @@ const char* crit_phase_name(CritPhase p) {
 }
 
 void CritPath::event_submitted(std::uint32_t origin, std::uint64_t seq, std::int64_t ts_ns) {
-  if (!enabled_) return;
   event_submits_.emplace(std::make_pair(origin, seq), ts_ns);  // first wins
 }
 
 void CritPath::update_scheduled(std::uint64_t id, std::uint32_t origin, std::uint64_t seq,
                                 std::int64_t ts_ns) {
-  if (!enabled_) return;
   Record& r = updates_[id];
   if (r.scheduled < 0) r.scheduled = ts_ns;
   if (r.submit < 0) {
@@ -61,20 +59,17 @@ void CritPath::update_scheduled(std::uint64_t id, std::uint32_t origin, std::uin
 }
 
 void CritPath::first(std::int64_t Record::*milestone, std::uint64_t id, std::int64_t ts_ns) {
-  if (!enabled_) return;
   std::int64_t& at = updates_[id].*milestone;
   if (at < 0) at = ts_ns;
 }
 
 void CritPath::update_retransmitted(std::uint64_t id, std::int64_t ts_ns) {
-  if (!enabled_) return;
   Record& r = updates_[id];
   r.last_retransmit = std::max(r.last_retransmit, ts_ns);
   ++r.retransmits;
 }
 
 void CritPath::add_phase_bytes(CritPhase p, std::uint64_t bytes) {
-  if (!enabled_) return;
   bytes_[static_cast<std::size_t>(p)] += bytes;
 }
 

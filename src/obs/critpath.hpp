@@ -110,21 +110,12 @@ class CritPath {
     std::vector<SlowUpdate> slowest;  ///< total_ms desc, id asc tie-break
   };
 
-  explicit CritPath(bool enabled = false) { set_enabled(enabled); }
+  CritPath() = default;
 
   CritPath(const CritPath&) = delete;
   CritPath& operator=(const CritPath&) = delete;
 
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool on) {
-#ifndef CICERO_OBS_NOOP
-    enabled_ = on;
-#else
-    (void)on;
-#endif
-  }
-
-  // --- recording (cheap early-outs while disabled) ---
+  // --- recording ---
   /// Intent submission, keyed by the cause event until the schedule step
   /// maps it onto concrete update ids.
   void event_submitted(std::uint32_t origin, std::uint64_t seq, std::int64_t ts_ns);
@@ -167,7 +158,6 @@ class CritPath {
  private:
   void first(std::int64_t Record::*milestone, std::uint64_t id, std::int64_t ts_ns);
 
-  bool enabled_ = false;
   std::map<std::uint64_t, Record> updates_;
   std::map<std::pair<std::uint32_t, std::uint64_t>, std::int64_t> event_submits_;
   std::uint64_t bytes_[kCritPhaseCount] = {};

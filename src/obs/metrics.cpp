@@ -18,7 +18,6 @@ std::vector<double> size_buckets_bytes() {
 }
 
 Counter MetricsRegistry::counter(const std::string& name) {
-  if (!enabled_) return Counter{};
   auto it = counters_.find(name);
   if (it == counters_.end()) {
     check_kind_collision(name, "counter");
@@ -29,7 +28,6 @@ Counter MetricsRegistry::counter(const std::string& name) {
 }
 
 Gauge MetricsRegistry::gauge(const std::string& name) {
-  if (!enabled_) return Gauge{};
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
     check_kind_collision(name, "gauge");
@@ -40,7 +38,6 @@ Gauge MetricsRegistry::gauge(const std::string& name) {
 }
 
 Histogram MetricsRegistry::histogram(const std::string& name, std::vector<double> bounds) {
-  if (!enabled_) return Histogram{};
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     check_kind_collision(name, "histogram");
@@ -81,9 +78,8 @@ void MetricsRegistry::zero() {
 }
 
 void MetricsRegistry::merge_sum(const std::vector<const MetricsRegistry*>& sources) {
-  if (!enabled_) return;
   for (const MetricsRegistry* src : sources) {
-    if (src == nullptr || !src->enabled_) continue;
+    if (src == nullptr) continue;
     for (const auto& [name, cell] : src->counters_) {
       counter(name);  // materialize the destination cell
       *counters_.at(name) += *cell;

@@ -7,10 +7,9 @@
 // Hot-path design: instruments resolve their metric ONCE at construction
 // into a handle holding a raw pointer to the backing cell.  Recording is
 // a pointer-null check plus an add — no lookup, no allocation, no lock
-// (the simulator is single-threaded).  A registry constructed disabled
-// hands out null handles, so the disabled path is a dead branch; defining
-// CICERO_OBS_NOOP at compile time (cmake -DCICERO_OBS=OFF) empties the
-// record methods entirely.
+// (the simulator is single-threaded).  A component without an obs sink
+// holds default-constructed (null) handles, so its record calls are a
+// dead branch.
 #pragma once
 
 #include <atomic>
@@ -37,11 +36,7 @@ class Counter {
  public:
   Counter() = default;
   void inc(std::uint64_t delta = 1) {
-#ifndef CICERO_OBS_NOOP
     if (cell_ != nullptr) *cell_ += delta;
-#else
-    (void)delta;
-#endif
   }
   std::uint64_t value() const { return cell_ != nullptr ? *cell_ : 0; }
 
@@ -55,18 +50,10 @@ class Gauge {
  public:
   Gauge() = default;
   void set(double v) {
-#ifndef CICERO_OBS_NOOP
     if (cell_ != nullptr) *cell_ = v;
-#else
-    (void)v;
-#endif
   }
   void add(double delta) {
-#ifndef CICERO_OBS_NOOP
     if (cell_ != nullptr) *cell_ += delta;
-#else
-    (void)delta;
-#endif
   }
   double value() const { return cell_ != nullptr ? *cell_ : 0.0; }
 
@@ -80,7 +67,6 @@ class Histogram {
  public:
   Histogram() = default;
   void observe(double x) {
-#ifndef CICERO_OBS_NOOP
     if (cell_ == nullptr) return;
     HistogramCell& h = *cell_;
     // Linear scan: bucket counts are small (<= ~24) and the early buckets
@@ -96,9 +82,6 @@ class Histogram {
     }
     ++h.count;
     h.sum += x;
-#else
-    (void)x;
-#endif
   }
   const HistogramCell* cell() const { return cell_; }
 
@@ -115,15 +98,12 @@ std::vector<double> size_buckets_bytes();  ///< 64B .. 16MB powers of four
 
 class MetricsRegistry {
  public:
-  explicit MetricsRegistry(bool enabled = true) : enabled_(enabled) {}
+  MetricsRegistry() = default;
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  bool enabled() const { return enabled_; }
-
-  /// Handles for the same name share one backing cell.  A disabled
-  /// registry returns null (no-op) handles and allocates nothing.
+  /// Handles for the same name share one backing cell.
   Counter counter(const std::string& name);
   Gauge gauge(const std::string& name);
   Histogram histogram(const std::string& name, std::vector<double> bounds);
@@ -150,7 +130,6 @@ class MetricsRegistry {
   /// (a gauge-vs-counter collision would silently fork into two cells).
   void check_kind_collision(const std::string& name, const char* wanted) const;
 
-  bool enabled_;
   // deques: stable addresses across growth (handles keep raw pointers).
   std::deque<std::uint64_t> counter_cells_;
   std::deque<double> gauge_cells_;

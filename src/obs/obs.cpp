@@ -27,7 +27,7 @@ Histogram NodeHooks::latency_histogram(const std::string& name) const {
 bool NodeHooks::tracing() const { return obs_ != nullptr && obs_->trace.enabled(); }
 
 void NodeHooks::stamp(Stamp milestone, std::uint64_t id) {
-  if (leader_ && obs_ != nullptr && obs_->critpath.enabled()) {
+  if (leader_ && obs_ != nullptr) {
     (obs_->critpath.*milestone)(id, now_());
   }
 }

@@ -2,8 +2,9 @@
 //
 // Instrumented components (sim::NetworkSim, sim::CpuServer,
 // bft::PbftReplica, core::Controller, core::SwitchRuntime) take a nullable
-// `Observability*`; a null pointer or a disabled sub-system makes every
-// record call a no-op, so tests and cost-only sweeps pay nothing.
+// `Observability*`; a null pointer makes every record call a no-op, so
+// tests and cost-only sweeps pay nothing.  With a sink, metrics and
+// critical-path milestones are always recorded; tracing is opt-in.
 //
 // Component thread-row convention (one simulated node = one trace
 // process; rows within it):
@@ -30,11 +31,7 @@ inline constexpr TraceTid kTidCrypto = 2;
 inline constexpr TraceTid kTidNet = 3;
 
 struct Observability {
-  explicit Observability(bool metrics_enabled = true, bool trace_enabled = false)
-      : metrics(metrics_enabled) {
-    trace.set_enabled(trace_enabled);
-    critpath.set_enabled(metrics_enabled);
-  }
+  explicit Observability(bool trace_enabled = false) { trace.set_enabled(trace_enabled); }
 
   Tracer trace;
   MetricsRegistry metrics;

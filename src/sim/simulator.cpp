@@ -76,9 +76,6 @@ void Simulator::maybe_compact() {
 bool Simulator::step() {
   prune_top();
   if (heap_.empty()) return false;
-  if (event_cap_ != 0 && events_processed_ >= event_cap_) {
-    throw std::runtime_error("Simulator: event cap exceeded (livelock?)");
-  }
   const Entry e = heap_.front();
   heap_.front() = heap_.back();
   heap_.pop_back();

@@ -94,10 +94,6 @@ class Simulator {
   /// Pending (armed, uncancelled) events.
   std::size_t pending_events() const { return live_; }
 
-  /// Hard cap on processed events to catch accidental livelock in tests;
-  /// 0 disables.  step() throws std::runtime_error past the cap.
-  void set_event_cap(std::uint64_t cap) { event_cap_ = cap; }
-
  private:
   /// Heap entries are tombstoned by a generation mismatch with their slot.
   struct Entry {
@@ -125,7 +121,6 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
   std::uint64_t events_cancelled_ = 0;
-  std::uint64_t event_cap_ = 0;
   std::size_t live_ = 0;  ///< armed entries in heap_ (heap_.size() - tombstones)
   std::vector<Entry> heap_;
   /// Slot arena, two parallel arrays: the pending callbacks, and the

@@ -46,19 +46,24 @@ constexpr std::uint64_t hash_mix64(std::uint64_t x) {
 // perturbs only where keys land in FlatHashMap/FlatHashSet slot arrays —
 // never RNG seeding or any simulated quantity — so two runs under
 // different salts must produce bit-identical run reports; a divergence
-// proves some output iterated a table in placement order.  Configured at
-// build time via -DCICERO_HASH_SALT=<u64> (default 0: the historical
-// placement) and overridable at runtime for the in-process sweep test.
-#ifndef CICERO_HASH_SALT
-#define CICERO_HASH_SALT 0
-#endif
-inline std::uint64_t g_hash_salt = CICERO_HASH_SALT;
+// proves some output iterated a table in placement order.  0 (the
+// historical placement) unless a ScopedHashSalt is live.
+inline std::uint64_t g_hash_salt = 0;
 
-/// Runtime override for the salt sweep test.  Call only while no table
+/// Sets the placement salt for the scope and restores the previous one on
+/// exit (the in-process salt sweep).  Enter and leave only while no table
 /// is live: existing tables keep their old placement and would miss
 /// lookups hashed with the new salt.
-inline void set_hash_salt(std::uint64_t salt) { g_hash_salt = salt; }
-inline std::uint64_t hash_salt() { return g_hash_salt; }
+class ScopedHashSalt {
+ public:
+  explicit ScopedHashSalt(std::uint64_t salt) : previous_(g_hash_salt) { g_hash_salt = salt; }
+  ~ScopedHashSalt() { g_hash_salt = previous_; }
+  ScopedHashSalt(const ScopedHashSalt&) = delete;
+  ScopedHashSalt& operator=(const ScopedHashSalt&) = delete;
+
+ private:
+  std::uint64_t previous_;
+};
 
 /// Default hasher: integral keys get the salted 64-bit mix; other types
 /// fall back to std::hash (deterministic for everything we key on except

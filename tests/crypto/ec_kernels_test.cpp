@@ -33,6 +33,13 @@ std::vector<Scalar> edge_scalars() {
       scalar_from_hex("7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"),
       scalar_from_hex("ffffffffffffffff000000000000000000000000000000000000000000000000"),
       scalar_from_hex("0000000000000000000000000000000000000000000000000000000100000000"),
+      // Limb boundaries: 2^64, 2^128 + 1, and runs of ones across them
+      // (bits 58..68, 120..199 and 187..195).
+      scalar_from_hex("10000000000000000"),
+      scalar_from_hex("100000000000000000000000000000001"),
+      scalar_from_hex("1ffc00000000000000"),
+      scalar_from_hex("ffffffffffffffffffff000000000000000000000000000000"),
+      scalar_from_hex("ff80000000000000000000000000000000000000000000000"),
   };
   // Small scalars cover every 4-bit comb digit and every width-5 wNAF digit.
   for (std::uint64_t v = 4; v <= 33; ++v) out.push_back(Scalar::from_u64(v));

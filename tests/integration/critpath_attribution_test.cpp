@@ -2,7 +2,7 @@
 // the profiler must still attribute (essentially) all of every completed
 // update's end-to-end latency to the six named phases, and the
 // `critical_path` report section must be bit-identical across seeds
-// re-run and across CICERO_HASH_SALT values — attribution is a pure
+// re-run and across hash-salt values — attribution is a pure
 // function of the simulated history, never of wall clock, thread count
 // or hash-table placement.  Runs under `ctest -L consistency`.
 #include <gtest/gtest.h>
@@ -26,11 +26,6 @@ using core::FrameworkKind;
 
 constexpr std::uint64_t kAltSalt = 0x9E3779B97F4A7C15ULL;
 
-struct ScopedHashSalt {
-  explicit ScopedHashSalt(std::uint64_t salt) { util::set_hash_salt(salt); }
-  ~ScopedHashSalt() { util::set_hash_salt(0); }
-};
-
 std::unique_ptr<Deployment> chaos_deployment(std::uint64_t seed) {
   DeploymentParams dp;
   dp.framework = FrameworkKind::kCicero;
@@ -43,7 +38,7 @@ std::unique_ptr<Deployment> chaos_deployment(std::uint64_t seed) {
 }
 
 obs::CritPath::Summary run_chaos_summary(std::uint64_t seed, std::uint64_t salt) {
-  ScopedHashSalt guard(salt);
+  util::ScopedHashSalt guard(salt);
   auto dep = chaos_deployment(seed);
   dep->inject(testing::small_workload(dep->topology(), 12));
   dep->run(sim::seconds(90));

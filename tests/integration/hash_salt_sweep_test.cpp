@@ -1,5 +1,5 @@
 // Hash-salt sweep: a dynamic proof that no run output depends on
-// flat-hash iteration (placement) order.  CICERO_HASH_SALT perturbs only
+// flat-hash iteration (placement) order.  The hash salt perturbs only
 // where keys land in FlatHashMap/FlatHashSet slot arrays — never RNG
 // seeding or any simulated quantity — so the same scenario run under two
 // different salts must produce bit-identical `cicero-run-report/v1` JSON.
@@ -30,13 +30,6 @@ using core::FrameworkKind;
 // table's slot assignment.
 constexpr std::uint64_t kAltSalt = 0x9E3779B97F4A7C15ULL;
 
-/// RAII salt override scoped to one whole deployment run: the salt must
-/// be set before any table is built and restored before the next run.
-struct ScopedHashSalt {
-  explicit ScopedHashSalt(std::uint64_t salt) { util::set_hash_salt(salt); }
-  ~ScopedHashSalt() { util::set_hash_salt(0); }
-};
-
 std::unique_ptr<Deployment> seeded_deployment(
     net::Topology topo, std::uint64_t seed,
     core::AggregationMode agg = core::AggregationMode::kNone) {
@@ -63,7 +56,7 @@ std::string report_json(Deployment& dep, std::uint64_t seed) {
 /// fault injector's flat-hash rule tables and the retransmission paths
 /// are all exercised with the perturbed placement.
 std::string run_chaos(std::uint64_t seed, std::uint64_t salt) {
-  ScopedHashSalt guard(salt);
+  util::ScopedHashSalt guard(salt);
   auto dep = seeded_deployment(net::build_pod(testing::small_pod()), seed);
   dep->faults().set_uniform_loss(0.10);
   const auto flows = testing::small_workload(dep->topology(), 10);
@@ -76,7 +69,7 @@ std::string run_chaos(std::uint64_t seed, std::uint64_t salt) {
 /// workload — thousands of flow-table entries, so placement order
 /// differs wildly between salts.
 std::string run_scale(std::uint64_t seed, std::uint64_t salt) {
-  ScopedHashSalt guard(salt);
+  util::ScopedHashSalt guard(salt);
   auto dep = seeded_deployment(workload::fat_tree(4), seed);
   const auto flows = workload::scale_flows(dep->topology(), 12, 300.0, seed);
   dep->inject(flows);
@@ -88,7 +81,7 @@ std::string run_scale(std::uint64_t seed, std::uint64_t salt) {
 /// buckets and replay cache are keyed maps — their placement must never
 /// leak into fan-out order or the report.
 std::string run_innet(std::uint64_t seed, std::uint64_t salt) {
-  ScopedHashSalt guard(salt);
+  util::ScopedHashSalt guard(salt);
   auto dep = seeded_deployment(net::build_pod(testing::small_pod()), seed,
                                core::AggregationMode::kInNetwork);
   dep->faults().set_uniform_loss(0.10);

@@ -23,7 +23,7 @@ void record_full_chain(CritPath& cp, std::uint64_t id, std::int64_t base_ms) {
 }
 
 TEST(CritPath, FullChainPartitionsEndToEnd) {
-  CritPath cp(/*enabled=*/true);
+  CritPath cp;
   record_full_chain(cp, 1, 0);
 
   const CritPath::Record* r = cp.find(1);
@@ -41,7 +41,7 @@ TEST(CritPath, FullChainPartitionsEndToEnd) {
 }
 
 TEST(CritPath, MissingInteriorMilestoneCollapsesToZeroWidthPhase) {
-  CritPath cp(/*enabled=*/true);
+  CritPath cp;
   cp.event_submitted(0, 9, sim_ms(0));
   cp.update_scheduled(9, 0, 9, sim_ms(4));
   // No release / sign / rx / applied observed — only the ack.
@@ -60,7 +60,7 @@ TEST(CritPath, MissingInteriorMilestoneCollapsesToZeroWidthPhase) {
 }
 
 TEST(CritPath, OutOfOrderTimestampsNeverGoNegative) {
-  CritPath cp(/*enabled=*/true);
+  CritPath cp;
   cp.event_submitted(0, 2, sim_ms(10));
   cp.update_scheduled(2, 0, 2, sim_ms(8));  // before submit: clamped up
   cp.update_released(2, sim_ms(12));
@@ -79,7 +79,7 @@ TEST(CritPath, OutOfOrderTimestampsNeverGoNegative) {
 }
 
 TEST(CritPath, RetransmitSplitsInFlightLeg) {
-  CritPath cp(/*enabled=*/true);
+  CritPath cp;
   cp.event_submitted(0, 3, sim_ms(0));
   cp.update_scheduled(3, 0, 3, sim_ms(1));
   cp.update_released(3, sim_ms(1));
@@ -106,7 +106,7 @@ TEST(CritPath, RetransmitSplitsInFlightLeg) {
 }
 
 TEST(CritPath, RetransmitBeforeLegStartCountsNothing) {
-  CritPath cp(/*enabled=*/true);
+  CritPath cp;
   cp.event_submitted(0, 4, sim_ms(0));
   cp.update_scheduled(4, 0, 4, sim_ms(1));
   cp.update_released(4, sim_ms(2));
@@ -124,7 +124,7 @@ TEST(CritPath, RetransmitBeforeLegStartCountsNothing) {
 }
 
 TEST(CritPath, IncompleteRecordsAreCountedNotAttributed) {
-  CritPath cp(/*enabled=*/true);
+  CritPath cp;
   record_full_chain(cp, 1, 0);
   // Update 2 never acks.
   cp.event_submitted(0, 2, sim_ms(0));
@@ -143,7 +143,7 @@ TEST(CritPath, IncompleteRecordsAreCountedNotAttributed) {
 }
 
 TEST(CritPath, FirstObservationWinsPerMilestone) {
-  CritPath cp(/*enabled=*/true);
+  CritPath cp;
   cp.update_rx(5, sim_ms(10));
   cp.update_rx(5, sim_ms(20));  // duplicate delivery: ignored
   cp.update_acked(5, sim_ms(30));
@@ -155,7 +155,7 @@ TEST(CritPath, FirstObservationWinsPerMilestone) {
 }
 
 TEST(CritPath, SharedCauseEventFansOutToAllUpdates) {
-  CritPath cp(/*enabled=*/true);
+  CritPath cp;
   cp.event_submitted(2, 7, sim_ms(3));
   cp.update_scheduled(10, 2, 7, sim_ms(8));
   cp.update_scheduled(11, 2, 7, sim_ms(9));
@@ -166,7 +166,7 @@ TEST(CritPath, SharedCauseEventFansOutToAllUpdates) {
 }
 
 TEST(CritPath, SummarizeOrdersSlowestDescWithIdTieBreak) {
-  CritPath cp(/*enabled=*/true);
+  CritPath cp;
   record_full_chain(cp, 4, 0);    // 30 ms
   record_full_chain(cp, 2, 100);  // 30 ms (tie with 4 -> lower id first)
   cp.event_submitted(0, 8, sim_ms(200));
@@ -184,7 +184,7 @@ TEST(CritPath, SummarizeOrdersSlowestDescWithIdTieBreak) {
 }
 
 TEST(CritPath, PhaseBytesAccumulateAndSurfaceInSummary) {
-  CritPath cp(/*enabled=*/true);
+  CritPath cp;
   cp.add_phase_bytes(CritPhase::kOrder, 100);
   cp.add_phase_bytes(CritPhase::kOrder, 23);
   cp.add_phase_bytes(CritPhase::kRetransmit, 7);
@@ -195,24 +195,11 @@ TEST(CritPath, PhaseBytesAccumulateAndSurfaceInSummary) {
   EXPECT_EQ(s.phases[P(CritPhase::kSign)].bytes, 0u);
 }
 
-TEST(CritPath, DisabledRecordsNothing) {
-  CritPath cp;  // disabled by default
-  EXPECT_FALSE(cp.enabled());
-  record_full_chain(cp, 1, 0);
-  cp.add_phase_bytes(CritPhase::kOrder, 50);
-  EXPECT_EQ(cp.tracked_updates(), 0u);
-  EXPECT_EQ(cp.phase_bytes(CritPhase::kOrder), 0u);
-  const CritPath::Summary s = cp.summarize();
-  EXPECT_EQ(s.completed, 0u);
-  EXPECT_DOUBLE_EQ(s.attributed_min, 0.0);
-  EXPECT_TRUE(s.slowest.empty());
-}
-
 TEST(CritPath, MergeFromFoldsDisjointShards) {
-  CritPath a(/*enabled=*/true);
+  CritPath a;
   record_full_chain(a, 1, 0);
   a.add_phase_bytes(CritPhase::kPropagate, 10);
-  CritPath b(/*enabled=*/true);
+  CritPath b;
   record_full_chain(b, 2, 50);
   b.add_phase_bytes(CritPhase::kPropagate, 5);
 
@@ -225,10 +212,10 @@ TEST(CritPath, MergeFromFoldsDisjointShards) {
 }
 
 TEST(CritPath, MergeFromCollisionTakesEarliestMilestones) {
-  CritPath a(/*enabled=*/true);
+  CritPath a;
   a.update_rx(1, sim_ms(20));
   a.update_retransmitted(1, sim_ms(15));
-  CritPath b(/*enabled=*/true);
+  CritPath b;
   b.update_rx(1, sim_ms(10));
   b.update_acked(1, sim_ms(30));
   b.update_retransmitted(1, sim_ms(18));
@@ -243,8 +230,8 @@ TEST(CritPath, MergeFromCollisionTakesEarliestMilestones) {
 }
 
 TEST(CritPath, SummarizeIsDeterministicAcrossInsertionOrder) {
-  CritPath fwd(/*enabled=*/true);
-  CritPath rev(/*enabled=*/true);
+  CritPath fwd;
+  CritPath rev;
   for (std::uint64_t id = 1; id <= 20; ++id) {
     record_full_chain(fwd, id, static_cast<std::int64_t>(id) * 7);
   }
@@ -264,7 +251,7 @@ TEST(CritPath, SummarizeIsDeterministicAcrossInsertionOrder) {
 }
 
 TEST(CritPath, ClearResetsRecordsAndBytes) {
-  CritPath cp(/*enabled=*/true);
+  CritPath cp;
   record_full_chain(cp, 1, 0);
   cp.add_phase_bytes(CritPhase::kApply, 9);
   cp.clear();

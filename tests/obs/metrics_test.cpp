@@ -42,22 +42,6 @@ TEST(MetricsRegistry, HandlesSurviveRegistryGrowth) {
   EXPECT_EQ(reg.counter_value("first"), 1u);
 }
 
-TEST(MetricsRegistry, DisabledRegistryHandsOutNoops) {
-  MetricsRegistry reg(/*enabled=*/false);
-  Counter c = reg.counter("x");
-  Gauge g = reg.gauge("y");
-  Histogram h = reg.histogram("z", {1.0, 2.0});
-  c.inc();
-  g.set(7.0);
-  h.observe(1.5);
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0.0);
-  EXPECT_EQ(h.cell(), nullptr);
-  EXPECT_TRUE(reg.counters().empty());
-  EXPECT_TRUE(reg.gauges().empty());
-  EXPECT_TRUE(reg.histograms().empty());
-}
-
 TEST(MetricsRegistry, DefaultConstructedHandlesAreNoops) {
   Counter c;
   Gauge g;

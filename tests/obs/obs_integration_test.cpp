@@ -79,21 +79,6 @@ TEST(ObsIntegration, SubsystemCountersAreWired) {
   EXPECT_GT(it->second->sum, 0.0);
 }
 
-TEST(ObsIntegration, MetricsDisabledRunRecordsNothing) {
-  core::DeploymentParams dp;
-  dp.framework = core::FrameworkKind::kCicero;
-  dp.real_crypto = false;
-  dp.seed = 12345;
-  dp.metrics = false;
-  auto dep = std::make_unique<core::Deployment>(net::build_pod(testing::small_pod()), dp);
-  const auto flows = testing::small_workload(dep->topology(), 10);
-  dep->inject(flows);
-  dep->run(sim::seconds(20));
-  EXPECT_EQ(testing::completed_count(*dep), flows.size());
-  EXPECT_TRUE(dep->obs().metrics.counters().empty());
-  EXPECT_EQ(dep->obs().trace.event_count(), 0u);
-}
-
 TEST(ObsIntegration, RunReportRoundTrip) {
   auto dep = traced_deployment();
   obs::RunReport report("obs_integration");

@@ -66,7 +66,7 @@ TEST(RunReport, EscapesMetaStrings) {
 }
 
 TEST(RunReport, CriticalPathSectionShape) {
-  CritPath cp(/*enabled=*/true);
+  CritPath cp;
   cp.event_submitted(0, 1, 0);
   cp.update_scheduled(7, 0, 1, sim_ms(10));
   cp.update_released(7, sim_ms(15));

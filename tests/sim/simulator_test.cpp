@@ -71,15 +71,6 @@ TEST(Simulator, StepReturnsFalseWhenEmpty) {
   EXPECT_FALSE(s.step());
 }
 
-TEST(Simulator, EventCapThrows) {
-  Simulator s;
-  s.set_event_cap(10);
-  // Self-perpetuating event chain: must trip the cap, not hang.
-  std::function<void()> loop = [&] { s.after(1, loop); };
-  s.after(1, loop);
-  EXPECT_THROW(s.run(), std::runtime_error);
-}
-
 TEST(Simulator, CountsEvents) {
   Simulator s;
   for (int i = 0; i < 7; ++i) s.at(i, [] {});

@@ -105,14 +105,6 @@ TEST(FlatHashMap, ForEachIsDeterministicForSameHistory) {
   EXPECT_EQ(build(), build());  // same history => same slot order
 }
 
-// RAII salt override: tables built inside the scope use the given
-// placement salt; the default (0) is restored on exit so later tests see
-// the historical placement.
-struct ScopedHashSalt {
-  explicit ScopedHashSalt(std::uint64_t salt) { set_hash_salt(salt); }
-  ~ScopedHashSalt() { set_hash_salt(0); }
-};
-
 TEST(FlatHashMap, HashSaltPerturbsPlacementButNotContents) {
   auto build = [] {
     FlatHashMap<std::uint64_t, int> m;
@@ -128,6 +120,8 @@ TEST(FlatHashMap, HashSaltPerturbsPlacementButNotContents) {
   {
     ScopedHashSalt guard(0x9E3779B97F4A7C15ULL);
     salted = build();
+    { ScopedHashSalt inner(1); }
+    EXPECT_EQ(build(), salted);  // a nested scope restores the outer salt
   }
   // Identical contents, different slot order: the salt moved placement —
   // this is what lets the salt sweep (DESIGN.md §13) catch code that

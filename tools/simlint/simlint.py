@@ -22,7 +22,7 @@ turns the determinism contract into a CI-time guarantee (DESIGN.md §13):
                        crypto and util leaf libraries).  Hash-order
                        iteration feeding an emitting path makes run
                        output a function of table placement (and breaks
-                       the CICERO_HASH_SALT sweep).  Escape hatches: sort
+                       the hash-salt sweep).  Escape hatches: sort
                        within the next few lines (collect-then-sort), or
                        a reviewed `simlint-ordered:` justification.
   unordered-emission   a trace/report emission call reached directly from
